@@ -1,11 +1,13 @@
-// Benchmarks: one per reproduced paper artifact (see EXPERIMENTS.md),
-// plus micro-benchmarks of the core kernels. Run with:
+// Benchmarks: one per reproduced paper artifact (`biochipbench list`
+// maps experiment IDs to artifacts), plus micro-benchmarks of the core
+// kernels and layers. Run with:
 //
 //	go test -bench=. -benchmem
 package biochip
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"biochip/internal/cage"
@@ -103,18 +105,6 @@ func BenchmarkCageCompile(b *testing.B) {
 		f := layout.Compile()
 		if f.Cols() != 320 {
 			b.Fatal("bad frame")
-		}
-	}
-}
-
-// BenchmarkCageCalibration measures the one-time field-solver
-// calibration of the cage model.
-func BenchmarkCageCalibration(b *testing.B) {
-	spec := dep.DefaultCageSpec()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dep.NewCageModel(spec); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -258,6 +248,56 @@ func benchCaptureAll(b *testing.B, parallelism int) {
 		if _, _, err := sim.CaptureAll(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRelease measures the release op's layer: about 200 captured
+// cages freed one at a time, each release one frame program. Cells are
+// loaded and settled once; each iteration re-captures them outside the
+// timer (released cells stay where their cages held them) and times the
+// releases. 96x96 is the benchmark's scan-stream die, 320x320 the
+// default paper-scale die: a release reprograms only the electrodes it
+// changes, so ns/release must not grow with array area. The untimed
+// re-capture dominates wall time; use -benchtime Nx for a quick run.
+func BenchmarkRelease(b *testing.B) {
+	for _, cols := range []int{96, 320} {
+		b.Run(fmt.Sprintf("%dx%d", cols, cols), func(b *testing.B) {
+			cfg := chip.DefaultConfig()
+			cfg.Array.Cols, cfg.Array.Rows = cols, cols
+			cfg.SensorParallelism = cols
+			cfg.Parallelism = 1
+			cfg.Seed = 9
+			sim, err := chip.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			kind := particle.ViableCell()
+			if _, err := sim.Load(&kind, 200); err != nil {
+				b.Fatal(err)
+			}
+			sim.Settle(sim.Chamber().Height / (5 * units.Micron))
+			released := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, _, err := sim.CaptureAll(); err != nil {
+					b.Fatal(err)
+				}
+				ids := sim.Layout().IDs()
+				if len(ids) < 150 {
+					b.Fatalf("only %d cages captured", len(ids))
+				}
+				b.StartTimer()
+				for _, id := range ids {
+					if err := sim.Release(id); err != nil {
+						b.Fatal(err)
+					}
+				}
+				released += len(ids)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(released), "ns/release")
+		})
 	}
 }
 

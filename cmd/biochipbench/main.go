@@ -6,13 +6,13 @@
 //	biochipbench [-scale quick|full] [-csv] [-j N] [-benchout FILE] e1 [e2 ...]
 //	biochipbench list
 //
-// Each experiment prints one table; EXPERIMENTS.md maps experiment IDs to
-// the figures and claims of the DATE'05 paper. Experiments fan out across
-// -j worker goroutines (default GOMAXPROCS) — every experiment seeds its
-// own RNG streams, so the tables are identical at any worker count. Each
-// run also writes a BENCH.json timing artifact (disable with -benchout ""),
-// including a "routing" section that times every planner family on the
-// standard low-congestion routing instance.
+// Each experiment prints one table; `biochipbench list` maps experiment
+// IDs to the figures and claims of the DATE'05 paper. Experiments fan out
+// across -j worker goroutines (default GOMAXPROCS) — every experiment
+// seeds its own RNG streams, so the tables are identical at any worker
+// count. Each run also writes a BENCH.json timing artifact (disable with
+// -benchout ""), including a "routing" section that times every planner
+// family on the standard low-congestion routing instance.
 package main
 
 import (

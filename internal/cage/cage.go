@@ -7,6 +7,16 @@
 // "changing the pattern of voltages ... the DEP cages can be shifted,
 // thus dragging along the trapped particles" becomes a sequence of
 // layouts, each one frame programmed into the array.
+//
+// Cost model: the compiled frame is PhaseA everywhere except PhaseB at
+// each cage centre, so a layout change alters only the centres it
+// touches. A Layout records those cells, and TakeChanges turns them into
+// the sparse electrode writes that bring the last programmed frame up to
+// date. Reprogramming after a change therefore costs the host
+// O(changed electrodes), not O(array); Compile renders the whole frame
+// and is the reference the sparse path is tested against. Simulated
+// time is the array's business and still follows its full-frame or
+// dirty-row model.
 package cage
 
 import (
@@ -33,6 +43,9 @@ type Layout struct {
 	cols, rows int
 	pos        map[int]geom.Cell
 	occ        map[geom.Cell]int
+	// changed lists the centre cells whose occupancy changed since the
+	// last TakeChanges, possibly with repeats.
+	changed []geom.Cell
 }
 
 // NewLayout creates an empty layout for a cols×rows electrode array.
@@ -107,6 +120,7 @@ func (l *Layout) Place(id int, c geom.Cell) error {
 	}
 	l.pos[id] = c
 	l.occ[c] = id
+	l.changed = append(l.changed, c)
 	return nil
 }
 
@@ -119,6 +133,7 @@ func (l *Layout) Remove(id int) error {
 	}
 	delete(l.pos, id)
 	delete(l.occ, c)
+	l.changed = append(l.changed, c)
 	return nil
 }
 
@@ -148,6 +163,7 @@ func (l *Layout) Move(id int, d geom.Dir) error {
 	delete(l.occ, c)
 	l.pos[id] = n
 	l.occ[n] = id
+	l.changed = append(l.changed, c, n)
 	return nil
 }
 
@@ -183,7 +199,18 @@ func (l *Layout) ApplyMoves(moves map[int]geom.Dir) error {
 			}
 		}
 	}
-	// Commit.
+	// Commit. The moved cages' old and new centres join the change list
+	// in ID order, so map iteration order never reaches it.
+	moved := make([]int, 0, len(moves))
+	for id, d := range moves {
+		if d != geom.Stay {
+			moved = append(moved, id)
+		}
+	}
+	sort.Ints(moved)
+	for _, id := range moved {
+		l.changed = append(l.changed, l.pos[id], dest[id])
+	}
 	l.occ = make(map[geom.Cell]int, len(dest))
 	for id, c := range dest {
 		l.pos[id] = c
@@ -217,6 +244,7 @@ func (l *Layout) Merge(a, b int) error {
 	}
 	l.pos[a] = mid
 	l.occ[mid] = a
+	l.changed = append(l.changed, ca, cb, mid)
 	return nil
 }
 
@@ -245,11 +273,14 @@ func (l *Layout) Split(id, newID int, d geom.Dir) error {
 	}
 	l.pos[newID] = target
 	l.occ[target] = newID
+	l.changed = append(l.changed, target)
 	return nil
 }
 
 // Compile renders the layout to an electrode frame: PhaseA background
-// with the 3×3 cage pattern at every centre.
+// with the 3×3 cage pattern at every centre. On that background the
+// pattern's eight in-phase electrodes are already PhaseA, so only the
+// centres differ from it.
 func (l *Layout) Compile() *electrode.Frame {
 	f := electrode.NewFrame(l.cols, l.rows)
 	for _, c := range l.pos {
@@ -258,12 +289,34 @@ func (l *Layout) Compile() *electrode.Frame {
 	return f
 }
 
-// Clone returns a deep copy of the layout.
+// TakeChanges appends to dst a write for each centre cell whose
+// occupancy changed since the previous call (or since NewLayout),
+// carrying the drive Compile gives that cell now, and clears the change
+// list. A cell changed more than once may appear more than once, always
+// with the same drive. Applied to the frame compiled at the previous
+// call, the writes produce Compile() of the current layout; a cell
+// vacated and re-occupied in between is written with its unchanged
+// drive and toggles nothing.
+func (l *Layout) TakeChanges(dst []electrode.Write) []electrode.Write {
+	for _, c := range l.changed {
+		d := electrode.PhaseA
+		if _, ok := l.occ[c]; ok {
+			d = electrode.PhaseB
+		}
+		dst = append(dst, electrode.Write{Cell: c, Drive: d})
+	}
+	l.changed = l.changed[:0]
+	return dst
+}
+
+// Clone returns a deep copy of the layout, including its pending
+// changes.
 func (l *Layout) Clone() *Layout {
 	out := &Layout{
 		cols: l.cols, rows: l.rows,
-		pos: make(map[int]geom.Cell, len(l.pos)),
-		occ: make(map[geom.Cell]int, len(l.occ)),
+		pos:     make(map[int]geom.Cell, len(l.pos)),
+		occ:     make(map[geom.Cell]int, len(l.occ)),
+		changed: append([]geom.Cell(nil), l.changed...),
 	}
 	for id, c := range l.pos {
 		out.pos[id] = c

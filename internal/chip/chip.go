@@ -126,6 +126,8 @@ type Simulator struct {
 	cageModel *dep.CageModel
 	chamber   chamber.Chamber
 	layout    *cage.Layout
+	// writes is programLayout's reused buffer of sparse electrode writes.
+	writes    []electrode.Write
 	particles map[int]*particle.Particle
 	src       *rng.Source
 	// noise holds each particle's private Brownian stream, derived from
@@ -561,17 +563,14 @@ func (s *Simulator) snapToCage(p *particle.Particle) {
 	p.Pos = geom.V3(float64(p.Cage.Col)*pitch, float64(p.Cage.Row)*pitch, z)
 }
 
-// programLayout compiles and programs the current layout.
+// programLayout programs the layout's changes since the last program
+// into the array, so the array's frame equals s.layout.Compile()
+// afterwards. The host cost is O(changed electrodes); the simulated cost
+// is one full-frame program, or the dirty rows with DeltaProgramming.
 func (s *Simulator) programLayout() error {
-	f := s.layout.Compile()
+	s.writes = s.layout.TakeChanges(s.writes[:0])
 	before := s.array.Stats().ElapsedTime
-	var err error
-	if s.cfg.DeltaProgramming {
-		err = s.array.ProgramDelta(f)
-	} else {
-		err = s.array.Program(f)
-	}
-	if err != nil {
+	if err := s.array.ProgramSparse(s.writes, s.cfg.DeltaProgramming); err != nil {
 		return err
 	}
 	s.clock += s.array.Stats().ElapsedTime - before

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"biochip/internal/particle"
+	"biochip/internal/route"
 	"biochip/internal/units"
 )
 
@@ -55,5 +56,77 @@ func TestDeltaProgrammingSameStateLessBusTime(t *testing.T) {
 	// Same actuation energy (same toggles).
 	if dl.ArrayStats().ActuationEnergy != full.ArrayStats().ActuationEnergy {
 		t.Error("energy must not depend on programming mode")
+	}
+}
+
+// TestArrayFrameTracksLayout checks the invariant sparse programming
+// rests on: after every program — capture, a routed plan, a probe that
+// ejects cells, each release — the array's live frame equals the
+// layout's compiled frame, in both programming modes and again after a
+// Reset.
+func TestArrayFrameTracksLayout(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		cfg := smallConfig()
+		cfg.Seed = 11
+		cfg.DeltaProgramming = delta
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			t.Helper()
+			if d := s.array.Frame().Diff(s.layout.Compile()); d != 0 {
+				t.Fatalf("delta=%t, after %s: frame differs from Compile() in %d electrodes", delta, stage, d)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			viable, dead := particle.ViableCell(), particle.NonViableCell()
+			if _, err := s.Load(&viable, 30); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Load(&dead, 10); err != nil {
+				t.Fatal(err)
+			}
+			s.Settle(s.Chamber().Height / (5 * units.Micron))
+			if _, _, err := s.CaptureAll(); err != nil {
+				t.Fatal(err)
+			}
+			check("capture")
+			prob := route.Problem{Cols: cfg.Array.Cols, Rows: cfg.Array.Rows}
+			for _, id := range s.Layout().IDs() {
+				c, _ := s.Layout().Position(id)
+				goal := c
+				if goal.Col+2 < cfg.Array.Cols-1 {
+					goal.Col += 2
+				}
+				prob.Agents = append(prob.Agents, route.Agent{ID: id, Start: c, Goal: goal})
+			}
+			plan, err := (route.Prioritized{}).Plan(prob)
+			if err != nil || !plan.Solved {
+				t.Fatalf("plan: solved=%t err=%v", plan != nil && plan.Solved, err)
+			}
+			if err := s.ExecutePlan(plan); err != nil {
+				t.Fatal(err)
+			}
+			check("plan")
+			res, err := s.ProbeDEPResponse(10 * units.Kilohertz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Lost) == 0 {
+				t.Fatal("probe should eject the non-viable cells")
+			}
+			check("probe")
+			for _, id := range s.Layout().IDs() {
+				if err := s.Release(id); err != nil {
+					t.Fatal(err)
+				}
+				check("release")
+			}
+			if err := s.Reset(cfg.Seed + 1); err != nil {
+				t.Fatal(err)
+			}
+			check("reset")
+		}
 	}
 }

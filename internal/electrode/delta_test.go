@@ -99,3 +99,16 @@ func TestProgramDeltaRejectsWrongSize(t *testing.T) {
 		t.Error("mismatched frame should be rejected")
 	}
 }
+
+func TestProgramSparseRejectsOutOfBounds(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cols, cfg.Rows = 8, 6
+	a, _ := New(cfg)
+	ws := []Write{{Cell: geom.C(2, 2), Drive: PhaseB}, {Cell: geom.C(2, 6), Drive: PhaseB}}
+	if err := a.ProgramSparse(ws, true); err == nil {
+		t.Fatal("write outside the array should be rejected")
+	}
+	if a.Frame().Count(PhaseB) != 0 || a.Stats().FramesWritten != 0 {
+		t.Errorf("rejected write changed the array: %d PhaseB, stats %+v", a.Frame().Count(PhaseB), a.Stats())
+	}
+}

@@ -10,6 +10,14 @@
 // The paper's second consideration — electronics is vastly faster than
 // mass transfer — is quantified by comparing this programming time against
 // cell motion timescales (see the timing experiment E5).
+//
+// Cost model: simulated time follows the hardware — a full-frame program
+// costs FrameProgramTime whatever changed, a delta program the dirty rows
+// it rewrites. Host cost is separate. Program and ProgramDelta diff a
+// whole frame, O(electrodes), and are the reference for ProgramSparse,
+// which updates the live frame in place from a list of writes,
+// O(changed electrodes), and charges the same simulated time, toggles
+// and energy as programming the frame it produces.
 package electrode
 
 import (
@@ -317,6 +325,12 @@ type Array struct {
 	cfg     Config
 	current *Frame
 
+	// rowMark and epoch count a sparse write's dirty rows without
+	// clearing anything: row r is dirty in the current write iff
+	// rowMark[r] == epoch.
+	rowMark []uint64
+	epoch   uint64
+
 	framesWritten int
 	toggles       int64
 	elapsed       float64
@@ -328,14 +342,19 @@ func New(cfg Config) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Array{cfg: cfg, current: NewFrame(cfg.Cols, cfg.Rows)}, nil
+	return &Array{
+		cfg:     cfg,
+		current: NewFrame(cfg.Cols, cfg.Rows),
+		rowMark: make([]uint64, cfg.Rows),
+	}, nil
 }
 
 // Config returns the array configuration.
 func (a *Array) Config() Config { return a.cfg }
 
-// Frame returns the currently programmed frame (shared; treat as
-// read-only).
+// Frame returns the live programmed frame. Every program updates it in
+// place, so it always shows the current drive; Clone it to keep a
+// snapshot. Callers must not modify it.
 func (a *Array) Frame() *Frame { return a.current }
 
 // Program writes a new frame into the array, accounting the programming
@@ -358,11 +377,61 @@ func (a *Array) program(f *Frame, delta bool) error {
 		return fmt.Errorf("electrode: frame %dx%d does not match array %dx%d",
 			f.cols, f.rows, a.cfg.Cols, a.cfg.Rows)
 	}
-	tog := a.current.Diff(f)
+	dirty := 0
+	if delta {
+		dirty = a.current.DirtyRows(f)
+	}
+	a.account(a.current.Diff(f), dirty, delta)
+	copy(a.current.drive, f.drive)
+	return nil
+}
+
+// Write is one electrode assignment of a sparse frame update.
+type Write struct {
+	Cell  geom.Cell
+	Drive Drive
+}
+
+// ProgramSparse updates the live frame in place, applying only the
+// listed writes. It is the same frame update as Program (or, with
+// delta, ProgramDelta) of the frame it produces — the same frames
+// written, toggles, simulated time and energy — at a host cost of
+// O(len(ws)) instead of O(electrodes). A cell may appear more than once
+// only with the same drive each time; writes that leave a drive
+// unchanged toggle nothing. Out-of-bounds writes are rejected before any
+// electrode changes.
+func (a *Array) ProgramSparse(ws []Write, delta bool) error {
+	for _, w := range ws {
+		if !a.current.In(w.Cell) {
+			return fmt.Errorf("electrode: write at %v outside array %dx%d",
+				w.Cell, a.cfg.Cols, a.cfg.Rows)
+		}
+	}
+	a.epoch++
+	tog, dirty := 0, 0
+	for _, w := range ws {
+		i := a.current.idx(w.Cell)
+		if a.current.drive[i] == w.Drive {
+			continue
+		}
+		a.current.drive[i] = w.Drive
+		tog++
+		if a.rowMark[w.Cell.Row] != a.epoch {
+			a.rowMark[w.Cell.Row] = a.epoch
+			dirty++
+		}
+	}
+	a.account(tog, dirty, delta)
+	return nil
+}
+
+// account charges one frame program that toggled tog electrodes on
+// dirty rows: full-frame time, or with delta only the dirty rows.
+func (a *Array) account(tog, dirty int, delta bool) {
 	a.toggles += int64(tog)
 	a.framesWritten++
 	if delta {
-		a.elapsed += a.cfg.RowsProgramTime(a.current.DirtyRows(f))
+		a.elapsed += a.cfg.RowsProgramTime(dirty)
 	} else {
 		a.elapsed += a.cfg.FrameProgramTime()
 	}
@@ -370,8 +439,6 @@ func (a *Array) program(f *Frame, delta bool) error {
 	// per edge, with a 2V swing between phases → 2·C·V².
 	v := a.cfg.Voltage
 	a.energy += 2 * a.cfg.ElectrodeCap * v * v * float64(tog)
-	a.current = f.Clone()
-	return nil
 }
 
 // Stats reports cumulative programming activity.

@@ -1,8 +1,8 @@
 // Package experiments regenerates every evaluation artifact of the paper
 // — its three figures and its quantitative claims — as parameterized,
 // reproducible experiments. Each experiment returns a table.Table whose
-// rows are the series the paper reports (or implies); EXPERIMENTS.md in
-// the repository root records the mapping and the measured results.
+// rows are the series the paper reports (or implies); Registry (printed
+// by `biochipbench list`) maps each experiment to its artifact.
 //
 // All experiments accept a Scale so the same code serves the full
 // harness (cmd/biochipbench), the test suite and the testing.B

@@ -1,8 +1,9 @@
 package experiments
 
-// Shape assertions: EXPERIMENTS.md claims specific relationships (who
-// wins, which scaling law holds). These tests re-derive them from the
-// underlying models at every `go test`, so the claims table cannot rot.
+// Shape assertions: the experiments (`biochipbench list`) claim
+// specific relationships (who wins, which scaling law holds). These
+// tests re-derive them from the underlying models at every `go test`,
+// so the claims table cannot rot.
 
 import (
 	"math"

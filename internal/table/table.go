@@ -1,6 +1,6 @@
 // Package table renders aligned ASCII tables and CSV for the experiment
-// harnesses. Every experiment in EXPERIMENTS.md prints its rows through
-// this package so output formatting is uniform across tools.
+// harnesses. Every experiment (`biochipbench list`) prints its rows
+// through this package so output formatting is uniform across tools.
 package table
 
 import (
