@@ -182,6 +182,9 @@ type (
 	AssayService = service.Service
 	// ServiceConfig sizes an assay service (shards, queue depth, die).
 	ServiceConfig = service.Config
+	// SubmitRequest is one submission to an AssayService: a seed and
+	// a program.
+	SubmitRequest = service.SubmitRequest
 	// AssayJob is one submitted request's lifecycle record.
 	AssayJob = service.Job
 	// ServiceStats is a point-in-time service snapshot.

@@ -191,11 +191,11 @@ func TestFacadeAssayService(t *testing.T) {
 			OpReleaseAll{},
 		},
 	}
-	id, err := svc.Submit(pr, 9)
+	res, err := svc.Submit(SubmitRequest{Seed: 9, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := svc.Wait(id)
+	job, err := svc.Wait(res.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,10 +111,41 @@ func main() {
 
 	if *gateway || *members != "" {
 		if *members == "" {
-			fmt.Fprintln(os.Stderr, "assayd: -gateway requires -members")
-			os.Exit(1)
+			fatal(fmt.Errorf("-gateway requires -members"))
 		}
-		runGateway(*addr, *members, *data, *cacheEntries, *noCache, reg)
+		spec, err := federation.LoadMembersSpec(*members)
+		if err != nil {
+			fatal(err)
+		}
+		cfg := federation.Config{Members: spec.Members, Cache: spec.Cache, Obs: reg}
+		if *cacheEntries != 0 {
+			cfg.Cache.Entries = *cacheEntries
+		}
+		if *noCache {
+			cfg.Cache.Disable = true
+		}
+		disk := openStore(*data)
+		if disk != nil {
+			cfg.Store = disk
+		}
+		g, err := federation.New(cfg)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "assayd: gateway over %d members, listening on %s\n",
+			len(spec.Members), *addr)
+		if disk != nil {
+			fmt.Fprintf(os.Stderr, "assayd: data dir %s: %d routed jobs recovered\n",
+				*data, g.Stats().Gateway.Recovered)
+		}
+		for _, m := range spec.Members {
+			names := make([]string, len(m.Profiles))
+			for i, p := range m.Profiles {
+				names[i] = p.Name
+			}
+			fmt.Fprintf(os.Stderr, "assayd:   member %s @ %s: profiles %v\n", m.Name, m.Addr, names)
+		}
+		serve(*addr, g, g.Handler(), disk)
 		return
 	}
 
@@ -122,8 +153,7 @@ func main() {
 	if *fleet != "" {
 		spec, err := service.LoadFleetSpec(*fleet)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "assayd:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		svcCfg = spec.ServiceConfig()
 		if svcCfg.QueueDepth == 0 {
@@ -147,50 +177,14 @@ func main() {
 		svcCfg.Cache.Disable = true
 	}
 	svcCfg.Obs = reg
-
-	var disk *store.Disk
-	if *data != "" {
-		var err error
-		disk, err = store.Open(*data, store.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "assayd:", err)
-			os.Exit(1)
-		}
+	disk := openStore(*data)
+	if disk != nil {
 		svcCfg.Store = disk
 	}
-
 	svc, err := service.New(svcCfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
-
-	done := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		// Graceful drain: admission closes first (healthz flips to
-		// draining, submits get 503 + Retry-After), the backlog runs to
-		// completion and open SSE subscribers get their terminal
-		// shutdown event — only then does the listener stop. A second
-		// signal skips the wait: the drain is unbounded when the
-		// backlog is deep, and the operator must keep a way out.
-		fmt.Fprintln(os.Stderr, "assayd: draining (no new admissions; signal again to exit now)")
-		go func() {
-			<-sig
-			fmt.Fprintln(os.Stderr, "assayd: second signal, exiting without drain")
-			os.Exit(1)
-		}()
-		svc.Drain()
-		fmt.Fprintln(os.Stderr, "assayd: drained, shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		close(done)
-	}()
-
 	fmt.Fprintf(os.Stderr, "assayd: %d shards, queue %d, listening on %s\n",
 		svc.Shards(), svcCfg.QueueDepth, *addr)
 	if disk != nil {
@@ -205,17 +199,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "assayd:   profile %s: %d × %d×%d dies%s\n",
 			p.Name, p.Shards, p.Chip.Array.Cols, p.Chip.Array.Rows, tech)
 	}
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
-	}
-	<-done
-	svc.Close()
-	if disk != nil {
-		if err := disk.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "assayd:", err)
-		}
-	}
+	serve(*addr, svc, svc.Handler(), disk)
 }
 
 // startPprof serves net/http/pprof on its own listener, kept off the
@@ -237,76 +221,58 @@ func startPprof(addr string) {
 	}()
 }
 
-// runGateway is the -gateway serving path: same lifecycle as a worker
-// (serve, drain on signal, second signal exits immediately) over a
-// federation.Gateway instead of a local fleet.
-func runGateway(addr, membersPath, data string, cacheEntries int, noCache bool, reg *obs.Registry) {
-	spec, err := federation.LoadMembersSpec(membersPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
-	}
-	cfg := federation.Config{Members: spec.Members, Cache: spec.Cache, Obs: reg}
-	if cacheEntries != 0 {
-		cfg.Cache.Entries = cacheEntries
-	}
-	if noCache {
-		cfg.Cache.Disable = true
-	}
-	var disk *store.Disk
-	if data != "" {
-		disk, err = store.Open(data, store.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "assayd:", err)
-			os.Exit(1)
-		}
-		cfg.Store = disk
-	}
-	g, err := federation.New(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
-	}
-	srv := &http.Server{Addr: addr, Handler: g.Handler()}
+// fatal reports a start-up error and exits non-zero.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "assayd:", err)
+	os.Exit(1)
+}
 
+// openStore opens the durable data directory, or returns nil for the
+// in-memory default (empty dir).
+func openStore(dir string) *store.Disk {
+	if dir == "" {
+		return nil
+	}
+	disk, err := store.Open(dir, store.Options{})
+	if err != nil {
+		fatal(err)
+	}
+	return disk
+}
+
+// serve runs either role until shutdown: it listens, and on SIGINT or
+// SIGTERM drains gracefully — admission closes first (healthz flips to
+// draining, submits get 503 + Retry-After), every admitted job runs to
+// completion and open SSE subscribers get their terminal shutdown
+// event — and only then stops the listener, closes the backend and
+// closes the store (nil for none). A second signal skips the wait: the
+// drain is unbounded when the backlog is deep, and the operator must
+// keep a way out.
+func serve(addr string, b service.Backend, h http.Handler, disk *store.Disk) {
+	srv := &http.Server{Addr: addr, Handler: h}
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		fmt.Fprintln(os.Stderr, "assayd: gateway draining (no new admissions; signal again to exit now)")
+		fmt.Fprintln(os.Stderr, "assayd: draining (no new admissions; signal again to exit now)")
 		go func() {
 			<-sig
 			fmt.Fprintln(os.Stderr, "assayd: second signal, exiting without drain")
 			os.Exit(1)
 		}()
-		g.Drain()
-		fmt.Fprintln(os.Stderr, "assayd: gateway drained, shutting down")
+		b.Drain()
+		fmt.Fprintln(os.Stderr, "assayd: drained, shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 		close(done)
 	}()
-
-	fmt.Fprintf(os.Stderr, "assayd: gateway over %d members, listening on %s\n",
-		len(spec.Members), addr)
-	if disk != nil {
-		fmt.Fprintf(os.Stderr, "assayd: data dir %s: %d routed jobs recovered\n",
-			data, g.Stats().Gateway.Recovered)
-	}
-	for _, m := range spec.Members {
-		names := make([]string, len(m.Profiles))
-		for i, p := range m.Profiles {
-			names[i] = p.Name
-		}
-		fmt.Fprintf(os.Stderr, "assayd:   member %s @ %s: profiles %v\n", m.Name, m.Addr, names)
-	}
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	<-done
-	g.Close()
+	b.Close()
 	if disk != nil {
 		if err := disk.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "assayd:", err)

@@ -47,7 +47,7 @@ func e15Batch(cfg chip.Config, shards, jobs, distinct, cells int, disable bool) 
 	seeds := make([]uint64, jobs)
 	for i := range ids {
 		seeds[i] = seedBase(15) + uint64(i%distinct)
-		res, err := svc.SubmitDetail(pr, seeds[i])
+		res, err := svc.Submit(service.SubmitRequest{Seed: seeds[i], Program: pr})
 		if err != nil {
 			return 0, service.Stats{}, nil, err
 		}

@@ -88,11 +88,11 @@ func e16Reference(profiles []service.FleetProfileSpec, jobs, cells int) ([]*assa
 	defer svc.Close()
 	ids := make([]string, jobs)
 	for i := range ids {
-		id, err := svc.Submit(e16Program(i, cells), seedBase(16)+uint64(i))
+		res, err := svc.Submit(service.SubmitRequest{Seed: seedBase(16) + uint64(i), Program: e16Program(i, cells)})
 		if err != nil {
 			return nil, err
 		}
-		ids[i] = id
+		ids[i] = res.ID
 	}
 	reports := make([]*assay.Report, jobs)
 	for i, id := range ids {
@@ -157,7 +157,7 @@ func e16Batch(n int, profiles []service.FleetProfileSpec, jobs, cells int) (e16P
 	start := time.Now()
 	ids := make([]string, jobs)
 	for i := range ids {
-		res, err := g.SubmitDetail(e16Program(i, cells), seedBase(16)+uint64(i))
+		res, err := g.Submit(service.SubmitRequest{Seed: seedBase(16) + uint64(i), Program: e16Program(i, cells)})
 		if err != nil {
 			return pt, nil, err
 		}

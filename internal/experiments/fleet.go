@@ -92,12 +92,12 @@ func E13HeterogeneousFleet(scale Scale) (*table.Table, error) {
 			if i >= smallJobs {
 				pr = largePr
 			}
-			id, err := svc.Submit(pr, seedBase(13)+uint64(i))
+			res, err := svc.Submit(service.SubmitRequest{Seed: seedBase(13) + uint64(i), Program: pr})
 			if err != nil {
 				svc.Close()
 				return nil, err
 			}
-			subs = append(subs, sub{id: id, large: i >= smallJobs})
+			subs = append(subs, sub{id: res.ID, large: i >= smallJobs})
 		}
 		smallOnSmall := 0
 		for _, su := range subs {

@@ -32,7 +32,7 @@ func e17Batch(cfg chip.Config, shards, jobs, cells int, reg *obs.Registry) (floa
 	seeds := make([]uint64, jobs)
 	for i := range ids {
 		seeds[i] = seedBase(17) + uint64(i)
-		res, err := svc.SubmitDetail(pr, seeds[i])
+		res, err := svc.Submit(service.SubmitRequest{Seed: seeds[i], Program: pr})
 		if err != nil {
 			return 0, nil, err
 		}

@@ -59,12 +59,12 @@ func E11ServiceScaling(scale Scale) (*table.Table, error) {
 		start := time.Now()
 		ids := make([]string, jobs)
 		for i := range ids {
-			id, err := svc.Submit(pr, seedBase(11)+uint64(i))
+			res, err := svc.Submit(service.SubmitRequest{Seed: seedBase(11) + uint64(i), Program: pr})
 			if err != nil {
 				svc.Close()
 				return nil, err
 			}
-			ids[i] = id
+			ids[i] = res.ID
 		}
 		scanErrors := 0
 		for _, id := range ids {

@@ -130,11 +130,11 @@ func referenceRun(t *testing.T, profiles []service.FleetProfileSpec, batch []ref
 	out := make(map[string]refResult, len(batch))
 	ids := make([]string, len(batch))
 	for i, b := range batch {
-		id, err := svc.Submit(b.pr, b.seed)
+		res, err := svc.Submit(service.SubmitRequest{Seed: b.seed, Program: b.pr})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = id
+		ids[i] = res.ID
 	}
 	for _, id := range ids {
 		j, err := svc.Wait(id)
@@ -188,7 +188,7 @@ func TestGatewayBitIdenticalToSingleNode(t *testing.T) {
 			g := startGateway(t, members, die40())
 			ids := make([]string, len(batch))
 			for i, b := range batch {
-				res, err := g.SubmitDetail(b.pr, b.seed)
+				res, err := g.Submit(service.SubmitRequest{Seed: b.seed, Program: b.pr})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -246,7 +246,7 @@ func TestGatewayHeterogeneousPlacement(t *testing.T) {
 	defer g.Close()
 
 	pr := pinnedLargeProgram()
-	res, err := g.SubmitDetail(pr, 777)
+	res, err := g.Submit(service.SubmitRequest{Seed: 777, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestGatewayHeterogeneousPlacement(t *testing.T) {
 	// A program no member fits maps to the usual typed error.
 	impossible := testProgram(4)
 	impossible.Requirements = &assay.Requirements{MinCols: 4096}
-	if _, err := g.SubmitDetail(impossible, 1); err == nil {
+	if _, err := g.Submit(service.SubmitRequest{Seed: 1, Program: impossible}); err == nil {
 		t.Fatal("impossible program accepted")
 	} else if _, ok := err.(*service.IncompatibleError); !ok {
 		t.Fatalf("impossible program: %T, want *service.IncompatibleError", err)
@@ -304,7 +304,7 @@ func TestGatewaySSEProxyOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub service.SubmitResponse
+	var sub service.SubmitResult
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +371,14 @@ func TestGatewayCacheDedup(t *testing.T) {
 	g := startGateway(t, 2, die40())
 	pr := testProgram(5)
 
-	root, err := g.SubmitDetail(pr, 42)
+	root, err := g.Submit(service.SubmitRequest{Seed: 42, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if root.Cache != "" {
 		t.Fatalf("first submission: cache %q, want none", root.Cache)
 	}
-	dup, err := g.SubmitDetail(pr, 42)
+	dup, err := g.Submit(service.SubmitRequest{Seed: 42, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestGatewayCacheDedup(t *testing.T) {
 	if _, terminal, err := g.WaitTimeout(root.ID, 30*time.Second); err != nil || !terminal {
 		t.Fatalf("wait: terminal=%v err=%v", terminal, err)
 	}
-	late, err := g.SubmitDetail(pr, 42)
+	late, err := g.Submit(service.SubmitRequest{Seed: 42, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestGatewayCacheDedup(t *testing.T) {
 		t.Fatalf("late duplicate = %+v, want hit on root %s", late, root.ID)
 	}
 	// A different seed is a different content address: forwarded.
-	other, err := g.SubmitDetail(pr, 43)
+	other, err := g.Submit(service.SubmitRequest{Seed: 43, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}

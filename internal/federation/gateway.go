@@ -33,8 +33,14 @@ const (
 )
 
 // ErrNoMembers reports a submission no member could take because none
-// was reachable.
-var ErrNoMembers = errors.New("federation: no member reachable")
+// was reachable. It unwraps to service.ErrUnavailable, which the HTTP
+// API maps to 503 without Retry-After.
+var ErrNoMembers error = noMembers{}
+
+type noMembers struct{}
+
+func (noMembers) Error() string { return "federation: no member reachable" }
+func (noMembers) Unwrap() error { return service.ErrUnavailable }
 
 // Config configures a Gateway.
 type Config struct {
@@ -213,6 +219,9 @@ func (g *Gateway) recover() error {
 				Assigned: -1, Shard: -1, Recovered: true,
 			},
 		}
+		if m != nil {
+			j.snap.Member = m.Name
+		}
 		if len(r.Program) > 0 {
 			var pr assay.Program
 			if jsonErr := json.Unmarshal(r.Program, &pr); jsonErr == nil {
@@ -309,24 +318,6 @@ func (m *Member) matOf(name string) cache.ProfileMaterial {
 	return cache.ProfileMaterial{}
 }
 
-// Submit forwards the program to the best member, returning the
-// gateway job ID.
-func (g *Gateway) Submit(pr assay.Program, seed uint64) (string, error) {
-	res, err := g.SubmitDetail(pr, seed)
-	return res.ID, err
-}
-
-// SubmitDetail places one submission: gateway cache first (an
-// identical finished or in-flight routed job answers without a
-// forward), then the reachable members with a compatible profile in
-// ascending backlog order. The job→member binding is logged through
-// the store before the submission is acked, exactly as a worker WALs
-// its own admissions. Error contract as service.SubmitDetail, with
-// ErrNoMembers when every candidate was unreachable.
-func (g *Gateway) SubmitDetail(pr assay.Program, seed uint64) (service.SubmitResult, error) {
-	return g.SubmitTraced(pr, seed, "")
-}
-
 // fwdTrace carries the telemetry stamps of one submission through the
 // forwarding path until bind can attach them to the minted job.
 type fwdTrace struct {
@@ -336,10 +327,17 @@ type fwdTrace struct {
 	fwdAt           obs.Stamp
 }
 
-// SubmitTraced is SubmitDetail with an upstream trace parent: the
-// X-Assay-Trace value of whoever forwarded to this gateway, recorded
-// as the root span's parent ("" for a direct submission).
-func (g *Gateway) SubmitTraced(pr assay.Program, seed uint64, traceParent string) (service.SubmitResult, error) {
+// Submit places one submission: gateway cache first (an identical
+// finished or in-flight routed job answers without a forward), then the
+// reachable members with a compatible profile in ascending backlog
+// order. The job→member binding is logged through the store before the
+// submission is acked, exactly as a worker WALs its own admissions.
+// Error contract as service.Submit, with ErrNoMembers when every
+// candidate was unreachable. req.Trace is the X-Assay-Trace value of
+// whoever forwarded to this gateway, recorded as the root span's parent
+// ("" for a direct submission).
+func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error) {
+	pr, seed := req.Program, req.Seed
 	if err := pr.CheckOps(); err != nil {
 		return service.SubmitResult{}, err
 	}
@@ -432,14 +430,14 @@ func (g *Gateway) SubmitTraced(pr assay.Program, seed uint64, traceParent string
 		if g.tracing {
 			fwdAt = obs.Now()
 		}
-		res, err := c.member.SubmitTraced(pr, seed, ref)
+		res, err := c.member.Submit(service.SubmitRequest{Seed: seed, Program: pr, Trace: ref})
 		if g.tracing {
 			g.met.forward.With(c.member.Name).Observe(obs.Since(fwdAt))
 		}
 		if err == nil {
 			var ft *fwdTrace
 			if g.tracing {
-				ft = &fwdTrace{ref: ref, parent: traceParent,
+				ft = &fwdTrace{ref: ref, parent: req.Trace,
 					subAt: subAt, placeEnd: placeEnd, fwdAt: fwdAt}
 			}
 			return g.bind(c.idx, c.member, pr, seed, key, wal, res, ft)
@@ -528,7 +526,7 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		done:     make(chan struct{}),
 		snap: service.Job{
 			ID: id, Status: service.StatusQueued, Program: pr.Name, Seed: seed,
-			Eligible: res.Eligible, Assigned: -1, Shard: -1,
+			Eligible: res.Eligible, Assigned: -1, Shard: -1, Member: m.Name,
 		},
 	}
 	if ft != nil {
@@ -650,7 +648,7 @@ func (g *Gateway) pollLoop() {
 		case <-t.C:
 		}
 		for i, m := range g.members {
-			st, err := m.StatsErr()
+			st, err := m.Stats()
 			g.mu.Lock()
 			v := &g.views[i]
 			if err != nil {
@@ -680,7 +678,7 @@ func (g *Gateway) watch(j *gwJob) {
 		if g.ctx.Err() != nil {
 			return
 		}
-		rj, err := j.member.WaitTimeoutErr(j.remoteID, memberWaitWindow)
+		rj, err := j.member.WaitTimeout(j.remoteID, memberWaitWindow)
 		switch {
 		case errors.Is(err, ErrUnknownJob):
 			g.finish(j, service.Job{
@@ -740,12 +738,13 @@ func (g *Gateway) finish(j *gwJob, rj service.Job) {
 }
 
 // rewriteLocked maps a member-side snapshot into the gateway's
-// namespace: the gateway job ID replaces the remote one, and a
-// member-side dedup root is translated when this gateway routed it
-// (otherwise the provenance flag survives without the foreign ID).
-// Caller holds g.mu.
+// namespace: the gateway job ID replaces the remote one, the member
+// name is stamped on, and a member-side dedup root is translated when
+// this gateway routed it (otherwise the provenance flag survives
+// without the foreign ID). Caller holds g.mu.
 func (g *Gateway) rewriteLocked(j *gwJob, rj service.Job) service.Job {
 	rj.ID = j.id
+	rj.Member = j.member.Name
 	rj.Recovered = rj.Recovered || j.recovered
 	if rj.DedupOf != "" {
 		rj.DedupOf = g.remote[routeKey(j.member.Name, rj.DedupOf)]
@@ -784,7 +783,7 @@ func (g *Gateway) Get(id string) (service.Job, bool) {
 	if snap.Status == service.StatusDone || snap.Status == service.StatusFailed {
 		return snap, true
 	}
-	rj, err := j.member.JobErr(j.remoteID)
+	rj, err := j.member.Job(j.remoteID)
 	if err != nil {
 		return snap, true
 	}
@@ -799,8 +798,9 @@ func (g *Gateway) Get(id string) (service.Job, bool) {
 	return j.snap, true
 }
 
-// WaitTimeout blocks until the job is terminal or the timeout elapses
-// (<= 0 waits indefinitely), returning the latest snapshot.
+// WaitTimeout blocks until the job is terminal or the timeout elapses,
+// returning the latest snapshot; timeout <= 0 returns it at once, as
+// service.WaitTimeout does.
 func (g *Gateway) WaitTimeout(id string, timeout time.Duration) (service.Job, bool, error) {
 	g.mu.Lock()
 	j, ok := g.jobs[id]
@@ -808,15 +808,11 @@ func (g *Gateway) WaitTimeout(id string, timeout time.Duration) (service.Job, bo
 	if !ok {
 		return service.Job{}, false, fmt.Errorf("federation: wait: unknown job %q", id)
 	}
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		select {
-		case <-j.done:
-		case <-t.C:
-		}
-	} else {
-		<-j.done
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-j.done:
+	case <-t.C:
 	}
 	snap, _ := g.Get(id)
 	terminal := snap.Status == service.StatusDone || snap.Status == service.StatusFailed

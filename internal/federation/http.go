@@ -1,344 +1,52 @@
 package federation
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"time"
 
-	"biochip/internal/assay"
 	"biochip/internal/service"
-	"biochip/internal/stream"
 )
 
-// retryAfterSeconds mirrors the worker's 429/503 backoff hint.
-const retryAfterSeconds = 1
-
-// Long-poll bounds, as on a worker.
-const (
-	defaultLongPoll = 25 * time.Second
-	maxLongPoll     = 60 * time.Second
-)
-
-// Job is a gateway job snapshot: a service job plus the member it was
-// routed to. The JSON shape is a superset of the single-daemon one, so
-// every existing client decodes it unchanged.
-type Job struct {
-	service.Job
-	// Member names the worker executing (or having executed) the job;
-	// empty only for jobs whose member left the members spec.
-	Member string `json:"member,omitempty"`
-}
-
-// ListPage is the gateway's job-listing page.
-type ListPage struct {
-	Jobs []Job  `json:"jobs"`
-	Next string `json:"next,omitempty"`
-}
+// Handler exposes the gateway over HTTP through the worker's own
+// handler (service.NewHandler): one route table, error mapping,
+// long-poll and SSE loop for both roles. What is gateway-specific is
+// only what the gateway hands back — job records carrying their
+// member, the federated Stats, the aggregated Health and the merged
+// metric families. A submission no member can take maps to 429 (all
+// full, merged backlog), 503 (members draining or all unreachable) or
+// 422 (no compatible profile anywhere).
+func (g *Gateway) Handler() http.Handler { return service.NewHandler(g, g.met.sse) }
 
 // List pages the gateway's routed jobs with service.List semantics —
 // ID order, status filter, exclusive After cursor, report payloads
-// stripped. Statuses reflect the latest watcher/Get snapshot, which
-// may trail the member by one poll for non-terminal jobs.
-func (g *Gateway) List(f service.ListFilter) ListPage {
-	limit := f.Limit
-	if limit <= 0 {
-		limit = service.DefaultListLimit
-	}
-	if limit > service.MaxListLimit {
-		limit = service.MaxListLimit
-	}
+// stripped, member names kept. Statuses reflect the latest watcher/Get
+// snapshot, which may trail the member by one poll for non-terminal
+// jobs.
+func (g *Gateway) List(f service.ListFilter) service.ListPage {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	ids := make([]string, 0, len(g.jobs))
-	for id := range g.jobs {
-		ids = append(ids, id)
+	for id, j := range g.jobs {
+		if f.Status == "" || j.snap.Status == f.Status {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
-	if f.Newest {
-		for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
-			ids[i], ids[j] = ids[j], ids[i]
-		}
-	}
-	start := 0
-	if f.After != "" {
-		for i, id := range ids {
-			if id == f.After {
-				start = i + 1
-				break
-			}
-			if (f.Newest && id < f.After) || (!f.Newest && id > f.After) {
-				start = i
-				break
-			}
-			start = i + 1
-		}
-	}
-	var page ListPage
-	for _, id := range ids[start:] {
-		j := g.jobs[id]
-		if f.Status != "" && j.snap.Status != f.Status {
-			continue
-		}
-		if len(page.Jobs) == limit {
-			page.Next = page.Jobs[limit-1].ID
-			break
-		}
-		snap := j.snap
-		snap.Report = nil
-		member := ""
-		if j.member != nil {
-			member = j.member.Name
-		}
-		page.Jobs = append(page.Jobs, Job{Job: snap, Member: member})
-	}
-	g.mu.Unlock()
-	if page.Jobs == nil {
-		page.Jobs = []Job{}
+	ids, next := service.PageIDs(ids, f)
+	page := service.ListPage{Jobs: make([]service.Job, len(ids)), Next: next}
+	for i, id := range ids {
+		page.Jobs[i] = g.jobs[id].snap
+		page.Jobs[i].Report = nil
 	}
 	return page
 }
 
-// errorJSON is the gateway's error envelope — the same wire shape as a
-// worker's, so clients handle both identically.
-type errorJSON struct {
-	Error        string               `json:"error"`
-	Requirements *assay.Requirements  `json:"requirements,omitempty"`
-	Profiles     map[string]string    `json:"profiles,omitempty"`
-	Queued       *int                 `json:"queued,omitempty"`
-	QueueDepth   int                  `json:"queue_depth,omitempty"`
-	Backlog      []service.ClassStats `json:"backlog,omitempty"`
-}
+// StatsBody is the gateway's /v1/stats body: the federated Stats.
+func (g *Gateway) StatsBody() any { return g.Stats() }
 
-// Handler exposes the gateway over HTTP with the worker's exact route
-// table and error mapping (service.Handler), plus federation bodies
-// where they are richer: listings carry the member name, /v1/stats is
-// the federated Stats and /v1/healthz the aggregated Health. A
-// submission no member can take maps to 429 (all full, merged
-// backlog), 503 (members draining or all unreachable) or 422 (no
-// compatible profile anywhere).
-func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/assays", g.handleSubmit)
-	mux.HandleFunc("GET /v1/assays", g.handleList)
-	mux.HandleFunc("GET /v1/assays/{id}", g.handleGet)
-	mux.HandleFunc("GET /v1/assays/{id}/events", g.handleEvents)
-	mux.HandleFunc("GET /v1/assays/{id}/trace", g.handleTrace)
-	mux.HandleFunc("GET /v1/stats", g.handleStats)
-	mux.HandleFunc("GET /v1/metrics", g.handleMetrics)
-	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
-	return mux
-}
-
-func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req service.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
-		return
-	}
-	res, err := g.SubmitTraced(req.Program, req.Seed, r.Header.Get("X-Assay-Trace"))
-	var incompatible *service.IncompatibleError
-	var full *service.QueueFullError
-	switch {
-	case errors.As(err, &incompatible):
-		writeJSON(w, http.StatusUnprocessableEntity, errorJSON{
-			Error:        incompatible.Error(),
-			Requirements: &incompatible.Requirements,
-			Profiles:     incompatible.Reasons,
-		})
-	case errors.As(err, &full):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusTooManyRequests, errorJSON{
-			Error:      full.Error(),
-			Queued:     &full.Queued,
-			QueueDepth: full.Depth,
-			Backlog:    full.Classes,
-		})
-	case errors.Is(err, service.ErrDraining):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: err.Error()})
-	case errors.Is(err, service.ErrClosed), errors.Is(err, ErrNoMembers):
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: err.Error()})
-	case errors.Is(err, service.ErrPersist):
-		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusAccepted, service.SubmitResponse{
-			ID:       res.ID,
-			Eligible: res.Eligible,
-			Cache:    res.Cache,
-			DedupOf:  res.DedupOf,
-		})
-	}
-}
-
-func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if wait := r.URL.Query().Get("wait"); wait != "1" && wait != "true" {
-		j, ok := g.Get(id)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorJSON{Error: "unknown job"})
-			return
-		}
-		writeJSON(w, http.StatusOK, g.withMember(j))
-		return
-	}
-	timeout := defaultLongPoll
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		secs, err := strconv.ParseFloat(raw, 64)
-		if err != nil || secs < 0 {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: "invalid timeout"})
-			return
-		}
-		timeout = time.Duration(secs * float64(time.Second))
-	}
-	if timeout > maxLongPoll {
-		timeout = maxLongPoll
-	}
-	j, _, err := g.WaitTimeout(id, timeout)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorJSON{Error: "unknown job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, g.withMember(j))
-}
-
-// withMember wraps a snapshot with its member name for the wire.
-func (g *Gateway) withMember(j service.Job) Job {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	member := ""
-	if gj, ok := g.jobs[j.ID]; ok && gj.member != nil {
-		member = gj.member.Name
-	}
-	return Job{Job: j, Member: member}
-}
-
-func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	f := service.ListFilter{
-		Status: service.Status(q.Get("status")),
-		After:  q.Get("after"),
-		Newest: q.Get("order") == "desc",
-	}
-	switch f.Status {
-	case "", service.StatusQueued, service.StatusRunning, service.StatusDone, service.StatusFailed:
-	default:
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "invalid status filter"})
-		return
-	}
-	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: "invalid limit"})
-			return
-		}
-		f.Limit = n
-	}
-	if order := q.Get("order"); order != "" && order != "asc" && order != "desc" {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "invalid order"})
-		return
-	}
-	writeJSON(w, http.StatusOK, g.List(f))
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.Stats())
-}
-
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// HealthBody is the gateway's /v1/healthz body, AggregateHealth: ready
+// unless the gateway drains or no member accepts work.
+func (g *Gateway) HealthBody() (any, bool) {
 	h := g.AggregateHealth()
-	code := http.StatusOK
-	if h.Status == "draining" || h.Status == "unavailable" {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, h)
-}
-
-// handleEvents proxies a routed job's SSE stream from its mirror, with
-// the worker's exact framing and resume semantics (docs/streaming.md):
-// Last-Event-ID or ?after resumes without duplicates, gap events
-// appear only when the member itself lost history, and a draining
-// gateway ends streams with a shutdown event.
-func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
-	after := uint64(0)
-	raw := r.Header.Get("Last-Event-ID")
-	if raw == "" {
-		raw = r.URL.Query().Get("after")
-	}
-	if raw != "" {
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: "invalid resume sequence"})
-			return
-		}
-		after = n
-	}
-	sub, ok := g.SubscribeEvents(r.PathValue("id"), after)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorJSON{Error: "unknown job"})
-		return
-	}
-	defer sub.Cancel()
-	g.met.sse.With().Add(1)
-	defer g.met.sse.With().Add(-1)
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: "streaming unsupported"})
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-r.Context().Done():
-		case <-g.drained:
-		}
-		close(stop)
-	}()
-	for {
-		ev, ok := sub.Next(stop)
-		if !ok {
-			break
-		}
-		writeSSE(w, ev.Seq, ev.Type, ev)
-		fl.Flush()
-	}
-	if g.Draining() && r.Context().Err() == nil {
-		select {
-		case <-g.drained:
-			writeSSE(w, 0, stream.Shutdown, stream.Event{Type: stream.Shutdown})
-			fl.Flush()
-		case <-r.Context().Done():
-		}
-	}
-}
-
-// writeSSE frames one event on the wire, as the worker does: no id
-// line for synthetic (seq 0) events.
-func writeSSE(w io.Writer, seq uint64, event string, v interface{}) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	if seq > 0 {
-		fmt.Fprintf(w, "id: %d\n", seq)
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	return h, h.Status != "draining" && h.Status != "unavailable"
 }

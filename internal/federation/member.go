@@ -31,11 +31,11 @@ var ErrUnreachable = errors.New("federation: member unreachable")
 // and SSE streams manage their own deadlines.
 const rpcTimeout = 10 * time.Second
 
-// Member is the gateway's client for one worker daemon: the remote
-// counterpart of the local shard pool, speaking the worker's public
-// HTTP API. It satisfies service.Backend, so proxying code is written
-// once against the interface; the *Err variants expose the transport
-// errors the interface flattens.
+// Member is the gateway's client for one worker daemon, speaking the
+// worker's public HTTP API. It is deliberately not a service.Backend:
+// the gateway is the Backend, and it needs the transport errors a
+// Backend's signatures would flatten — ErrUnreachable to price a
+// member out, ErrUnknownJob to fail a job its member lost.
 type Member struct {
 	// Name and Addr come from the members spec.
 	Name string
@@ -49,8 +49,6 @@ type Member struct {
 
 	client *http.Client
 }
-
-var _ service.Backend = (*Member)(nil)
 
 // NewMember builds the client for one spec entry, expanding its
 // profile declaration into die configs and cache key material.
@@ -98,46 +96,29 @@ func (m *Member) Eligible(pr assay.Program) ([]service.Profile, map[string]strin
 	return eligible, reasons
 }
 
-// errorBody mirrors the worker's JSON error envelope
-// (service.errorResponse) for client-side reconstruction of the typed
-// submission errors.
-type errorBody struct {
-	Error        string               `json:"error"`
-	Requirements *assay.Requirements  `json:"requirements,omitempty"`
-	Profiles     map[string]string    `json:"profiles,omitempty"`
-	Queued       *int                 `json:"queued,omitempty"`
-	QueueDepth   int                  `json:"queue_depth,omitempty"`
-	Backlog      []service.ClassStats `json:"backlog,omitempty"`
-}
-
-// SubmitDetail forwards one submission to the member, reconstructing
-// the worker's typed errors from its wire envelope: 422 →
+// Submit forwards one submission to the member, reconstructing the
+// worker's typed errors from its wire envelope: 422 →
 // *service.IncompatibleError, 429 → *service.QueueFullError (backlog
 // included), 503 → service.ErrDraining, 500 → service.ErrPersist.
-// Transport failures wrap ErrUnreachable.
-func (m *Member) SubmitDetail(pr assay.Program, seed uint64) (service.SubmitResult, error) {
-	return m.SubmitTraced(pr, seed, "")
-}
-
-// SubmitTraced is SubmitDetail carrying a trace parent in the
+// Transport failures wrap ErrUnreachable. A req.Trace travels in the
 // X-Assay-Trace header; the member records it as its root span's
 // parent, stitching the federation hop (docs/observability.md).
-func (m *Member) SubmitTraced(pr assay.Program, seed uint64, traceParent string) (service.SubmitResult, error) {
-	body, err := json.Marshal(service.SubmitRequest{Seed: seed, Program: pr})
+func (m *Member) Submit(req service.SubmitRequest) (service.SubmitResult, error) {
+	body, err := json.Marshal(req)
 	if err != nil {
 		return service.SubmitResult{}, fmt.Errorf("federation: encoding submission: %w", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.Addr+"/v1/assays", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, m.Addr+"/v1/assays", bytes.NewReader(body))
 	if err != nil {
 		return service.SubmitResult{}, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceParent != "" {
-		req.Header.Set("X-Assay-Trace", traceParent)
+	hreq.Header.Set("Content-Type", "application/json")
+	if req.Trace != "" {
+		hreq.Header.Set("X-Assay-Trace", req.Trace)
 	}
-	resp, err := m.client.Do(req)
+	resp, err := m.client.Do(hreq)
 	if err != nil {
 		return service.SubmitResult{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, m.Name, err)
 	}
@@ -149,13 +130,13 @@ func (m *Member) SubmitTraced(pr assay.Program, seed uint64, traceParent string)
 		}
 		return res, nil
 	}
-	var eb errorBody
+	var eb service.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		return service.SubmitResult{}, fmt.Errorf("%w: %s: status %d", ErrUnreachable, m.Name, resp.StatusCode)
 	}
 	switch resp.StatusCode {
 	case http.StatusUnprocessableEntity:
-		ie := &service.IncompatibleError{Program: pr.Name, Reasons: eb.Profiles}
+		ie := &service.IncompatibleError{Program: req.Program.Name, Reasons: eb.Profiles}
 		if eb.Requirements != nil {
 			ie.Requirements = *eb.Requirements
 		}
@@ -175,202 +156,73 @@ func (m *Member) SubmitTraced(pr assay.Program, seed uint64, traceParent string)
 	}
 }
 
-// JobErr fetches a job snapshot: ErrUnknownJob on 404, ErrUnreachable
+// Job fetches a job snapshot: ErrUnknownJob on 404, ErrUnreachable
 // wrapping on transport failure.
-func (m *Member) JobErr(id string) (service.Job, error) {
-	return m.getJob(m.Addr+"/v1/assays/"+url.PathEscape(id), rpcTimeout)
+func (m *Member) Job(id string) (service.Job, error) {
+	var j service.Job
+	err := m.get("/v1/assays/"+url.PathEscape(id), rpcTimeout, &j)
+	return j, err
 }
 
-// Get implements service.Backend, flattening errors to absence.
-func (m *Member) Get(id string) (service.Job, bool) {
-	j, err := m.JobErr(id)
-	return j, err == nil
-}
-
-// WaitTimeoutErr long-polls the member until the job is terminal or
-// the timeout elapses, returning the latest snapshot either way
-// (mirroring service.WaitTimeout, plus transport errors).
-func (m *Member) WaitTimeoutErr(id string, timeout time.Duration) (service.Job, error) {
-	secs := timeout.Seconds()
-	if secs < 0 {
-		secs = 0
-	}
-	u := fmt.Sprintf("%s/v1/assays/%s?wait=1&timeout=%s",
-		m.Addr, url.PathEscape(id), strconv.FormatFloat(secs, 'f', -1, 64))
+// WaitTimeout long-polls the member until the job is terminal or the
+// timeout elapses, returning the latest snapshot either way (as
+// service.WaitTimeout does, plus Job's errors).
+func (m *Member) WaitTimeout(id string, timeout time.Duration) (service.Job, error) {
+	var j service.Job
+	path := fmt.Sprintf("/v1/assays/%s?wait=1&timeout=%s", url.PathEscape(id),
+		strconv.FormatFloat(max(timeout.Seconds(), 0), 'f', -1, 64))
 	// Allow headroom over the server-side window before the transport
 	// deadline fires.
-	return m.getJob(u, timeout+rpcTimeout)
+	err := m.get(path, timeout+rpcTimeout, &j)
+	return j, err
 }
 
-// WaitTimeout implements service.Backend.
-func (m *Member) WaitTimeout(id string, timeout time.Duration) (service.Job, bool, error) {
-	j, err := m.WaitTimeoutErr(id, timeout)
-	if err != nil {
-		return service.Job{}, false, err
-	}
-	return j, j.Status == service.StatusDone || j.Status == service.StatusFailed, nil
-}
-
-func (m *Member) getJob(u string, timeout time.Duration) (service.Job, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return service.Job{}, err
-	}
-	resp, err := m.client.Do(req)
-	if err != nil {
-		return service.Job{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, m.Name, err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var j service.Job
-		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-			return service.Job{}, fmt.Errorf("%w: %s: decoding job: %v", ErrUnreachable, m.Name, err)
-		}
-		return j, nil
-	case http.StatusNotFound:
-		return service.Job{}, ErrUnknownJob
-	default:
-		return service.Job{}, fmt.Errorf("%w: %s: status %d", ErrUnreachable, m.Name, resp.StatusCode)
-	}
-}
-
-// ListErr pages the member's job listing.
-func (m *Member) ListErr(f service.ListFilter) (service.ListPage, error) {
-	q := url.Values{}
-	if f.Status != "" {
-		q.Set("status", string(f.Status))
-	}
-	if f.After != "" {
-		q.Set("after", f.After)
-	}
-	if f.Limit > 0 {
-		q.Set("limit", strconv.Itoa(f.Limit))
-	}
-	if f.Newest {
-		q.Set("order", "desc")
-	}
-	u := m.Addr + "/v1/assays"
-	if enc := q.Encode(); enc != "" {
-		u += "?" + enc
-	}
-	var page service.ListPage
-	if err := m.getJSON(u, &page); err != nil {
-		return service.ListPage{}, err
-	}
-	return page, nil
-}
-
-// List implements service.Backend, flattening errors to an empty page.
-func (m *Member) List(f service.ListFilter) service.ListPage {
-	page, _ := m.ListErr(f)
-	return page
-}
-
-// StatsErr snapshots the member's /v1/stats.
-func (m *Member) StatsErr() (service.Stats, error) {
+// Stats snapshots the member's /v1/stats.
+func (m *Member) Stats() (service.Stats, error) {
 	var st service.Stats
-	if err := m.getJSON(m.Addr+"/v1/stats", &st); err != nil {
-		return service.Stats{}, err
-	}
-	return st, nil
+	err := m.get("/v1/stats", rpcTimeout, &st)
+	return st, err
 }
 
-// Stats implements service.Backend, flattening errors to a zero
-// snapshot.
-func (m *Member) Stats() service.Stats {
-	st, _ := m.StatsErr()
-	return st
-}
-
-// TraceErr fetches a job's span tree from the member: ErrUnknownJob on
+// Trace fetches a job's span tree from the member: ErrUnknownJob on
 // 404 (unknown job, or the member runs without observability),
 // ErrUnreachable wrapping on transport failure.
-func (m *Member) TraceErr(id string) (obs.TraceDoc, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		m.Addr+"/v1/assays/"+url.PathEscape(id)+"/trace", nil)
-	if err != nil {
-		return obs.TraceDoc{}, err
-	}
-	resp, err := m.client.Do(req)
-	if err != nil {
-		return obs.TraceDoc{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, m.Name, err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var doc obs.TraceDoc
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			return obs.TraceDoc{}, fmt.Errorf("%w: %s: decoding trace: %v", ErrUnreachable, m.Name, err)
-		}
-		return doc, nil
-	case http.StatusNotFound:
-		return obs.TraceDoc{}, ErrUnknownJob
-	default:
-		return obs.TraceDoc{}, fmt.Errorf("%w: %s: status %d", ErrUnreachable, m.Name, resp.StatusCode)
-	}
+func (m *Member) Trace(id string) (obs.TraceDoc, error) {
+	var doc obs.TraceDoc
+	err := m.get("/v1/assays/"+url.PathEscape(id)+"/trace", rpcTimeout, &doc)
+	return doc, err
 }
 
-// MetricsErr scrapes the member's /v1/metrics exposition. A member
+// Metrics scrapes the member's /v1/metrics exposition. A member
 // running without observability (404) yields no families and no error
 // — the member is up, it just has nothing to report.
-func (m *Member) MetricsErr() ([]obs.MetricFamily, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.Addr+"/v1/metrics", nil)
-	if err != nil {
+func (m *Member) Metrics() ([]obs.MetricFamily, error) {
+	var fams []obs.MetricFamily
+	if err := m.get("/v1/metrics", rpcTimeout, &fams); err != nil && !errors.Is(err, ErrUnknownJob) {
 		return nil, err
 	}
-	resp, err := m.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, m.Name, err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		fams, err := obs.ParseExposition(resp.Body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: parsing exposition: %v", ErrUnreachable, m.Name, err)
-		}
-		return fams, nil
-	case http.StatusNotFound:
-		io.Copy(io.Discard, resp.Body)
-		return nil, nil
-	default:
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("%w: %s: status %d", ErrUnreachable, m.Name, resp.StatusCode)
-	}
+	return fams, nil
 }
 
-// Healthz fetches the member's /v1/healthz. The body decodes on both
+// Health fetches the member's /v1/healthz. The body decodes on both
 // 200 and 503 (a draining member still reports itself).
-func (m *Member) Healthz() (service.Health, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.Addr+"/v1/healthz", nil)
-	if err != nil {
-		return service.Health{}, err
-	}
-	resp, err := m.client.Do(req)
-	if err != nil {
-		return service.Health{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, m.Name, err)
-	}
-	defer resp.Body.Close()
+func (m *Member) Health() (service.Health, error) {
 	var h service.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return service.Health{}, fmt.Errorf("%w: %s: decoding health: %v", ErrUnreachable, m.Name, err)
-	}
-	return h, nil
+	err := m.get("/v1/healthz", rpcTimeout, &h)
+	return h, err
 }
 
-func (m *Member) getJSON(u string, v interface{}) error {
-	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+// get GETs path from the member within timeout and decodes the reply
+// into v: Prometheus text into a *[]obs.MetricFamily, JSON into
+// anything else. A 200 decodes, as does a 503 into a *service.Health.
+// A 404 is ErrUnknownJob: the only 404s a worker serves are unknown
+// jobs (and traces) and, on /v1/metrics, disabled observability.
+// Transport failures, other statuses and undecodable bodies wrap
+// ErrUnreachable.
+func (m *Member) get(path string, timeout time.Duration, v any) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.Addr+path, nil)
 	if err != nil {
 		return err
 	}
@@ -379,9 +231,23 @@ func (m *Member) getJSON(u string, v interface{}) error {
 		return fmt.Errorf("%w: %s: %v", ErrUnreachable, m.Name, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	_, health := v.(*service.Health)
+	switch {
+	case resp.StatusCode == http.StatusOK, health && resp.StatusCode == http.StatusServiceUnavailable:
+	case resp.StatusCode == http.StatusNotFound:
+		io.Copy(io.Discard, resp.Body)
+		return ErrUnknownJob
+	default:
 		io.Copy(io.Discard, resp.Body)
 		return fmt.Errorf("%w: %s: status %d", ErrUnreachable, m.Name, resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	if fams, ok := v.(*[]obs.MetricFamily); ok {
+		*fams, err = obs.ParseExposition(resp.Body)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(v)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %s: decoding %s: %v", ErrUnreachable, m.Name, path, err)
+	}
+	return nil
 }

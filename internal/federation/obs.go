@@ -14,7 +14,6 @@ package federation
 // root onto the forward span.
 
 import (
-	"net/http"
 	"strings"
 	"sync"
 
@@ -44,22 +43,15 @@ func newGwMetrics(reg *obs.Registry) gwMetrics {
 	}
 }
 
-// Metrics returns the registry the gateway was built with (nil when
-// observability is disabled).
-func (g *Gateway) Metrics() *obs.Registry { return g.obs }
-
-// buildInfo memoizes the binary's build identity for /v1/healthz.
-var buildInfo = sync.OnceValues(obs.BuildInfo)
-
-// handleMetrics serves the gateway's /v1/metrics: its own families
-// merged with every reachable member's scrape, each member's samples
+// Metrics gathers the gateway's /v1/metrics families: its own merged
+// with every reachable member's scrape, each member's samples
 // re-exported under a prepended member label. The member-up gauge is
 // refreshed from the scrapes themselves before gathering, so one
-// response is a whole-fleet picture.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// response is a whole-fleet picture. False when observability is
+// disabled on the gateway.
+func (g *Gateway) Metrics() ([]obs.MetricFamily, bool) {
 	if g.obs == nil {
-		writeJSON(w, http.StatusNotFound, errorJSON{Error: "observability disabled"})
-		return
+		return nil, false
 	}
 	scrapes := make([][]obs.MetricFamily, len(g.members))
 	var wg sync.WaitGroup
@@ -67,7 +59,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m *Member) {
 			defer wg.Done()
-			fams, err := m.MetricsErr()
+			fams, err := m.Metrics()
 			if err != nil {
 				g.met.memberUp.With(m.Name).Set(0)
 				return
@@ -81,9 +73,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, s := range scrapes {
 		fams = obs.MergeFamilies(fams, s)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_ = obs.WriteExposition(w, fams)
+	return fams, true
 }
 
 // Trace returns the stitched span tree of a routed job: the gateway's
@@ -103,7 +93,7 @@ func (g *Gateway) Trace(id string) (obs.TraceDoc, bool) {
 	if m == nil {
 		return doc, true
 	}
-	mdoc, err := m.TraceErr(remoteID)
+	mdoc, err := m.Trace(remoteID)
 	if err != nil {
 		return doc, true
 	}
@@ -125,14 +115,4 @@ func (g *Gateway) Trace(id string) (obs.TraceDoc, bool) {
 	}
 	doc.Dropped += mdoc.Dropped
 	return doc, true
-}
-
-// handleTrace serves GET /v1/assays/{id}/trace on the gateway.
-func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
-	doc, ok := g.Trace(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorJSON{Error: "no trace for job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, doc)
 }

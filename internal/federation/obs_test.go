@@ -49,7 +49,7 @@ func TestGatewayObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr service.SubmitResponse
+	var sr service.SubmitResult
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestGatewayRestartReresolvesRoutedJobs(t *testing.T) {
 	reports := make(map[string]interface{}, len(batch))
 	streams := make(map[string]string, len(batch))
 	for i, b := range batch {
-		res, err := g1.SubmitDetail(b.pr, b.seed)
+		res, err := g1.Submit(service.SubmitRequest{Seed: b.seed, Program: b.pr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestGatewayRestartReresolvesRoutedJobs(t *testing.T) {
 	}
 	// The dedup index survives: an identical submission hits the
 	// recovered root instead of forwarding.
-	res, err := g2.SubmitDetail(batch[0].pr, batch[0].seed)
+	res, err := g2.Submit(service.SubmitRequest{Seed: batch[0].seed, Program: batch[0].pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestGatewayMidStreamWorkerRestart(t *testing.T) {
 
 	ids := make([]string, len(batch))
 	for i, b := range batch {
-		res, err := g.SubmitDetail(b.pr, b.seed)
+		res, err := g.Submit(service.SubmitRequest{Seed: b.seed, Program: b.pr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestGatewayNonDurableMemberLosesJob(t *testing.T) {
 	// Queue enough work that some jobs are still pending at the kill.
 	var ids []string
 	for i := 0; i < 6; i++ {
-		res, err := g.SubmitDetail(testProgram(6), 300+uint64(i))
+		res, err := g.Submit(service.SubmitRequest{Seed: 300 + uint64(i), Program: testProgram(6)})
 		if err != nil {
 			t.Fatal(err)
 		}

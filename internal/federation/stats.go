@@ -176,7 +176,7 @@ func (g *Gateway) MemberStatsSnapshot() []MemberStats {
 		go func(i int, m *Member) {
 			defer wg.Done()
 			ms := MemberStats{Member: m.Name, Addr: m.Addr}
-			st, err := m.StatsErr()
+			st, err := m.Stats()
 			if err != nil {
 				ms.Error = err.Error()
 			} else {
@@ -265,7 +265,7 @@ func (g *Gateway) AggregateHealth() Health {
 		go func(i int, m *Member) {
 			defer wg.Done()
 			row := MemberHealth{Member: m.Name, Addr: m.Addr}
-			h, err := m.Healthz()
+			h, err := m.Health()
 			if err != nil {
 				row.Error = err.Error()
 			} else {
@@ -288,7 +288,7 @@ func (g *Gateway) AggregateHealth() Health {
 		}
 	}
 	out := Health{Members: rows, UptimeSeconds: obs.Since(g.started)}
-	if b, ok := buildInfo(); ok {
+	if b, ok := obs.BuildInfo(); ok {
 		out.Build = &b
 	}
 	switch {

@@ -186,6 +186,7 @@ type stubMember struct {
 	stats    service.Stats
 	submits  int
 	response func(n int) (int, interface{}) // status, body for the n-th submission
+	hold     chan struct{}                  // see holdJobs
 	ts       *httptest.Server
 }
 
@@ -196,7 +197,7 @@ func newStubMember(t *testing.T, stats service.Stats, response func(n int) (int,
 		s.mu.Lock()
 		st := s.stats
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		reply(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v1/assays", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
@@ -204,15 +205,49 @@ func newStubMember(t *testing.T, stats service.Stats, response func(n int) (int,
 		s.submits++
 		s.mu.Unlock()
 		code, body := s.response(n)
-		writeJSON(w, code, body)
+		reply(w, code, body)
 	})
 	mux.HandleFunc("GET /v1/assays/{id}", func(w http.ResponseWriter, r *http.Request) {
-		// Keep watchers quiet: jobs stay queued forever.
-		writeJSON(w, http.StatusOK, service.Job{ID: r.PathValue("id"), Status: service.StatusQueued})
+		// Jobs stay queued forever, or until holdJobs releases them.
+		s.mu.Lock()
+		hold := s.hold
+		s.mu.Unlock()
+		status := service.StatusQueued
+		if hold != nil {
+			if r.URL.Query().Get("wait") == "1" {
+				select {
+				case <-hold:
+				case <-r.Context().Done():
+				}
+			}
+			select {
+			case <-hold:
+				status = service.StatusDone
+			default:
+			}
+		}
+		reply(w, http.StatusOK, service.Job{ID: r.PathValue("id"), Status: status})
 	})
 	s.ts = httptest.NewServer(mux)
 	t.Cleanup(s.ts.Close)
 	return s
+}
+
+// holdJobs keeps the stub's jobs queued, holding long-polls on them,
+// until release runs; from then on every job is done.
+func (s *stubMember) holdJobs() (release func()) {
+	hold := make(chan struct{})
+	s.mu.Lock()
+	s.hold = hold
+	s.mu.Unlock()
+	return func() { close(hold) }
+}
+
+// reply writes one JSON response, as a worker does.
+func reply(w http.ResponseWriter, code int, v interface{}) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
 }
 
 func (s *stubMember) submitted() int {
@@ -222,7 +257,7 @@ func (s *stubMember) submitted() int {
 }
 
 func accept(n int) (int, interface{}) {
-	return http.StatusAccepted, service.SubmitResponse{ID: fmt.Sprintf("j-%06d", n+1), Eligible: []string{"die40"}}
+	return http.StatusAccepted, service.SubmitResult{ID: fmt.Sprintf("j-%06d", n+1), Eligible: []string{"die40"}}
 }
 
 // TestPlacementPrefersLowBacklog pins the placement rule: among
@@ -258,7 +293,7 @@ func TestPlacementPrefersLowBacklog(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := g.SubmitDetail(testProgram(6), 1000+uint64(i)); err != nil {
+		if _, err := g.Submit(service.SubmitRequest{Seed: 1000 + uint64(i), Program: testProgram(6)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +310,7 @@ func TestPlacementPrefersLowBacklog(t *testing.T) {
 // job lands on the next candidate; when every member is full the
 // caller sees one merged QueueFullError.
 func TestPlacement429FallsOver(t *testing.T) {
-	fullBody := errorJSON{
+	fullBody := service.ErrorBody{
 		Error: "queue full", Queued: intp(8), QueueDepth: 8,
 		Backlog: []service.ClassStats{{Profiles: []string{"die40"}, Queued: 8}},
 	}
@@ -294,7 +329,7 @@ func TestPlacement429FallsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	res, err := g.SubmitDetail(testProgram(6), 2000)
+	res, err := g.Submit(service.SubmitRequest{Seed: 2000, Program: testProgram(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +338,7 @@ func TestPlacement429FallsOver(t *testing.T) {
 	}
 	// The 429 refreshed the view: the next submission skips the full
 	// member entirely.
-	if _, err := g.SubmitDetail(testProgram(6), 2001); err != nil {
+	if _, err := g.Submit(service.SubmitRequest{Seed: 2001, Program: testProgram(6)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := full.submitted(); got != 1 {
@@ -319,7 +354,7 @@ func TestPlacement429FallsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer allFull.Close()
-	_, err = allFull.SubmitDetail(testProgram(6), 2002)
+	_, err = allFull.Submit(service.SubmitRequest{Seed: 2002, Program: testProgram(6)})
 	var qf *service.QueueFullError
 	if !errors.As(err, &qf) {
 		t.Fatalf("err = %v, want QueueFullError", err)
@@ -343,7 +378,7 @@ func TestAllMembersUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	_, err = g.SubmitDetail(testProgram(6), 3000)
+	_, err = g.Submit(service.SubmitRequest{Seed: 3000, Program: testProgram(6)})
 	if !errors.Is(err, ErrNoMembers) {
 		t.Fatalf("err = %v, want ErrNoMembers", err)
 	}
@@ -352,7 +387,7 @@ func TestAllMembersUnreachable(t *testing.T) {
 // TestAggregateHealth drives the gateway health rules across member
 // states: all ok → ok; some down → degraded; all down → unavailable;
 // gateway draining → draining. The wire mapping (200 vs 503) rides on
-// the same statuses via handleHealthz.
+// the same statuses via HealthBody.
 func TestAggregateHealth(t *testing.T) {
 	_, okTS := startWorker(t, die40())
 	downTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
@@ -407,7 +442,7 @@ func TestGatewayStatsEndToEnd(t *testing.T) {
 	g := startGateway(t, 2, die40())
 	var ids []string
 	for i := 0; i < 4; i++ {
-		res, err := g.SubmitDetail(testProgram(6), 4000+uint64(i))
+		res, err := g.Submit(service.SubmitRequest{Seed: 4000 + uint64(i), Program: testProgram(6)})
 		if err != nil {
 			t.Fatal(err)
 		}

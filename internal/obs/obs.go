@@ -16,6 +16,7 @@ package obs
 
 import (
 	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -57,10 +58,11 @@ type Build struct {
 	Modified  bool   `json:"modified,omitempty"`
 }
 
-// BuildInfo reads the binary's embedded build information. The second
+// BuildInfo reads the binary's embedded build information, once: the
+// result is memoized for every /v1/healthz that reports it. The second
 // result is false when the binary was built without module support
 // (never the case for this module's daemons, but callers stay total).
-func BuildInfo() (Build, bool) {
+var BuildInfo = sync.OnceValues(func() (Build, bool) {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return Build{}, false
@@ -75,4 +77,4 @@ func BuildInfo() (Build, bool) {
 		}
 	}
 	return b, true
-}
+})

@@ -92,24 +92,20 @@ type SubmitResult struct {
 	DedupOf string `json:"dedup_of,omitempty"`
 }
 
-// SubmitDetail places the program on the fleet under the given seed and
-// returns the job to follow plus cache provenance. It is Submit with
-// the outcome visible: a content-addressed duplicate of a finished job
-// returns instantly with a done alias job (Cache "hit"), a duplicate of
-// an in-flight job attaches to it (Cache "coalesced", the in-flight
-// job's own ID), and everything else queues for execution exactly as
-// Submit always has. Error contract as Submit, except a full queue
-// fails with *QueueFullError (which unwraps to ErrQueueFull).
-func (s *Service) SubmitDetail(pr assay.Program, seed uint64) (SubmitResult, error) {
-	return s.SubmitTraced(pr, seed, "")
-}
-
-// SubmitTraced is SubmitDetail for federated submissions: traceParent
-// is the forwarding gateway's span ID (the X-Assay-Trace header),
-// recorded as the foreign parent of the job's span trace so a
-// gateway-side trace fetch can stitch the cross-hop tree together.
-// Local callers pass "".
-func (s *Service) SubmitTraced(pr assay.Program, seed uint64, traceParent string) (SubmitResult, error) {
+// Submit places the program on the fleet and enqueues it for execution
+// under the request's seed, returning the job to follow plus cache
+// provenance. A malformed program (assay.CheckOps) fails outright; a
+// well-formed program that no profile can satisfy fails with
+// *IncompatibleError; a full queue fails fast with *QueueFullError
+// (errors.Is-compatible with ErrQueueFull); a draining service with
+// ErrDraining, a closed one with ErrClosed. A content-addressed
+// duplicate of a finished job returns instantly with a done alias job
+// (Cache "hit"), and a duplicate of an in-flight job attaches to it
+// (Cache "coalesced", the in-flight job's own ID). req.Trace, set by a
+// forwarding gateway, becomes the foreign parent of the job's span
+// trace.
+func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
+	pr, seed, traceParent := req.Program, req.Seed, req.Trace
 	var subAt, placeAt, placeEnd obs.Stamp
 	if s.tracing {
 		subAt = obs.Now()

@@ -59,7 +59,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 			defer svc.Close()
 			execs := countingRuns(svc)
 
-			res1, err := svc.SubmitDetail(pr, seed)
+			res1, err := svc.Submit(SubmitRequest{Seed: seed, Program: pr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 				t.Fatalf("root: %v %v", root.Status, err)
 			}
 
-			res2, err := svc.SubmitDetail(pr, seed)
+			res2, err := svc.Submit(SubmitRequest{Seed: seed, Program: pr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,13 +130,13 @@ func TestSingleflightCoalesce(t *testing.T) {
 	}
 
 	pr := testProgram(10)
-	res1, err := svc.SubmitDetail(pr, 7)
+	res1, err := svc.Submit(SubmitRequest{Seed: 7, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const dups = 5
 	for i := 0; i < dups; i++ {
-		res, err := svc.SubmitDetail(pr, 7)
+		res, err := svc.Submit(SubmitRequest{Seed: 7, Program: pr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestSingleflightCoalesce(t *testing.T) {
 		}
 	}
 	// A different seed is new work, not a duplicate.
-	other, err := svc.SubmitDetail(pr, 8)
+	other, err := svc.Submit(SubmitRequest{Seed: 8, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSingleflightCoalesce(t *testing.T) {
 	}
 
 	// The in-flight window has closed: now it is a cache hit.
-	res, err := svc.SubmitDetail(pr, 7)
+	res, err := svc.Submit(SubmitRequest{Seed: 7, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCacheDisabled(t *testing.T) {
 	execs := countingRuns(svc)
 	pr := testProgram(10)
 	for i := 0; i < 2; i++ {
-		res, err := svc.SubmitDetail(pr, 7)
+		res, err := svc.Submit(SubmitRequest{Seed: 7, Program: pr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestProfileNoCache(t *testing.T) {
 	execs := countingRuns(svc)
 	pr := testProgram(10)
 	for i := 0; i < 2; i++ {
-		res, err := svc.SubmitDetail(pr, 7)
+		res, err := svc.Submit(SubmitRequest{Seed: 7, Program: pr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,14 +262,14 @@ func TestCacheRecoveryWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := svc.SubmitDetail(pr, seed)
+	res1, err := svc.Submit(SubmitRequest{Seed: seed, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j, err := svc.Wait(res1.ID); err != nil || j.Status != StatusDone {
 		t.Fatalf("root: %v %v", j.Status, err)
 	}
-	resHit, err := svc.SubmitDetail(pr, seed)
+	resHit, err := svc.Submit(SubmitRequest{Seed: seed, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCacheRecoveryWarm(t *testing.T) {
 	}
 
 	// A duplicate against the restarted daemon is served without running.
-	res2, err := svc2.SubmitDetail(pr, seed)
+	res2, err := svc2.Submit(SubmitRequest{Seed: seed, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,14 +329,14 @@ func TestCacheSSEResume(t *testing.T) {
 	defer ts.Close()
 
 	pr := testProgram(10)
-	res1, err := svc.SubmitDetail(pr, 7)
+	res1, err := svc.Submit(SubmitRequest{Seed: 7, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j, err := svc.Wait(res1.ID); err != nil || j.Status != StatusDone {
 		t.Fatalf("root: %v %v", j.Status, err)
 	}
-	res2, err := svc.SubmitDetail(pr, 7)
+	res2, err := svc.Submit(SubmitRequest{Seed: 7, Program: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestQueueFullBacklogBody(t *testing.T) {
 	// ErrQueueFull and renders the backlog in its message.
 	var full *QueueFullError
 	for i := 0; i < 1000; i++ {
-		_, err := svc.SubmitDetail(testProgram(4), uint64(10000+i))
+		_, err := svc.Submit(SubmitRequest{Seed: uint64(10000 + i), Program: testProgram(4)})
 		if err == nil {
 			continue
 		}

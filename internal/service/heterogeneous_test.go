@@ -133,7 +133,7 @@ func TestFleetDeterminism(t *testing.T) {
 				errs[i] = fmt.Errorf("submit %d: status %d", i, resp.StatusCode)
 				return
 			}
-			var sub SubmitResponse
+			var sub SubmitResult
 			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 				errs[i] = err
 				return
@@ -230,7 +230,7 @@ func TestFleetRejectsImpossibleProgram(t *testing.T) {
 	impossible.Name = "impossible"
 	impossible.Requirements = &assay.Requirements{MinCols: 512, MinRows: 512}
 
-	_, err = svc.Submit(impossible, 1)
+	_, err = submit(svc, impossible, 1)
 	var incompatible *IncompatibleError
 	if !errors.As(err, &incompatible) {
 		t.Fatalf("Submit returned %v, want *IncompatibleError", err)
@@ -298,7 +298,7 @@ func TestForcedStealBitIdenticalToSerial(t *testing.T) {
 	pr := testProgram(6)
 	ids := make([]string, jobs)
 	for i := range ids {
-		id, err := svc.Submit(pr, 700+uint64(i))
+		id, err := submit(svc, pr, 700+uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +363,7 @@ func TestStealingConfinedToEligibleProfiles(t *testing.T) {
 	const jobs = 6
 	ids := make([]string, jobs)
 	for i := range ids {
-		id, err := svc.Submit(pr, 800+uint64(i))
+		id, err := submit(svc, pr, 800+uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}

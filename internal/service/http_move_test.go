@@ -102,7 +102,7 @@ func TestHTTPMoveStepShardedBitIdenticalToSerial(t *testing.T) {
 				errs[i] = fmt.Errorf("submit %d: status %d", i, resp.StatusCode)
 				return
 			}
-			var sub SubmitResponse
+			var sub SubmitResult
 			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 				errs[i] = err
 				return

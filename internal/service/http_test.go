@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -54,7 +56,7 @@ func TestHTTPShardedBitIdenticalToSerial(t *testing.T) {
 				errs[i] = fmt.Errorf("submit %d: status %d", i, resp.StatusCode)
 				return
 			}
-			var sub SubmitResponse
+			var sub SubmitResult
 			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 				errs[i] = err
 				return
@@ -144,67 +146,6 @@ func pollJob(t *testing.T, base, id string) Job {
 	}
 }
 
-func TestHTTPErrors(t *testing.T) {
-	svc, err := New(Config{Shards: 1, Chip: testChip()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	cases := []struct {
-		name string
-		do   func() (*http.Response, error)
-		want int
-	}{
-		{"malformed json", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/v1/assays", "application/json",
-				bytes.NewReader([]byte(`{`)))
-		}, http.StatusBadRequest},
-		{"empty program", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/v1/assays", "application/json",
-				bytes.NewReader([]byte(`{"seed":1,"program":{"name":"x","ops":[]}}`)))
-		}, http.StatusBadRequest},
-		{"invalid op order", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/v1/assays", "application/json",
-				bytes.NewReader([]byte(`{"seed":1,"program":{"name":"x","ops":[{"op":"capture"}]}}`)))
-		}, http.StatusBadRequest},
-		{"unknown job", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/v1/assays/a-999999")
-		}, http.StatusNotFound},
-		{"wrong method", func() (*http.Response, error) {
-			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/assays", nil)
-			if err != nil {
-				return nil, err
-			}
-			return http.DefaultClient.Do(req)
-		}, http.StatusMethodNotAllowed},
-		{"bad status filter", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/v1/assays?status=sideways")
-		}, http.StatusBadRequest},
-		{"bad list limit", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/v1/assays?limit=-2")
-		}, http.StatusBadRequest},
-		{"bad resume cursor", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/v1/assays/a-999999/events?after=x")
-		}, http.StatusBadRequest},
-		{"events for unknown job", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/v1/assays/a-999999/events")
-		}, http.StatusNotFound},
-	}
-	for _, tc := range cases {
-		resp, err := tc.do()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
-		}
-	}
-}
-
 // TestHTTPQueueFullMapsTo429 drives the wire-level backpressure path.
 func TestHTTPQueueFullMapsTo429(t *testing.T) {
 	release := make(chan struct{})
@@ -255,7 +196,7 @@ func TestHTTPLongPoll(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	id, err := svc.Submit(testProgram(4), 1)
+	id, err := submit(svc, testProgram(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +254,71 @@ func TestHTTPLongPoll(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("GET %s: status %d, want %d", tc.url, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// TestHTTPLongPollTimeout pins the ?timeout rules of the worker's
+// long-poll on a parked job: 0 answers the current snapshot at once, a
+// finite value holds that long, anything past the 60 s cap clamps to it
+// (1e300 must not overflow into an instant reply), and negative or
+// non-finite values are 400s. The gateway runs the same table
+// (federation.TestGatewayLongPollTimeout).
+func TestHTTPLongPollTimeout(t *testing.T) {
+	release := make(chan struct{})
+	svc := newFakeService(t, 1, 0, func(sh *shard, j *Job) { <-release })
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	// Releasing the job ends every long-poll still held server-side, so
+	// it must come before the server shuts down.
+	defer close(release)
+	id, err := submit(svc, testProgram(4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		timeout string
+		status  int           // 0: still held when the client gives up
+		hold    time.Duration // minimum time the reply takes
+	}{
+		{"0", http.StatusOK, 0},
+		{"0.2", http.StatusOK, 200 * time.Millisecond},
+		{"1e300", 0, 0},
+		{"NaN", http.StatusBadRequest, 0},
+		{"Inf", http.StatusBadRequest, 0},
+		{"-1", http.StatusBadRequest, 0},
+	} {
+		// A prompt reply takes well under a second; a held one is cut
+		// by the client.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			ts.URL+"/v1/assays/"+id+"?wait=1&timeout="+tc.timeout, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		elapsed := time.Since(start)
+		switch {
+		case tc.status == 0:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("timeout=%s: got %v, want the request held past the client deadline", tc.timeout, err)
+			}
+		case err != nil:
+			t.Errorf("timeout=%s: %v, want status %d", tc.timeout, err, tc.status)
+		default:
+			var j Job
+			_ = json.NewDecoder(resp.Body).Decode(&j)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status || elapsed < tc.hold {
+				t.Errorf("timeout=%s: status %d after %v, want %d after at least %v",
+					tc.timeout, resp.StatusCode, elapsed, tc.status, tc.hold)
+			}
+			if tc.status == http.StatusOK && j.Status != StatusQueued && j.Status != StatusRunning {
+				t.Errorf("timeout=%s: job %s, want the parked job unfinished", tc.timeout, j.Status)
+			}
+		}
+		cancel()
 	}
 }
 

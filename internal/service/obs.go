@@ -1,20 +1,15 @@
 package service
 
 // Observability wiring: metric handles and per-job span traces
-// (internal/obs), plus the /v1/metrics and /v1/assays/{id}/trace
-// endpoints. Everything here is out-of-band telemetry — when
+// (internal/obs), plus what the /v1/metrics and /v1/assays/{id}/trace
+// endpoints serve. Everything here is out-of-band telemetry — when
 // Config.Obs is nil every handle below is a nil no-op, and the
 // determinism contract requires (and CI verifies) that reports and
 // event streams are bit-identical either way. The obspurity detlint
 // rule statically keeps obs values out of reports, event payloads and
 // cache keys; see docs/observability.md.
 
-import (
-	"net/http"
-	"sync"
-
-	"biochip/internal/obs"
-)
+import "biochip/internal/obs"
 
 // svcMetrics is the worker daemon's metric handle set. A zero
 // svcMetrics (observability disabled) is fully inert.
@@ -43,9 +38,14 @@ func newSvcMetrics(reg *obs.Registry) svcMetrics {
 	}
 }
 
-// Metrics returns the registry the service was built with (nil when
-// observability is disabled); assayd hands it to auxiliary listeners.
-func (s *Service) Metrics() *obs.Registry { return s.cfg.Obs }
+// Metrics gathers the worker's metric families for /v1/metrics; false
+// when observability is disabled.
+func (s *Service) Metrics() ([]obs.MetricFamily, bool) {
+	if s.cfg.Obs == nil {
+		return nil, false
+	}
+	return s.cfg.Obs.Gather(), true
+}
 
 // Trace returns the wire snapshot of a job's span ring. The second
 // result is false for unknown jobs and for jobs without a trace
@@ -59,31 +59,4 @@ func (s *Service) Trace(id string) (obs.TraceDoc, bool) {
 		return obs.TraceDoc{}, false
 	}
 	return j.trace.Snapshot(), true
-}
-
-// buildInfo memoizes the binary's build identity for /v1/healthz.
-var buildInfo = sync.OnceValues(obs.BuildInfo)
-
-// handleMetrics serves GET /v1/metrics as Prometheus text exposition.
-// 404 when observability is disabled, so scrapers fail loudly instead
-// of graphing an empty daemon.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.cfg.Obs
-	if reg == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "observability disabled"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_ = reg.WriteProm(w)
-}
-
-// handleTrace serves GET /v1/assays/{id}/trace: the job's span tree.
-func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	doc, ok := s.Trace(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no trace for job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, doc)
 }

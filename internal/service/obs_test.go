@@ -31,7 +31,7 @@ func TestObsBitIdentical(t *testing.T) {
 		defer svc.Close()
 		var ids []string
 		for _, b := range batch {
-			res, err := svc.SubmitDetail(testProgram(b.cells), b.seed)
+			res, err := svc.Submit(SubmitRequest{Seed: b.seed, Program: testProgram(b.cells)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestObsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr SubmitResponse
+	var sr SubmitResult
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestObsEndpoints(t *testing.T) {
 	defer off.Close()
 	offSrv := httptest.NewServer(off.Handler())
 	defer offSrv.Close()
-	id, err := off.Submit(testProgram(6), 1)
+	id, err := submit(off, testProgram(6), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestCrashRecoveryServedFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(pr, seed)
+	id, err := submit(svc, pr, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestCloseWithoutDrainRecovery(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := svc.Submit(pr, 100+uint64(i))
+		id, err := submit(svc, pr, 100+uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestCloseWithoutDrainRecovery(t *testing.T) {
 		}
 	}
 	// New submissions continue the ID sequence past the recovered jobs.
-	next, err := svc2.Submit(pr, 9)
+	next, err := submit(svc2, pr, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestDurableBackfillNoGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	id, err := svc.Submit(testProgram(10), 7)
+	id, err := submit(svc, testProgram(10), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestRecoveryIncompatibleFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(pr, 5)
+	id, err := submit(svc, pr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,6 +73,12 @@ var ErrClosed = errors.New("service: closed")
 // (HTTP maps it to 503 with a Retry-After header).
 var ErrDraining = errors.New("service: draining, not admitting new assays")
 
+// ErrUnavailable marks a refusal no retry against the same backend is
+// likely to fix soon — a federation gateway with no reachable member
+// returns an error that unwraps to it (HTTP maps it to 503 without
+// Retry-After).
+var ErrUnavailable = errors.New("service: unavailable")
+
 // ErrPersist wraps a durable-store append failure during Submit: the
 // write-ahead record could not be made durable, so the submission is
 // refused rather than acked (HTTP maps it to 500). Jobs already
@@ -213,6 +219,11 @@ type Job struct {
 	DedupOf  string        `json:"dedup_of,omitempty"`
 	Error    string        `json:"error,omitempty"`
 	Report   *assay.Report `json:"report,omitempty"`
+	// Member names the worker a federation gateway routed the job to;
+	// empty on a worker, and for gateway jobs whose member left the
+	// members spec. It stays the last field so gateway bodies keep it
+	// last.
+	Member string `json:"member,omitempty"`
 
 	pr   assay.Program
 	done chan struct{}
@@ -470,19 +481,6 @@ func (s *Service) ProfileConfig(name string) (chip.Config, bool) {
 		}
 	}
 	return chip.Config{}, false
-}
-
-// Submit places the program on the fleet and enqueues it for execution
-// under the given seed, returning the job ID. A malformed program
-// (assay.CheckOps) fails outright; a well-formed program that no
-// profile can satisfy fails with *IncompatibleError; a full queue fails
-// fast with *QueueFullError (errors.Is-compatible with ErrQueueFull); a
-// closed service with ErrClosed. A submission the result cache can
-// answer — content-identical to a finished or in-flight job — returns
-// without executing; SubmitDetail exposes the provenance.
-func (s *Service) Submit(pr assay.Program, seed uint64) (string, error) {
-	res, err := s.SubmitDetail(pr, seed)
-	return res.ID, err
 }
 
 // place evaluates the program's effective requirements and full check

@@ -53,7 +53,7 @@ func TestShardedMatchesSerialReplay(t *testing.T) {
 	pr := testProgram(10)
 	ids := make([]string, jobs)
 	for i := 0; i < jobs; i++ {
-		id, err := svc.Submit(pr, 100+uint64(i))
+		id, err := submit(svc, pr, 100+uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestRoundRobinAssignment(t *testing.T) {
 	defer svc.Close()
 	perShard := map[int]int{}
 	for i := 0; i < 8; i++ {
-		id, err := svc.Submit(testProgram(4), uint64(i))
+		id, err := submit(svc, testProgram(4), uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,6 +109,13 @@ func TestRoundRobinAssignment(t *testing.T) {
 			t.Errorf("shard %d assigned %d jobs, want 2", sh, perShard[sh])
 		}
 	}
+}
+
+// submit admits pr under seed and returns the job ID — the shape most
+// tests want.
+func submit(svc *Service, pr assay.Program, seed uint64) (string, error) {
+	res, err := svc.Submit(SubmitRequest{Seed: seed, Program: pr})
+	return res.ID, err
 }
 
 // newFakeService builds a service whose runner invokes fn instead of
@@ -146,7 +153,7 @@ func TestWorkStealing(t *testing.T) {
 	const jobs = 12
 	ids := make([]string, jobs)
 	for i := range ids {
-		id, err := svc.Submit(testProgram(4), uint64(i))
+		id, err := submit(svc, testProgram(4), uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +218,7 @@ func TestQueueBackpressure(t *testing.T) {
 	// first soak up shards+depth acceptances.
 	accepted := []string{}
 	for len(accepted) < shards+depth {
-		id, err := svc.Submit(testProgram(4), 1)
+		id, err := submit(svc, testProgram(4), 1)
 		if err == nil {
 			accepted = append(accepted, id)
 		}
@@ -221,7 +228,7 @@ func TestQueueBackpressure(t *testing.T) {
 	// every runner is parked on the release channel).
 	var full bool
 	for i := 0; i < 1000 && !full; i++ {
-		id, err := svc.Submit(testProgram(4), 1)
+		id, err := submit(svc, testProgram(4), 1)
 		switch {
 		case err == nil:
 			accepted = append(accepted, id)
@@ -240,7 +247,7 @@ func TestQueueBackpressure(t *testing.T) {
 			t.Fatalf("job %s after drain: %v %v", id, j.Status, err)
 		}
 	}
-	if id, err := svc.Submit(testProgram(4), 1); err != nil {
+	if id, err := submit(svc, testProgram(4), 1); err != nil {
 		t.Fatalf("submit after drain: %v", err)
 	} else if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
 		t.Fatalf("job %s after drain: %v %v", id, j.Status, err)
@@ -255,7 +262,7 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 	svc := newFakeService(t, 1, 8, func(sh *shard, j *Job) { <-release })
 	var ids []string
 	for i := 0; i < 4; i++ {
-		id, err := svc.Submit(testProgram(4), 1)
+		id, err := submit(svc, testProgram(4), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +306,7 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 	if done != 1 || failed != 3 {
 		t.Errorf("done %d failed %d, want 1 and 3", done, failed)
 	}
-	if _, err := svc.Submit(testProgram(4), 1); err != ErrClosed {
+	if _, err := submit(svc, testProgram(4), 1); err != ErrClosed {
 		t.Errorf("submit after close: %v, want ErrClosed", err)
 	}
 }
@@ -309,7 +316,7 @@ func TestSubmitRejectsInvalidProgram(t *testing.T) {
 	svc := newFakeService(t, 1, 0, func(sh *shard, j *Job) {})
 	defer svc.Close()
 	bad := assay.Program{Name: "bad", Ops: []assay.Op{assay.Capture{}}}
-	if _, err := svc.Submit(bad, 1); err == nil {
+	if _, err := submit(svc, bad, 1); err == nil {
 		t.Fatal("capture-before-load program was accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sort"
 
 	"biochip/internal/stream"
@@ -86,6 +87,33 @@ type ListPage struct {
 // (submission order, or newest-first with Newest). Snapshots omit the
 // report payloads so a busy service can be listed cheaply.
 func (s *Service) List(f ListFilter) ListPage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]string, 0, len(s.jobs))
+	for id, j := range s.jobs {
+		if f.Status == "" || j.Status == f.Status {
+			ids = append(ids, id)
+		}
+	}
+	// Job IDs are zero-padded sequence numbers, so the string order is
+	// the submission order.
+	sort.Strings(ids)
+	ids, next := PageIDs(ids, f)
+	page := ListPage{Jobs: make([]Job, len(ids)), Next: next}
+	for i, id := range ids {
+		page.Jobs[i] = *s.jobs[id]
+		page.Jobs[i].Report = nil // listings are summaries; fetch the job for the report
+	}
+	return page
+}
+
+// PageIDs cuts one listing page out of the IDs of the jobs matching
+// f.Status, sorted ascending — job IDs are zero-padded sequence
+// numbers, so that is submission order. It applies the order, the
+// exclusive After cursor and the limit, and returns the page's IDs plus
+// the Next cursor (empty on the last page). Workers and gateways both
+// page through it, so listings behave identically on either role.
+func PageIDs(ids []string, f ListFilter) (page []string, next string) {
 	limit := f.Limit
 	if limit <= 0 {
 		limit = DefaultListLimit
@@ -93,22 +121,8 @@ func (s *Service) List(f ListFilter) ListPage {
 	if limit > MaxListLimit {
 		limit = MaxListLimit
 	}
-
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.jobs))
-	for id, j := range s.jobs {
-		if f.Status != "" && j.Status != f.Status {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	// Job IDs are zero-padded sequence numbers, so the string order is
-	// the submission order.
-	sort.Strings(ids)
 	if f.Newest {
-		for i, k := 0, len(ids)-1; i < k; i, k = i+1, k-1 {
-			ids[i], ids[k] = ids[k], ids[i]
-		}
+		slices.Reverse(ids)
 	}
 	start := 0
 	if f.After != "" {
@@ -126,15 +140,10 @@ func (s *Service) List(f ListFilter) ListPage {
 			start = i + 1
 		}
 	}
-	page := ListPage{Jobs: []Job{}}
-	for i := start; i < len(ids) && len(page.Jobs) < limit; i++ {
-		j := *s.jobs[ids[i]]
-		j.Report = nil // listings are summaries; fetch the job for the report
-		page.Jobs = append(page.Jobs, j)
+	end := min(start+limit, len(ids))
+	page = ids[start:end]
+	if len(page) > 0 && end < len(ids) {
+		next = page[len(page)-1]
 	}
-	if n := len(page.Jobs); n > 0 && start+n < len(ids) {
-		page.Next = page.Jobs[n-1].ID
-	}
-	s.mu.Unlock()
-	return page
+	return page, next
 }

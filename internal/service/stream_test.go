@@ -63,7 +63,7 @@ func runStreamedJob(t *testing.T, cfg Config, pr assay.Program, seed uint64) []s
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	id, err := svc.Submit(pr, seed)
+	id, err := submit(svc, pr, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestStreamGapWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	id, err := svc.Submit(testProgram(10), 7)
+	id, err := submit(svc, testProgram(10), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestSSEReconnectResume(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	id, err := svc.Submit(testProgram(4), 1)
+	id, err := submit(svc, testProgram(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestSSEResumeAcrossRestart(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc.Handler())
 
-	id, err := svc.Submit(testProgram(4), 1)
+	id, err := submit(svc, testProgram(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,11 +509,11 @@ func TestDrainGraceful(t *testing.T) {
 	defer ts.Close()
 
 	// One running job, one queued behind it.
-	first, err := svc.Submit(testProgram(4), 1)
+	first, err := submit(svc, testProgram(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := svc.Submit(testProgram(4), 2)
+	second, err := submit(svc, testProgram(4), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestDrainGraceful(t *testing.T) {
 
 	// Admission is closed (typed error and 503 + Retry-After on the
 	// wire) while the backlog still runs.
-	if _, err := svc.Submit(testProgram(4), 3); err != ErrDraining {
+	if _, err := submit(svc, testProgram(4), 3); err != ErrDraining {
 		t.Errorf("submit while draining: %v, want ErrDraining", err)
 	}
 	body, _ := json.Marshal(SubmitRequest{Seed: 9, Program: testProgram(4)})
@@ -631,7 +631,7 @@ func TestListEndpoint(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 5; i++ {
-		id, err := svc.Submit(testProgram(4), uint64(i))
+		id, err := submit(svc, testProgram(4), uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
