@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"biochip/internal/assay"
 	"biochip/internal/cage"
 	"biochip/internal/chip"
 	"biochip/internal/dep"
@@ -19,6 +20,7 @@ import (
 	"biochip/internal/particle"
 	"biochip/internal/route"
 	"biochip/internal/sensor"
+	"biochip/internal/stream"
 	"biochip/internal/units"
 )
 
@@ -160,6 +162,47 @@ func BenchmarkRouteGreedy64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (route.Greedy{}).Plan(prob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGatherRoute32 is the in-process shape of the assaybench
+// gather-route workload: one 32×32 die configured as assayd builds it
+// from -cols/-rows (row-parallel readout, serial per-die loops) and,
+// per iteration, a Reset plus the routed gather program: 9–11 viable
+// cells loaded, settled, captured, gathered at (1,1) by the production
+// planner, scanned and released, with events streamed to a no-op sink.
+// Seeds cycle through 1–64. Route planning is most of an iteration.
+func BenchmarkGatherRoute32(b *testing.B) {
+	cfg := chip.DefaultConfig()
+	cfg.Array.Cols, cfg.Array.Rows = 32, 32
+	cfg.SensorParallelism = 32
+	cfg.Parallelism = 1
+	sim, err := chip.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const seeds = 64
+	progs := make([]assay.Program, seeds)
+	for i := range progs {
+		progs[i] = assay.Program{Name: "gather-route", Ops: []assay.Op{
+			assay.Load{Kind: particle.ViableCell(), Count: 9 + i%3},
+			assay.Settle{},
+			assay.Capture{},
+			assay.Gather{Anchor: geom.C(1, 1)},
+			assay.Scan{Averaging: []int{8, 16}[i%2]},
+			assay.ReleaseAll{},
+		}}
+	}
+	sink := func(stream.Event) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sim.Reset(uint64(i%seeds + 1)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := assay.ExecuteOnStream(sim, progs[i%seeds], sink); err != nil {
 			b.Fatal(err)
 		}
 	}

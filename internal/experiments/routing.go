@@ -149,7 +149,7 @@ func e12Workloads(scale Scale) (names []string, probs []route.Problem, err error
 // E12PartitionedRouting measures the partition-parallel router against
 // the serial production planner across congestion regimes. Low
 // congestion decomposes into many interaction clusters: each cluster
-// plans in a confined region against a tiny reservation table, and
+// plans in a confined region against tables sized to that region, and
 // clusters fan out across workers — both effects compound into the
 // speedup. High congestion collapses to one cluster and the meta-planner
 // degrades gracefully to the serial planner (plus a validation pass).
@@ -214,7 +214,7 @@ func E12PartitionedRouting(scale Scale) (*table.Table, error) {
 			fmt.Sprintf("%+d", parPlan.Makespan-serialPlan.Makespan),
 		)
 	}
-	t.Note("shape: many clusters → confined sub-searches and parallel fan-out beat one global table (≥2x on the low-congestion paper-scale instance); one cluster → direct delegation to the serial planner")
+	t.Note("shape: many clusters → confined sub-searches and parallel fan-out beat one die-wide table on the low-congestion paper-scale instance; one cluster → direct delegation to the serial planner")
 	return t, nil
 }
 

@@ -67,20 +67,20 @@ func Refine(p Problem, pl *Plan, maxRounds int) (*Plan, int) {
 	for id, path := range pl.Paths {
 		out.Paths[id] = append(geom.Path(nil), path...)
 	}
-	interior := p.Interior()
+	s := newSearcher(p.Interior())
 	horizon := p.EffectiveHorizon()
 	improved := 0
 	for round := 0; round < maxRounds; round++ {
 		changed := false
 		for _, a := range p.Agents {
 			// Reservations: everyone else's current path.
-			res := newReservations()
+			s.res.clear()
 			for _, b := range p.Agents {
 				if b.ID != a.ID {
-					res.commit(out.Paths[b.ID])
+					s.res.commit(out.Paths[b.ID])
 				}
 			}
-			cand := astar(a, interior, horizon, res, nil)
+			cand := s.astar(a, horizon)
 			if cand == nil {
 				continue
 			}

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/heap"
 	"sort"
 
 	"biochip/internal/geom"
@@ -68,8 +67,6 @@ func (pr Prioritized) Plan(p Problem) (*Plan, error) {
 		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 
-	interior := p.Interior()
-
 	// Cooperative A*: each agent plans against the committed paths of
 	// higher-priority agents only. Initial waits are explicit path
 	// steps, so every pair of committed paths is separation-checked over
@@ -81,25 +78,28 @@ func (pr Prioritized) Plan(p Problem) (*Plan, error) {
 	const maxAttempts = 4
 	var paths map[int]geom.Path
 	solved := false
+	s := newSearcher(p.Interior())
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		res := newReservations()
+		s.res.clear()
 		paths = make(map[int]geom.Path, len(order))
-		pending := make(map[int]geom.Cell, len(order))
 		for _, a := range order {
-			pending[a.ID] = a.Start
+			s.addSoft(a.Start, 1)
 		}
 		var failed []Agent
 		for _, a := range order {
-			delete(pending, a.ID)
-			path := astar(a, interior, horizon, res, pending)
+			s.addSoft(a.Start, -1)
+			path := s.astar(a, horizon)
 			if path == nil {
 				failed = append(failed, a)
 				// Re-block its start for the rest of this attempt.
-				pending[a.ID] = a.Start
+				s.addSoft(a.Start, 1)
 				continue
 			}
 			paths[a.ID] = path
-			res.commit(path)
+			s.res.commit(path)
+		}
+		for _, a := range failed {
+			s.addSoft(a.Start, -1)
 		}
 		if len(failed) == 0 {
 			solved = true
@@ -139,154 +139,4 @@ func (pr Prioritized) Plan(p Problem) (*Plan, error) {
 	}
 	finalize(pl, p)
 	return pl, nil
-}
-
-// stKey is a space-time search state.
-type stKey struct {
-	cell geom.Cell
-	t    int
-}
-
-type stNode struct {
-	key stKey
-	// g is path cost (time steps plus soft penalties); f = g + h.
-	g, f   int
-	parent *stNode
-	index  int
-}
-
-type stHeap []*stNode
-
-func (h stHeap) Len() int { return len(h) }
-func (h stHeap) Less(i, j int) bool {
-	if h[i].f != h[j].f {
-		return h[i].f < h[j].f
-	}
-	return h[i].g > h[j].g // tie-break: deeper nodes first
-}
-func (h stHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *stHeap) Push(x any) {
-	n := x.(*stNode)
-	n.index = len(*h)
-	*h = append(*h, n)
-}
-func (h *stHeap) Pop() any {
-	old := *h
-	n := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return n
-}
-
-// pendingPenalty is the extra cost per step spent within separation of
-// an unplanned agent's start cell. High enough that paths detour around
-// waiting agents when a detour exists, low enough that crossing is still
-// possible when geometry forces it.
-const pendingPenalty = 8
-
-// maxExpansionsPerAgent bounds one agent's A* search; exceeding it is
-// treated as unroutable (and triggers the restart-with-promotion logic).
-const maxExpansionsPerAgent = 400000
-
-// astar runs space-time A* for one agent. pending maps unplanned agent
-// IDs to their start cells (soft obstacles). Returns nil when no path
-// reaches the goal within the horizon.
-func astar(a Agent, interior geom.Rect, horizon int, res *reservations, pending map[int]geom.Cell) geom.Path {
-	if res.conflict(a.Start, 0) {
-		return nil
-	}
-	if _, ok := res.parkedNear[a.Goal]; ok {
-		// An earlier agent parks within separation of this goal: no
-		// arrival time can ever be conflict-free.
-		return nil
-	}
-	// Earliest time parking at the goal becomes conflict-free: one past
-	// the last time any committed path passes near it.
-	tFree := 0
-	if last, ok := res.lastNear[a.Goal]; ok {
-		tFree = last + 1
-	}
-	if tFree > horizon {
-		return nil
-	}
-	// Admissible heuristic: remaining distance, but never less than the
-	// wait until the goal frees up. This collapses the "loiter until the
-	// goal is free" plateau that otherwise explodes the search.
-	h := func(c geom.Cell, t int) int {
-		d := c.Manhattan(a.Goal)
-		if wait := tFree - t; wait > d {
-			return wait
-		}
-		return d
-	}
-	// Precompute the soft-obstacle footprint for O(1) queries.
-	soft := make(map[geom.Cell]bool, 9*len(pending))
-	for _, pc := range pending {
-		nearCells(pc, func(q geom.Cell) { soft[q] = true })
-	}
-	penalty := func(c geom.Cell) int {
-		if soft[c] {
-			return pendingPenalty
-		}
-		return 0
-	}
-	start := &stNode{key: stKey{a.Start, 0}, g: 0, f: h(a.Start, 0)}
-	open := &stHeap{}
-	heap.Init(open)
-	heap.Push(open, start)
-	closed := make(map[stKey]bool)
-	expansions := 0
-	for open.Len() > 0 {
-		n := heap.Pop(open).(*stNode)
-		if closed[n.key] {
-			continue
-		}
-		closed[n.key] = true
-		if expansions++; expansions > maxExpansionsPerAgent {
-			return nil
-		}
-		if n.key.cell == a.Goal && n.key.t >= tFree && res.goalFreeAfter(a.Goal, n.key.t) {
-			return reconstruct(n)
-		}
-		if n.key.t >= horizon {
-			continue
-		}
-		for _, d := range [5]geom.Dir{geom.Stay, geom.North, geom.South, geom.East, geom.West} {
-			next := n.key.cell.Step(d)
-			if !interior.Contains(next) {
-				continue
-			}
-			key := stKey{next, n.key.t + 1}
-			if closed[key] {
-				continue
-			}
-			if res.conflict(next, key.t) {
-				continue
-			}
-			child := &stNode{
-				key:    key,
-				g:      n.g + 1 + penalty(next),
-				parent: n,
-			}
-			child.f = child.g + h(next, key.t)
-			heap.Push(open, child)
-		}
-	}
-	return nil
-}
-
-func reconstruct(n *stNode) geom.Path {
-	var rev []geom.Cell
-	for cur := n; cur != nil; cur = cur.parent {
-		rev = append(rev, cur.key.cell)
-	}
-	out := make(geom.Path, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
 }

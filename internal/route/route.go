@@ -23,8 +23,9 @@
 //
 // Planners register by name (planner.go, PlannerByName) so higher layers
 // — assay programs, the assayd service, the CLI — select them without
-// compile-time coupling. reservation.go holds the reservation-table core
-// the space-time planners share.
+// compile-time coupling. reservation.go holds the dense space-time
+// search core (reservation table and A* searcher) that Prioritized,
+// Windowed and Refine share.
 package route
 
 import (
@@ -47,7 +48,8 @@ type Problem struct {
 	Cols, Rows int
 	Agents     []Agent
 	// Horizon bounds plan length in steps; 0 selects a default of
-	// 4·(Cols+Rows) + 2·len(Agents).
+	// 4·(Cols+Rows) + 2·len(Agents). Windowed does not read it (see
+	// Windowed.MaxRounds).
 	Horizon int
 	// Region optionally confines planning to a sub-rectangle of the
 	// grid: agents must start, finish and travel inside it. The zero
@@ -147,10 +149,13 @@ func (pl *Plan) MovesAt(t int) map[int]geom.Dir {
 	return moves
 }
 
-// CheckPlan verifies a plan against its problem: path validity,
-// endpoints, horizon, and pairwise separation at every timestep. It is
-// the safety net every planner's output is run through in tests, and the
-// validation pass the Partitioned meta-planner runs on merged sub-plans.
+// CheckPlan verifies a plan against its problem: every agent has a path
+// that begins at its start, takes only legal steps and stays inside the
+// interior; in a solved plan every path ends at its goal; and every
+// pair of agents keeps separation at every timestep. It does not check
+// plan length against Problem.Horizon. It is the safety net every
+// planner's output is run through in tests, and the validation pass the
+// Partitioned meta-planner runs on merged sub-plans.
 func CheckPlan(p Problem, pl *Plan) error {
 	if pl == nil {
 		return errors.New("route: nil plan")
