@@ -1,7 +1,8 @@
 package biochip
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"biochip/internal/units"
@@ -199,8 +200,10 @@ func TestFacadeAssayService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Report == nil || job.Report.Trapped == 0 {
-		t.Fatalf("implausible job: %+v", job)
+	// Job.Report is the report's JSON; decode it to read its fields.
+	var got AssayReport
+	if err := json.Unmarshal(job.Report, &got); err != nil || got.Trapped == 0 {
+		t.Fatalf("implausible job: %+v (%v)", job, err)
 	}
 	// The service result must match a serial replay with the same seed.
 	serial := cfg
@@ -209,7 +212,11 @@ func TestFacadeAssayService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(job.Report, want) {
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(job.Report, wantJSON) {
 		t.Error("service report differs from serial replay")
 	}
 	if st := svc.Stats(); st.Done != 1 {

@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -80,7 +81,7 @@ func e16Profile(side int) []service.FleetProfileSpec {
 // e16Reference runs the mixed batch on one plain in-process service —
 // the single-node ground truth the federated runs must reproduce
 // bit-for-bit.
-func e16Reference(profiles []service.FleetProfileSpec, jobs, cells int) ([]*assay.Report, error) {
+func e16Reference(profiles []service.FleetProfileSpec, jobs, cells int) ([]json.RawMessage, error) {
 	svc, err := service.New(service.FleetSpec{Profiles: profiles}.ServiceConfig())
 	if err != nil {
 		return nil, err
@@ -94,7 +95,7 @@ func e16Reference(profiles []service.FleetProfileSpec, jobs, cells int) ([]*assa
 		}
 		ids[i] = res.ID
 	}
-	reports := make([]*assay.Report, jobs)
+	reports := make([]json.RawMessage, jobs)
 	for i, id := range ids {
 		j, err := svc.Wait(id)
 		if err != nil {
@@ -120,7 +121,7 @@ type e16Point struct {
 // e16Batch runs the mixed batch through a federation gateway fronting n
 // in-process worker daemons, each a full assayd service behind a real
 // HTTP listener on the loopback interface.
-func e16Batch(n int, profiles []service.FleetProfileSpec, jobs, cells int) (e16Point, []*assay.Report, error) {
+func e16Batch(n int, profiles []service.FleetProfileSpec, jobs, cells int) (e16Point, []json.RawMessage, error) {
 	pt := e16Point{workers: n, jobs: jobs}
 	var cleanup []func()
 	defer func() {
@@ -163,7 +164,7 @@ func e16Batch(n int, profiles []service.FleetProfileSpec, jobs, cells int) (e16P
 		}
 		ids[i] = res.ID
 	}
-	reports := make([]*assay.Report, jobs)
+	reports := make([]json.RawMessage, jobs)
 	for i, id := range ids {
 		j, ok, err := g.WaitTimeout(id, 5*time.Minute)
 		if err != nil || !ok {
@@ -199,7 +200,7 @@ func e16Run(scale Scale) ([]e16Point, error) {
 		}
 		pt.identical = true
 		for i := range ref {
-			if !reflect.DeepEqual(ref[i], reports[i]) {
+			if !bytes.Equal(ref[i], reports[i]) {
 				pt.identical = false
 			}
 		}

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
 	"time"
 
-	"biochip/internal/assay"
 	"biochip/internal/chip"
 	"biochip/internal/obs"
 	"biochip/internal/service"
@@ -19,7 +19,7 @@ import (
 // bit-identity checks. The result cache is disabled so every job
 // executes — the point is the per-execution cost of metrics and span
 // recording, not cache arithmetic.
-func e17Batch(cfg chip.Config, shards, jobs, cells int, reg *obs.Registry) (float64, map[uint64]*assay.Report, error) {
+func e17Batch(cfg chip.Config, shards, jobs, cells int, reg *obs.Registry) (float64, map[uint64]json.RawMessage, error) {
 	svc, err := service.New(service.Config{Shards: shards, Chip: cfg,
 		Cache: service.CacheConfig{Disable: true}, Obs: reg})
 	if err != nil {
@@ -38,7 +38,7 @@ func e17Batch(cfg chip.Config, shards, jobs, cells int, reg *obs.Registry) (floa
 		}
 		ids[i] = res.ID
 	}
-	reports := make(map[uint64]*assay.Report, jobs)
+	reports := make(map[uint64]json.RawMessage, jobs)
 	for i, id := range ids {
 		j, err := svc.Wait(id)
 		if err != nil {
@@ -75,11 +75,11 @@ func E17ObservabilityOverhead(scale Scale) (*table.Table, error) {
 			jobs, shards, side, side, reps, runtime.GOMAXPROCS(0)),
 		"configuration", "wall ms", "jobs/s", "overhead", "report identical")
 	var base float64
-	var baseReports map[uint64]*assay.Report
+	var baseReports map[uint64]json.RawMessage
 	for _, on := range []bool{false, true} {
 		name := "obs off (nil registry)"
 		var best float64
-		var reports map[uint64]*assay.Report
+		var reports map[uint64]json.RawMessage
 		for rep := 0; rep < reps; rep++ {
 			var reg *obs.Registry
 			if on {

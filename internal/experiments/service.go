@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -77,7 +78,12 @@ func E11ServiceScaling(scale Scale) (*table.Table, error) {
 				svc.Close()
 				return nil, fmt.Errorf("experiments: job %s: %s (%s)", id, j.Status, j.Error)
 			}
-			scanErrors += j.Report.ScanErrors
+			var rep assay.Report
+			if err := json.Unmarshal(j.Report, &rep); err != nil {
+				svc.Close()
+				return nil, fmt.Errorf("experiments: job %s: decoding report: %w", id, err)
+			}
+			scanErrors += rep.ScanErrors
 		}
 		elapsed := time.Since(start).Seconds()
 		st := svc.Stats()

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -100,12 +101,14 @@ func collectSub(sub *stream.Sub) []stream.Event {
 	}
 }
 
-// canonicalJSON renders events one per line with the wall stamp (the
-// one field excluded from the determinism contract) zeroed.
+// canonicalJSON renders events one per line, each decoded from its
+// encoding, with the wall stamp (the one field excluded from the
+// determinism contract) zeroed.
 func canonicalJSON(t *testing.T, evs []stream.Event) string {
 	t.Helper()
 	var b strings.Builder
 	for _, ev := range evs {
+		ev = decodeEvent(t, ev)
 		ev.Wall = 0
 		raw, err := json.Marshal(ev)
 		if err != nil {
@@ -115,6 +118,22 @@ func canonicalJSON(t *testing.T, evs []stream.Event) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// decodeEvent returns the event its encoding (Data) describes in full:
+// a relayed event carries only Seq, Type and its Job or Gap block
+// decoded, so in-process readers decode the rest.
+func decodeEvent(t *testing.T, ev stream.Event) stream.Event {
+	t.Helper()
+	data, err := ev.Data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full stream.Event
+	if err := json.Unmarshal(data, &full); err != nil {
+		t.Fatalf("event %d (%s): %v", ev.Seq, ev.Type, err)
+	}
+	return full
 }
 
 // referenceRun executes the batch on a fresh single-node service with
@@ -263,7 +282,11 @@ func TestGatewayHeterogeneousPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(j.Report, want) {
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(j.Report, wantJSON) {
 		t.Error("federated report differs from serial replay under the large profile")
 	}
 	// The gateway routed it to the member that has the profile.
@@ -329,7 +352,8 @@ func TestGatewaySSEProxyOverHTTP(t *testing.T) {
 
 // readSSE reads events for one job from the gateway's SSE endpoint,
 // resuming after the given sequence number, until max events (-1: until
-// the stream ends) or a terminal event.
+// the stream ends) or a terminal event. Each event is decoded from its
+// encoding in full.
 func readSSE(t *testing.T, base, id string, after uint64, max int) []stream.Event {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, base+"/v1/assays/"+id+"/events", nil)
@@ -354,7 +378,7 @@ func readSSE(t *testing.T, base, id string, after uint64, max int) []stream.Even
 		if !ok {
 			return out
 		}
-		out = append(out, ev)
+		out = append(out, decodeEvent(t, ev))
 		if max > 0 && len(out) == max {
 			return out
 		}

@@ -720,11 +720,7 @@ func (g *Gateway) finish(j *gwJob, rj service.Job) {
 		g.done++
 		g.met.jobs.With("done").Inc()
 		if !j.key.Zero() && g.lru != nil {
-			bytes := int64(64)
-			if raw, err := json.Marshal(j.snap.Report); err == nil {
-				bytes += int64(len(raw))
-			}
-			g.lru.Add(j.key, cache.Entry{ID: j.id, Bytes: bytes})
+			g.lru.Add(j.key, cache.Entry{ID: j.id, Bytes: 64 + int64(len(j.snap.Report))})
 		}
 	} else {
 		g.failed++
@@ -854,13 +850,17 @@ func (g *Gateway) pendingLocked() int {
 	return n
 }
 
-// Close releases the gateway: watchers, relays and the poller stop.
-// It does not drain — call Drain first for a clean shutdown — and does
-// not close the store (the caller owns it).
+// Close releases the gateway: watchers, relays and the poller stop,
+// and idle member connections close. It does not drain — call Drain
+// first for a clean shutdown — and does not close the store (the
+// caller owns it).
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	g.closed = true
 	g.mu.Unlock()
 	g.cancel()
 	g.wg.Wait()
+	for _, m := range g.members {
+		m.client.CloseIdleConnections()
+	}
 }

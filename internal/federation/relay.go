@@ -2,9 +2,11 @@ package federation
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -13,15 +15,20 @@ import (
 	"biochip/internal/stream"
 )
 
+// relayDrainBytes bounds what a relay reads past a job's terminal frame
+// to reach the end of the member's response, so the connection is
+// reused instead of dropped.
+const relayDrainBytes = 4 << 10
+
 // mirrorFor lazily starts a job's event relay: the first subscriber
 // (SSE client or test) triggers one background goroutine that streams
 // the member's events into a stream.Mirror, and every subscriber —
 // concurrent or late — reads from the mirror with the full ring
-// contract. Events are ingested verbatim (sequence numbers and wall
-// stamps preserved), with only the job ID in job.* payloads rewritten
-// into the gateway namespace; gap events appear exactly when the
-// member itself reported one, never from relay reconnects, which
-// resume from the mirror's cursor.
+// contract. Events are ingested verbatim (sequence numbers, wall
+// stamps and the member's frame bytes preserved), with only the job ID
+// in job.* payloads rewritten into the gateway namespace; gap events
+// appear exactly when the member itself reported one, never from relay
+// reconnects, which resume from the mirror's cursor.
 func (g *Gateway) mirrorFor(j *gwJob) *stream.Mirror {
 	j.mirrorOnce.Do(func() {
 		j.mirror = stream.NewMirror(stream.DefaultCapacity)
@@ -102,24 +109,35 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 			// recovered) member.
 			return false, nil
 		}
-		g.feed(j, ev)
+		j.mirror.Feed(j.rewrite(ev))
 		if ev.Type == stream.JobDone || ev.Type == stream.JobFailed {
+			// The member ends the response right after the terminal
+			// frame: read to that end, within a small bound, so the
+			// connection goes back to the member's idle pool (a failed
+			// read only costs the connection). The mirror closes first
+			// — a draining member holds the response open until its
+			// drain completes.
+			j.mirror.Close()
+			_, _ = io.CopyN(io.Discard, resp.Body, relayDrainBytes)
 			return true, nil
 		}
 	}
 }
 
-// feed rewrites one member event into the gateway namespace and feeds
-// the mirror.
-func (g *Gateway) feed(j *gwJob, ev stream.Event) {
-	if ev.Job != nil && ev.Job.ID != "" {
-		job := *ev.Job
-		if job.ID == j.remoteID {
-			job.ID = j.id
-		}
-		ev.Job = &job
+// rewrite maps one member event into the gateway namespace: a job.*
+// event naming the remote job gets the gateway ID and one fresh
+// encoding; every other event keeps the member's bytes.
+func (j *gwJob) rewrite(ev stream.Event) stream.Event {
+	if ev.Job == nil || ev.Job.ID != j.remoteID {
+		return ev
 	}
-	j.mirror.Feed(ev)
+	job := *ev.Job
+	job.ID = j.id
+	ev.Job = &job
+	// A decoded event always re-encodes; were it not to, a nil
+	// encoding leaves Data to marshal the event when it is served.
+	data, _ := json.Marshal(ev)
+	return stream.WithEncoding(ev, data)
 }
 
 // openEvents opens the member SSE stream resuming after the given
@@ -172,12 +190,7 @@ func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 		if ev.Seq < from || ev.Seq == 0 {
 			continue
 		}
-		if ev.Job != nil && ev.Job.ID == j.remoteID {
-			job := *ev.Job
-			job.ID = j.id
-			ev.Job = &job
-		}
-		out = append(out, ev)
+		out = append(out, j.rewrite(ev))
 		if ev.Seq == to {
 			return out
 		}
@@ -186,7 +199,12 @@ func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 
 // SubscribeEvents attaches to a gateway job's mirrored event stream,
 // resuming after the given sequence number (service.SubscribeEvents
-// semantics). The relay starts on first subscription.
+// semantics). The relay starts on first subscription. Relayed events
+// are served as the member's bytes: each carries Seq, Type, its Job or
+// Gap block where the relay decoded one, and its encoding
+// (stream.Event.Data), while other payload blocks stay encoded. The
+// HTTP handler, the one production reader, writes the encoding as it
+// is; an in-process reader that needs the payload decodes Data.
 func (g *Gateway) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {
 	g.mu.Lock()
 	j, ok := g.jobs[id]
@@ -197,34 +215,88 @@ func (g *Gateway) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {
 	return g.mirrorFor(j).Subscribe(after), true
 }
 
-// sseScanner incrementally parses an SSE byte stream into events. Only
-// data: lines matter — the event payload is self-describing (the
-// stream.Event JSON carries its own type and sequence number).
+// sseScanner incrementally parses a member's SSE byte stream into
+// events. Each frame's data: payload is kept as its bytes, the event's
+// encoding (stream.WithEncoding), and decoded only as far as the relay
+// acts on it: job.* frames in full (the relay rewrites their job ID),
+// gap frames in full (the mirror advances its window by them), and so
+// are frames without an id: line, such as shutdown. Every other frame
+// decodes only its seq and type, which must match its id: and event:
+// lines. A frame whose payload is not valid JSON, disagrees with those
+// lines, or holds a CR, is skipped — forward compatibility over failure.
 type sseScanner struct {
 	r *bufio.Reader
+	f sseFrame // the frame being read
 }
 
-func newSSEScanner(r interface{ Read([]byte) (int, error) }) *sseScanner {
+// sseFrame holds a frame's id: and event: fields, and whether the
+// frame has each line.
+type sseFrame struct {
+	id, event       string
+	hasID, hasEvent bool
+}
+
+func newSSEScanner(r io.Reader) *sseScanner {
 	return &sseScanner{r: bufio.NewReader(r)}
 }
 
-// next returns the next decoded event, or ok false at end of stream.
-// Undecodable frames are skipped — forward compatibility over failure.
+// next returns the next event, or ok false at end of stream.
 func (s *sseScanner) next() (stream.Event, bool) {
 	for {
-		line, err := s.r.ReadString('\n')
+		line, err := s.r.ReadBytes('\n')
 		if err != nil {
 			return stream.Event{}, false
 		}
-		line = strings.TrimRight(line, "\r\n")
-		if !strings.HasPrefix(line, "data:") {
-			continue
+		line = bytes.TrimRight(line, "\r\n")
+		switch {
+		case len(line) == 0:
+			// A blank line ends the frame.
+			s.f = sseFrame{}
+		case bytes.HasPrefix(line, []byte("id:")):
+			s.f.id, s.f.hasID = string(bytes.TrimSpace(line[len("id:"):])), true
+		case bytes.HasPrefix(line, []byte("event:")):
+			s.f.event, s.f.hasEvent = string(bytes.TrimSpace(line[len("event:"):])), true
+		case bytes.HasPrefix(line, []byte("data:")):
+			ev, ok := s.f.decode(bytes.TrimSpace(line[len("data:"):]))
+			s.f = sseFrame{}
+			if ok {
+				return ev, true
+			}
 		}
-		payload := strings.TrimSpace(strings.TrimPrefix(line, "data:"))
-		var ev stream.Event
-		if json.Unmarshal([]byte(payload), &ev) != nil {
-			continue
-		}
-		return ev, true
 	}
+}
+
+// decode turns the frame's data: payload into an event carrying the
+// payload as its encoding, checked against the id: and event: lines.
+// The relay writes the payload and the type out as they are, so a frame
+// is refused when either holds a line end an SSE reader would honour:
+// a CR in the payload (JSON whitespace, and the scanner splits lines on
+// LF only), or a CR or LF in the type. A member's encoder writes
+// neither.
+func (f sseFrame) decode(payload []byte) (stream.Event, bool) {
+	var ev stream.Event
+	if bytes.IndexByte(payload, '\r') >= 0 {
+		return stream.Event{}, false
+	}
+	if f.hasID && f.hasEvent && !strings.HasPrefix(f.event, "job.") && f.event != stream.Gap {
+		var head struct {
+			Seq  uint64 `json:"seq"`
+			Type string `json:"type"`
+		}
+		if json.Unmarshal(payload, &head) != nil {
+			return stream.Event{}, false
+		}
+		ev.Seq, ev.Type = head.Seq, head.Type
+	} else if json.Unmarshal(payload, &ev) != nil {
+		return stream.Event{}, false
+	}
+	if f.hasID {
+		if seq, err := strconv.ParseUint(f.id, 10, 64); err != nil || seq != ev.Seq {
+			return stream.Event{}, false
+		}
+	}
+	if f.hasEvent && f.event != ev.Type || strings.ContainsAny(ev.Type, "\r\n") {
+		return stream.Event{}, false
+	}
+	return stream.WithEncoding(ev, payload), true
 }

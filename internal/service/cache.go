@@ -234,7 +234,7 @@ func (s *Service) cachedRootLocked(key cache.Key) *Job {
 			if root := s.jobs[id]; root != nil && root.Status == StatusDone {
 				s.cacheDiskHits.Add(1)
 				s.met.cacheEvents.With("disk_hit").Inc()
-				s.cacheReleaseLocked(s.lru.Add(key, cache.Entry{ID: id, Bytes: reportBytes(root)}))
+				s.cacheReleaseLocked(s.lru.Add(key, cache.Entry{ID: id, Bytes: int64(len(root.Report))}))
 				return root
 			}
 		}
@@ -244,7 +244,7 @@ func (s *Service) cachedRootLocked(key cache.Key) *Job {
 
 // serveHitLocked answers a submission from a finished root job: it
 // mints a new job record that is born terminal — CacheHit provenance,
-// the root's report pointer and the root's event ring, so Get, Wait,
+// the root's report bytes and the root's event ring, so Get, Wait,
 // SSE streaming and Last-Event-ID resume all behave exactly as if the
 // job had executed. On a durable service the alias is logged as a
 // submit record plus a finish record that carries only DedupOf (the
@@ -312,7 +312,7 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 // tier and releases whatever the insertion evicted. Caller holds s.mu
 // and guarantees the job is done and (on a durable service) persisted.
 func (s *Service) cacheInsertLocked(j *Job) {
-	bytes := reportBytes(j)
+	bytes := int64(len(j.Report))
 	if !s.durable && j.tape != nil {
 		if raw, err := json.Marshal(j.tape.Events()); err == nil {
 			bytes += int64(len(raw))
@@ -348,18 +348,6 @@ func (s *Service) queueFullLocked() error {
 		}
 	}
 	return e
-}
-
-// reportBytes sizes a job's report for cache accounting.
-func reportBytes(j *Job) int64 {
-	if j.Report == nil {
-		return 0
-	}
-	raw, err := json.Marshal(j.Report)
-	if err != nil {
-		return 0
-	}
-	return int64(len(raw))
 }
 
 // CacheStats is the result-cache block of Stats (GET /v1/stats),

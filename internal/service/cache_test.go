@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -89,7 +88,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 				t.Errorf("%d executions, want 1 (the hit must not run)", n)
 			}
 
-			if !reflect.DeepEqual(alias.Report, wantRep) {
+			if !bytes.Equal(alias.Report, wantRep) {
 				t.Error("cache-hit report differs from serial replay")
 			}
 			if got := canonicalJSON(t, collectJobEvents(t, svc, res2.ID, 0)); got != want {

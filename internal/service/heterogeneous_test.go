@@ -339,7 +339,7 @@ func TestForcedStealBitIdenticalToSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(j.Report, want) {
+		if !bytes.Equal(j.Report, reportJSON(t, want)) {
 			t.Errorf("job %s (stolen %v, shard %d): report differs from serial replay",
 				id, j.Stolen, j.Shard)
 		}

@@ -159,7 +159,7 @@ func (h *handler) handleGet(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusNotFound, ErrorBody{Error: "unknown job"})
 			return
 		}
-		writeJSON(w, http.StatusOK, j)
+		writeJob(w, j)
 		return
 	}
 	timeout, ok := longPollTimeout(q.Get("timeout"))
@@ -175,7 +175,7 @@ func (h *handler) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, ErrorBody{Error: "unknown job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
+	writeJob(w, j)
 }
 
 // longPollTimeout parses ?timeout=SECONDS: empty selects the default
@@ -359,7 +359,7 @@ func (h *handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			break
 		}
-		writeSSE(w, ev.Seq, ev.Type, ev)
+		writeSSE(w, ev)
 		fl.Flush()
 	}
 	// Terminal shutdown event: a stream that ends while the backend is
@@ -369,25 +369,64 @@ func (h *handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if h.b.Draining() && r.Context().Err() == nil {
 		select {
 		case <-drained:
-			writeSSE(w, 0, stream.Shutdown, stream.Event{Type: stream.Shutdown})
+			writeSSE(w, stream.Event{Type: stream.Shutdown})
 			fl.Flush()
 		case <-r.Context().Done():
 		}
 	}
 }
 
-// writeSSE frames one event on the wire. Synthetic events (seq 0: gap,
-// shutdown) carry no id line, so they never disturb a client's resume
-// cursor.
-func writeSSE(w io.Writer, seq uint64, event string, v interface{}) {
-	data, err := json.Marshal(v)
+// writeSSE frames one event on the wire, its data the event's own
+// encoding (stream.Event.Data): a relayed frame goes out as the bytes
+// it arrived as. Synthetic events (seq 0: gap, shutdown) carry no id
+// line, so they never disturb a client's resume cursor. The id line is
+// a Write of its own: the traced benchmark (assaybench/traced.go's
+// stampWriter) stamps a member's frames by the writes that begin with
+// it, and a single-Write frame leaves federation.relay_lag_ms without
+// samples.
+func writeSSE(w io.Writer, ev stream.Event) {
+	data, err := ev.Data()
 	if err != nil {
 		return
 	}
-	if seq > 0 {
-		fmt.Fprintf(w, "id: %d\n", seq)
+	if ev.Seq > 0 {
+		fmt.Fprintf(w, "id: %d\n", ev.Seq)
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
+}
+
+// writeJob writes a job record with the bytes writeJSON would write,
+// but copies the report's bytes in where encoding/json puts the field,
+// just before member: encoding/json re-compacts every RawMessage it
+// writes, which costs more than encoding the typed report did.
+func writeJob(w http.ResponseWriter, j Job) {
+	if len(j.Report) == 0 {
+		writeJSON(w, http.StatusOK, j)
+		return
+	}
+	report, member := j.Report, j.Member
+	j.Report, j.Member = nil, ""
+	head, err := json.Marshal(j)
+	if err != nil {
+		return
+	}
+	buf := make([]byte, 0, len(head)+len(report)+len(member)+24)
+	buf = append(buf, head[:len(head)-1]...) // drop the closing brace
+	buf = append(buf, `,"report":`...)
+	buf = append(buf, report...)
+	if member != "" {
+		name, err := json.Marshal(member)
+		if err != nil {
+			return
+		}
+		buf = append(buf, `,"member":`...)
+		buf = append(buf, name...)
+	}
+	buf = append(buf, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// As in writeJSON, a failed write means the client hung up.
+	_, _ = w.Write(buf)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {

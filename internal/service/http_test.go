@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -338,4 +339,67 @@ func getJob(t *testing.T, url string) Job {
 		t.Fatal(err)
 	}
 	return job
+}
+
+// TestWriteJobMatchesEncoder pins the GET body writer, which copies a
+// job's report bytes in instead of letting encoding/json re-compact
+// them, to the bytes json.NewEncoder(w).Encode(job) writes — for worker
+// and gateway jobs, with and without a report, with member set, and
+// failed with an error. writeJob puts report and member after every
+// other field, so it first checks that they are the last two fields
+// encoding/json writes: a field added after them fails here even when
+// no job below sets it.
+func TestWriteJobMatchesEncoder(t *testing.T) {
+	var wire []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Job{})) {
+		if f.IsExported() && f.Tag.Get("json") != "-" {
+			wire = append(wire, f.Name)
+		}
+	}
+	if n := len(wire); n < 2 || wire[n-2] != "Report" || wire[n-1] != "Member" {
+		t.Fatalf("Job's encoded fields are %v; writeJob needs Report then Member last", wire)
+	}
+	svc, err := New(Config{Shards: 1, Chip: testChip()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	id, err := submit(svc, testProgram(6), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := svc.Wait(id)
+	if err != nil || done.Status != StatusDone || len(done.Report) == 0 {
+		t.Fatalf("job: %s %v (%d report bytes)", done.Status, err, len(done.Report))
+	}
+	escaped := reportJSON(t, &assay.Report{Program: `<scan> & "sort"`, Duration: 1.5e-7})
+	routed := done
+	routed.ID, routed.Member = "a-000042", "w0"
+	jobs := []struct {
+		name string
+		job  Job
+	}{
+		{"worker done", done},
+		{"worker queued", Job{ID: "a-000002", Status: StatusQueued, Program: "p", Seed: 3, Eligible: []string{"default"}, Shard: -1}},
+		{"worker failed", Job{ID: "a-000003", Status: StatusFailed, Program: "p", Profile: "default", Error: `chip: <bad> "seed"`}},
+		{"worker cache hit", Job{ID: "a-000004", Status: StatusDone, Program: "p", Assigned: -1, Shard: -1, CacheHit: true, DedupOf: id, Report: done.Report}},
+		{"gateway done", routed},
+		{"gateway queued", Job{ID: "a-000005", Status: StatusQueued, Program: "p", Assigned: -1, Shard: -1, Member: "w1"}},
+		{"gateway failed", Job{ID: "a-000006", Status: StatusFailed, Recovered: true, Error: "federation: job lost", Member: "w0"}},
+		{"escaped report and member", Job{ID: "a-000007", Status: StatusDone, Report: escaped, Member: `w<0>&"1"`}},
+	}
+	for _, c := range jobs {
+		rec := httptest.NewRecorder()
+		writeJob(rec, c.job)
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(c.job); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Body.String(); got != want.String() {
+			t.Errorf("%s: writeJob wrote\n%s\nencoding/json writes\n%s", c.name, got, want.String())
+		}
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d, content type %q", c.name, rec.Code, rec.Header().Get("Content-Type"))
+		}
+	}
 }

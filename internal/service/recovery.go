@@ -21,7 +21,7 @@ var closedDone = func() chan struct{} {
 
 // recover replays the durable log into a freshly built fleet, before
 // any shard loop runs. Jobs with a finish record are restored in their
-// terminal state and served from disk: the report comes off the log,
+// terminal state and served from disk: the report is the log's bytes,
 // and the event ring is a RecoveredRing whose backfill reads the
 // persisted stream, so SSE replay and Last-Event-ID resume work exactly
 // as they would have against the original process. Jobs with only a
@@ -107,13 +107,13 @@ func (s *Service) recover() error {
 }
 
 // restoreFinishedLocked rebuilds a finished job from its terminal
-// record: terminal status, report decoded from the log, and a recovered
-// ring serving the persisted event stream. A cache-hit alias (DedupOf)
-// is rebuilt sharing its root's report and ring — the root is always
-// earlier in the log, since an alias finish record is only ever written
-// after its root's. Keyed roots re-warm the LRU tier, so a restarted
-// daemon answers cache lookups for everything it ever computed. Caller
-// holds s.mu.
+// record: terminal status, the report as the log's bytes, and a
+// recovered ring serving the persisted event stream. A cache-hit alias
+// (DedupOf) is rebuilt sharing its root's report and ring — the root is
+// always earlier in the log, since an alias finish record is only ever
+// written after its root's. Keyed roots re-warm the LRU tier, so a
+// restarted daemon answers cache lookups for everything it ever
+// computed. Caller holds s.mu.
 func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64, fin *store.FinishRecord) error {
 	if fin.DedupOf != "" {
 		root := s.jobs[fin.DedupOf]
@@ -161,13 +161,7 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 	}
 	switch j.Status {
 	case StatusDone:
-		if len(fin.Report) > 0 {
-			rep := new(assay.Report)
-			if err := json.Unmarshal(fin.Report, rep); err != nil {
-				return fmt.Errorf("service: recovery: job %s: decoding report: %w", id, err)
-			}
-			j.Report = rep
-		}
+		j.Report = fin.Report
 		s.doneN.Add(1)
 	case StatusFailed:
 		s.failedN.Add(1)

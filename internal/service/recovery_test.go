@@ -1,8 +1,8 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"biochip/internal/assay"
@@ -24,11 +24,12 @@ func openTestStore(t *testing.T, dir string) *store.Disk {
 }
 
 // serialStream executes the program serially under the test chip at the
-// given seed and returns the report plus the canonical event stream a
-// durable service must reproduce: the two envelope events, the
-// execution events shifted by two, and the terminal job.done — exactly
-// what Submit/markRunning/finish publish around ExecuteOnStream.
-func serialStream(t *testing.T, pr assay.Program, seed uint64, id string) (*assay.Report, []stream.Event) {
+// given seed and returns the report's encoding (the bytes a done job's
+// Report must equal) plus the canonical event stream a durable service
+// must reproduce: the two envelope events, the execution events shifted
+// by two, and the terminal job.done — exactly what
+// Submit/markRunning/finish publish around ExecuteOnStream.
+func serialStream(t *testing.T, pr assay.Program, seed uint64, id string) (json.RawMessage, []stream.Event) {
 	t.Helper()
 	sim, err := chip.New(testChip())
 	if err != nil {
@@ -55,7 +56,7 @@ func serialStream(t *testing.T, pr assay.Program, seed uint64, id string) (*assa
 		Seq: uint64(len(evs) + 1), Type: stream.JobDone, T: rep.Duration,
 		Job: &stream.JobInfo{ID: id, Duration: rep.Duration, Trapped: rep.Trapped,
 			Steps: rep.Steps, ScanErrors: rep.ScanErrors}})
-	return rep, evs
+	return reportJSON(t, rep), evs
 }
 
 // TestCrashRecoveryServedFromDisk is the recovery acceptance test (run
@@ -126,7 +127,7 @@ func TestCrashRecoveryServedFromDisk(t *testing.T) {
 	// Both equal the serial replay: recovery preserved determinism, not
 	// just bytes.
 	wantRep, wantEvs := serialStream(t, pr, seed, id)
-	if !reflect.DeepEqual(j2.Report, wantRep) {
+	if !bytes.Equal(j2.Report, wantRep) {
 		t.Error("recovered report differs from serial replay")
 	}
 	if want := canonicalJSON(t, wantEvs); gotEvents != want {
@@ -180,7 +181,7 @@ func TestCrashRecoveryReexecutesInFlight(t *testing.T) {
 		t.Fatalf("re-executed job: status %s (%s) recovered %v", j.Status, j.Error, j.Recovered)
 	}
 	wantRep, wantEvs := serialStream(t, pr, seed, id)
-	if !reflect.DeepEqual(j.Report, wantRep) {
+	if !bytes.Equal(j.Report, wantRep) {
 		t.Error("re-executed report differs from serial replay")
 	}
 	got := canonicalJSON(t, collectJobEvents(t, svc, id, 0))
@@ -208,7 +209,7 @@ func TestCrashRecoveryReexecutesInFlight(t *testing.T) {
 	if got := canonicalJSON(t, collectJobEvents(t, svc2, id, 0)); got != canonicalJSON(t, wantEvs) {
 		t.Error("stream differs after second restart")
 	}
-	if !reflect.DeepEqual(j2.Report, wantRep) {
+	if !bytes.Equal(j2.Report, wantRep) {
 		t.Error("report differs after second restart")
 	}
 }
@@ -262,7 +263,7 @@ func TestCloseWithoutDrainRecovery(t *testing.T) {
 			t.Fatalf("job %s: status %s (%s) recovered %v", id, j.Status, j.Error, j.Recovered)
 		}
 		wantRep, wantEvs := serialStream(t, pr, 100+uint64(i), id)
-		if !reflect.DeepEqual(j.Report, wantRep) {
+		if !bytes.Equal(j.Report, wantRep) {
 			t.Errorf("job %s: recovered report differs from serial replay", id)
 		}
 		got := canonicalJSON(t, collectJobEvents(t, svc2, id, 0))

@@ -215,10 +215,14 @@ type Job struct {
 	// CacheHit marks a job answered from the result cache without
 	// executing; DedupOf names the root job that computed the shared
 	// report and event stream (docs/caching.md).
-	CacheHit bool          `json:"cache_hit,omitempty"`
-	DedupOf  string        `json:"dedup_of,omitempty"`
-	Error    string        `json:"error,omitempty"`
-	Report   *assay.Report `json:"report,omitempty"`
+	CacheHit bool   `json:"cache_hit,omitempty"`
+	DedupOf  string `json:"dedup_of,omitempty"`
+	Error    string `json:"error,omitempty"`
+	// Report is the assay.Report of a done job as JSON, encoded once
+	// when the executing worker finishes the job; the finish record,
+	// cache aliases, GET bodies and a gateway's copy all reuse these
+	// bytes. Decode it to read report fields.
+	Report json.RawMessage `json:"report,omitempty"`
 	// Member names the worker a federation gateway routed the job to;
 	// empty on a worker, and for gateway jobs whose member left the
 	// members spec. It stays the last field so gateway bodies keep it
@@ -770,8 +774,16 @@ func (s *Service) markRunning(sh *shard, j *Job) {
 		Job: &stream.JobInfo{ID: j.ID, Profile: sh.profile.Name}})
 }
 
-// finish records a completed execution and wakes Wait-ers.
+// finish records a completed execution and wakes Wait-ers. The report
+// is encoded here, once, outside the service lock; a report that
+// cannot be encoded fails the job.
 func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err error) {
+	var raw json.RawMessage
+	if err == nil {
+		if raw, err = json.Marshal(rep); err != nil {
+			err = fmt.Errorf("service: encoding report: %w", err)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sh.executed.Add(1)
@@ -795,7 +807,7 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 			Job: &stream.JobInfo{ID: j.ID}, Err: err.Error()})
 	} else {
 		j.Status = StatusDone
-		j.Report = rep
+		j.Report = raw
 		s.doneN.Add(1)
 		j.ring.Publish(stream.Event{Type: stream.JobDone, T: rep.Duration,
 			Job: &stream.JobInfo{
@@ -855,20 +867,13 @@ func (s *Service) persistFinishLocked(j *Job) {
 		Profile:  j.Profile,
 		Eligible: j.Eligible,
 		Error:    j.Error,
+		Report:   j.Report,
 		Events:   j.tape.Events(),
 	}
 	if !j.key.Zero() && j.Status == StatusDone {
 		// The content address makes the log the durable cache tier:
 		// the keyed finish index answers FinishByKey after a restart.
 		rec.Key = j.key.String()
-	}
-	if j.Report != nil {
-		raw, err := json.Marshal(j.Report)
-		if err != nil {
-			s.persistErrs.Add(1)
-			return
-		}
-		rec.Report = raw
 	}
 	if err := s.store.LogFinish(rec); err != nil {
 		s.persistErrs.Add(1)

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
-	"reflect"
+	"math"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"biochip/internal/chip"
 	"biochip/internal/geom"
 	"biochip/internal/particle"
+	"biochip/internal/stream"
 )
 
 // testChip keeps shard simulators fast: a 40×40 die still has hundreds
@@ -20,6 +23,17 @@ func testChip() chip.Config {
 	cfg.SensorParallelism = 40
 	cfg.Parallelism = 1
 	return cfg
+}
+
+// reportJSON is json.Marshal of a serial replay's report: the bytes a
+// done job's Report must equal.
+func reportJSON(t *testing.T, rep *assay.Report) json.RawMessage {
+	t.Helper()
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func testProgram(cells int) assay.Program {
@@ -73,12 +87,16 @@ func TestShardedMatchesSerialReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(j.Report, want) {
+		if !bytes.Equal(j.Report, reportJSON(t, want)) {
 			t.Errorf("job %s (seed %d, shard %d): sharded report differs from serial replay",
 				id, j.Seed, j.Shard)
 		}
-		if len(j.Report.Scans) != 2 {
-			t.Errorf("job %s: %d scan records, want 2", id, len(j.Report.Scans))
+		var rep assay.Report
+		if err := json.Unmarshal(j.Report, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Scans) != 2 {
+			t.Errorf("job %s: %d scan records, want 2", id, len(rep.Scans))
 		}
 	}
 	st := svc.Stats()
@@ -318,5 +336,64 @@ func TestSubmitRejectsInvalidProgram(t *testing.T) {
 	bad := assay.Program{Name: "bad", Ops: []assay.Op{assay.Capture{}}}
 	if _, err := submit(svc, bad, 1); err == nil {
 		t.Fatal("capture-before-load program was accepted")
+	}
+}
+
+// TestUnencodableReportFailsJob: a report encoding/json rejects (here a
+// NaN duration) fails its job, since a done job's report is its
+// encoding. The job records the encoder's error, its stream ends in
+// job.failed, and the cache keeps nothing, so a resubmission runs
+// again — on both tiers, the durable one persisting the failure.
+func TestUnencodableReportFailsJob(t *testing.T) {
+	const want = "service: encoding report: json: unsupported value: NaN"
+	for _, durable := range []bool{false, true} {
+		name := "in-memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Shards: 1, Chip: testChip()}
+			if durable {
+				cfg.Store = openTestStore(t, t.TempDir())
+			}
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			inner := svc.run
+			svc.run = func(sh *shard, j *Job) (*assay.Report, error) {
+				rep, err := inner(sh, j)
+				if rep != nil {
+					rep.Duration = math.NaN()
+				}
+				return rep, err
+			}
+			execs := countingRuns(svc)
+			for i := 0; i < 2; i++ {
+				res, err := svc.Submit(SubmitRequest{Seed: 5, Program: testProgram(4)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cache != "" {
+					t.Fatalf("submission %d: cache %q after a failed run", i, res.Cache)
+				}
+				j, err := svc.Wait(res.ID)
+				if err != nil || j.Status != StatusFailed || j.Error != want || j.Report != nil {
+					t.Fatalf("submission %d: %s %q (%d report bytes, %v), want failed %q",
+						i, j.Status, j.Error, len(j.Report), err, want)
+				}
+				evs := collectJobEvents(t, svc, res.ID, 0)
+				if last := evs[len(evs)-1]; last.Type != stream.JobFailed || last.Err != want {
+					t.Fatalf("submission %d: stream ends %s %q, want %s %q",
+						i, last.Type, last.Err, stream.JobFailed, want)
+				}
+			}
+			st := svc.Stats()
+			if n := execs.Load(); n != 2 || st.Cache.Entries != 0 || st.PersistErrors != 0 {
+				t.Errorf("%d executions, %d cache entries, %d persist errors; want 2, 0, 0",
+					n, st.Cache.Entries, st.PersistErrors)
+			}
+		})
 	}
 }

@@ -33,6 +33,13 @@ func NewMirror(capacity int) *Mirror {
 // invents gaps of its own. Synthetic upstream events other than gaps
 // (shutdown, Seq 0) are ignored: they describe the upstream connection,
 // not the job. Feeding a closed mirror is a no-op.
+//
+// An event is stored as given, its encoding included (WithEncoding), so
+// subscribers are served the upstream's bytes. A relay need decode only
+// what Feed reads — Seq, Type and a gap's range — and what it rewrites
+// itself; a federation gateway decodes the Job and Gap blocks and
+// leaves every other payload block encoded. A subscriber that reads
+// payload fields decodes the event's Data.
 func (m *Mirror) Feed(ev Event) {
 	r := m.ring
 	r.mu.Lock()
@@ -52,13 +59,13 @@ func (m *Mirror) Feed(ev Event) {
 		// resume that lost the gap frame); treat the jump as the gap.
 		r.advanceLocked(ev.Seq)
 	}
-	r.buf[int((ev.Seq-1)%uint64(len(r.buf)))] = ev
+	r.buf[r.slot(ev.Seq)] = ev
 	r.next = ev.Seq + 1
 	if r.tee != nil {
 		r.tee(ev)
 	}
-	if r.next-r.first > uint64(len(r.buf)) {
-		r.first = r.next - uint64(len(r.buf))
+	if r.next-r.first > uint64(r.capacity) {
+		r.first = r.next - uint64(r.capacity)
 	}
 	r.notifyLocked()
 }

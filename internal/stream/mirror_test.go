@@ -169,3 +169,65 @@ func TestMirrorFeedAfterClose(t *testing.T) {
 		t.Fatalf("Last() = %d after post-close feed, want 2", m.Last())
 	}
 }
+
+// TestMirrorJumpPastGrownLength feeds a forward jump that stores past
+// the slots a mirror has grown so far, then past the capacity wrap:
+// subscribers must read each stored event from its own slot and see a
+// gap for exactly the ranges the upstream skipped.
+func TestMirrorJumpPastGrownLength(t *testing.T) {
+	m := NewMirror(16)
+	feedN(m, 1, 3)
+	if n := len(m.ring.buf); n != 3 {
+		t.Fatalf("%d slots after 3 events, want 3", n)
+	}
+	// Seq 12 lands in slot 11: past the grown length (and capacity).
+	feedN(m, 12, 14)
+	evs := mirrorDrain(m.Subscribe(0), 10)
+	want := []uint64{0, 12, 13, 14} // gap [1,11], then the stored tail
+	if len(evs) != len(want) || evs[0].Gap == nil || evs[0].Gap.From != 1 || evs[0].Gap.To != 11 {
+		t.Fatalf("after the jump: %+v, want gap [1,11] then 12..14", evs)
+	}
+	for i, ev := range evs[1:] {
+		if ev.Seq != want[i+1] || ev.T != float64(ev.Seq) {
+			t.Fatalf("after the jump: event %d = %+v, want seq %d", i+1, ev, want[i+1])
+		}
+	}
+	// Seq 40 wraps to slot 7; 41..60 fill and reuse every slot.
+	feedN(m, 40, 60)
+	m.Close()
+	evs = mirrorDrain(m.Subscribe(0), 40)
+	if len(evs) != 17 || evs[0].Gap == nil || evs[0].Gap.From != 1 || evs[0].Gap.To != 44 {
+		t.Fatalf("after the wrap: %d events starting %+v, want gap [1,44] then 45..60", len(evs), evs[0])
+	}
+	for i, ev := range evs[1:] {
+		if want := uint64(45 + i); ev.Seq != want || ev.T != float64(want) || ev.Wall != 100+float64(want) {
+			t.Fatalf("after the wrap: event %d = %+v, want seq %d", i+1, ev, want)
+		}
+	}
+	// A subscriber parked before the jump resumes across it.
+	evs = mirrorDrain(m.Subscribe(13), 40)
+	if len(evs) != 17 || evs[0].Gap == nil || evs[0].Gap.From != 14 || evs[0].Gap.To != 44 {
+		t.Fatalf("resume after 13: %d events starting %+v, want gap [14,44] then 45..60", len(evs), evs[0])
+	}
+}
+
+// TestMirrorServesCarriedEncoding pins the relay contract: an event fed
+// with an encoding is served with exactly those bytes, while events
+// built in-process encode themselves.
+func TestMirrorServesCarriedEncoding(t *testing.T) {
+	m := NewMirror(8)
+	upstream := []byte(`{"seq":1,"type":"op.started","t":0.5,"op":{"index":0,"kind":"load"},"future":true}`)
+	m.Feed(WithEncoding(Event{Seq: 1, Type: OpStarted}, upstream))
+	m.Feed(Event{Seq: 2, Type: OpFinished, T: 1})
+	m.Close()
+	evs := mirrorDrain(m.Subscribe(0), 10)
+	if len(evs) != 2 {
+		t.Fatalf("got %d events, want 2", len(evs))
+	}
+	if data, err := evs[0].Data(); err != nil || string(data) != string(upstream) {
+		t.Errorf("relayed event data = %s (%v), want the upstream bytes %s", data, err, upstream)
+	}
+	if data, err := evs[1].Data(); err != nil || string(data) != `{"seq":2,"type":"op.finished","t":1}` {
+		t.Errorf("local event data = %s (%v), want its own encoding", data, err)
+	}
+}

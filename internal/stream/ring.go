@@ -17,8 +17,12 @@ const DefaultCapacity = 512
 // Last-Event-ID reconnects.
 type Ring struct {
 	mu sync.Mutex
-	// buf is circular storage indexed by (seq-1) % cap.
-	buf []Event
+	// buf is circular storage indexed by (seq-1) % capacity. It grows
+	// on demand (slot) up to capacity, so a ring holds slots for the
+	// events it has published, not its capacity up front — a short
+	// job's ring stays small although every job record keeps its ring.
+	buf      []Event
+	capacity int
 	// first is the oldest retained sequence number; next is the next
 	// to assign. Both start at 1 (empty ring: first == next).
 	first, next uint64
@@ -44,10 +48,10 @@ func NewRing(capacity int) *Ring {
 		capacity = DefaultCapacity
 	}
 	return &Ring{
-		buf:   make([]Event, capacity),
-		first: 1,
-		next:  1,
-		subs:  make(map[*Sub]struct{}),
+		capacity: capacity,
+		first:    1,
+		next:     1,
+		subs:     make(map[*Sub]struct{}),
 		//detlint:allow walltime — THE sanctioned wall stamp: Event.Wall is telemetry, explicitly excluded from the determinism contract (tests zero it)
 		now: func() float64 { return float64(time.Now().UnixNano()) / 1e9 },
 	}
@@ -65,17 +69,38 @@ func (r *Ring) Publish(ev Event) uint64 {
 	}
 	ev.Seq = r.next
 	ev.Wall = r.now()
-	r.buf[int((ev.Seq-1)%uint64(len(r.buf)))] = ev
+	r.buf[r.slot(ev.Seq)] = ev
 	r.next++
 	if r.tee != nil {
 		r.tee(ev)
 	}
-	if r.next-r.first > uint64(len(r.buf)) {
-		r.first = r.next - uint64(len(r.buf))
+	if r.next-r.first > uint64(r.capacity) {
+		r.first = r.next - uint64(r.capacity)
 	}
 	r.notifyLocked()
 	r.mu.Unlock()
 	return ev.Seq
+}
+
+// slot returns the storage index of seq, growing buf to cover it. The
+// index is (seq-1) % capacity, never len(buf): a Mirror's forward jump
+// can store past the grown length, and growth pads the slots between.
+// Growth doubles from 8 slots, so a ring that stored n events holds at
+// most max(2n, 8) slots, and never more than capacity. Caller holds
+// r.mu.
+func (r *Ring) slot(seq uint64) int {
+	i := int((seq - 1) % uint64(r.capacity))
+	if i < len(r.buf) {
+		return i
+	}
+	if i < cap(r.buf) {
+		r.buf = r.buf[:i+1]
+		return i
+	}
+	buf := make([]Event, i+1, min(max(2*cap(r.buf), i+1, 8), r.capacity))
+	copy(buf, r.buf)
+	r.buf = buf
+	return i
 }
 
 // Sink returns a Sink publishing into the ring.
@@ -196,7 +221,7 @@ func (s *Sub) Next(stop <-chan struct{}) (Event, bool) {
 			s.ring.mu.Unlock()
 			return gap, true
 		case want < s.ring.next:
-			ev := s.ring.buf[int((want-1)%uint64(len(s.ring.buf)))]
+			ev := s.ring.buf[int((want-1)%uint64(s.ring.capacity))]
 			s.cursor = want
 			s.ring.mu.Unlock()
 			return ev, true

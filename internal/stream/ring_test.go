@@ -232,3 +232,53 @@ func TestCollectorMatchesRingNumbering(t *testing.T) {
 		}
 	}
 }
+
+// TestRingGrowsWithPublishedEvents pins the ring's memory: a ring of
+// the default capacity holds only as many slots as it has published
+// events (at most double, at least 8), never the full capacity up
+// front, and stops growing at the capacity.
+func TestRingGrowsWithPublishedEvents(t *testing.T) {
+	for _, n := range []int{0, 1, 8, 9, 20, 100, 300, 512, 2000} {
+		r := testRing(DefaultCapacity)
+		publishN(r, n)
+		limit := min(max(2*n, 8), DefaultCapacity)
+		if got := cap(r.buf); got > limit {
+			t.Errorf("after %d events: %d slots, want at most %d", n, got, limit)
+		}
+		r.Close()
+		got := drain(r.Subscribe(0))
+		want := min(n, DefaultCapacity)
+		if n > DefaultCapacity {
+			want++ // the gap event for the overwritten prefix
+		}
+		if len(got) != want {
+			t.Fatalf("after %d events: replayed %d, want %d", n, len(got), want)
+		}
+		for _, ev := range got {
+			if ev.Type != Gap && ev.Op.Index != int(ev.Seq-1) {
+				t.Fatalf("after %d events: seq %d holds op %d", n, ev.Seq, ev.Op.Index)
+			}
+		}
+	}
+}
+
+// TestRingWrapAfterGrowth publishes well past a small capacity: once
+// the slot slice has grown to the capacity, slots are reused by
+// (seq-1) % capacity and every subscriber cursor reads the right event.
+func TestRingWrapAfterGrowth(t *testing.T) {
+	r := testRing(12)
+	publishN(r, 30) // 1..18 overwritten, 19..30 retained
+	if len(r.buf) != 12 {
+		t.Fatalf("%d slots after wrapping, want the capacity 12", len(r.buf))
+	}
+	for after := uint64(18); after <= 30; after++ {
+		sub := r.Subscribe(after)
+		for want := after + 1; want <= 30; want++ {
+			ev, ok := sub.Next(nil)
+			if !ok || ev.Seq != want || ev.Op.Index != int(want-1) {
+				t.Fatalf("after %d: got %+v, want seq %d", after, ev, want)
+			}
+		}
+		sub.Cancel()
+	}
+}

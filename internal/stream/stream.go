@@ -18,7 +18,10 @@
 // comparing). docs/streaming.md is the full taxonomy and wire contract.
 package stream
 
-import "sync"
+import (
+	"encoding/json"
+	"sync"
+)
 
 // Event types. The job.* envelope events are published by the service
 // around an execution; everything else is emitted by the instrumented
@@ -83,6 +86,31 @@ type Event struct {
 	Gap *GapInfo `json:"gap,omitempty"`
 	// Err carries the failure message of job.failed events.
 	Err string `json:"error,omitempty"`
+
+	// enc is the JSON encoding the event arrived with from an upstream
+	// daemon (WithEncoding); nil for events built in this process.
+	enc []byte
+}
+
+// WithEncoding returns ev carrying data as its wire encoding, which
+// Data then returns verbatim. A relay uses it to forward an upstream
+// frame without re-encoding it: data must be the JSON encoding of the
+// event (a relay may decode only the fields it acts on, so ev's other
+// payload blocks may be nil), and any later change to ev must be
+// followed by a fresh WithEncoding.
+func WithEncoding(ev Event, data []byte) Event {
+	ev.enc = data
+	return ev
+}
+
+// Data returns the event's JSON wire encoding, the data: payload of an
+// SSE frame: the carried encoding when the event has one
+// (WithEncoding), otherwise json.Marshal of the event.
+func (ev Event) Data() ([]byte, error) {
+	if ev.enc != nil {
+		return ev.enc, nil
+	}
+	return json.Marshal(ev)
 }
 
 // JobInfo is the envelope payload: identity at placement, the executing
