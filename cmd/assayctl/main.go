@@ -62,6 +62,7 @@ import (
 	"strings"
 	"time"
 
+	"biochip/internal/federation"
 	"biochip/internal/obs"
 	"biochip/internal/rng"
 	"biochip/internal/service"
@@ -171,38 +172,25 @@ func cmdSubmit(addr string, args []string) error {
 	return waitUntilDone(addr, sub.ID)
 }
 
-// submitResult is the subset of the submit reply assayctl uses.
+// submitResult decodes a submit reply: the accepted submission, or the
+// error envelope of a refusal.
 type submitResult struct {
-	ID       string   `json:"id"`
-	Eligible []string `json:"eligible"`
-	Cache    string   `json:"cache"`
-	DedupOf  string   `json:"dedup_of"`
-	Error    string   `json:"error"`
+	service.SubmitResult
+	Error string `json:"error"`
 }
 
-// queueFullBody is the 429 refusal body: besides the error, the server
-// piggybacks its queue occupancy and per-compatibility-class backlog,
-// so the client can show what the queue is full of.
-type queueFullBody struct {
-	Error      string `json:"error"`
-	Queued     *int   `json:"queued"`
-	QueueDepth int    `json:"queue_depth"`
-	Backlog    []struct {
-		Profiles []string `json:"profiles"`
-		Queued   int      `json:"queued"`
-	} `json:"backlog"`
-}
-
-// parseQueueFull decodes a 429 refusal body tolerantly: a malformed,
-// truncated or empty body yields a zero value (rendering as nothing)
-// rather than an error, so the retry loop degrades to the plain
-// Retry-After backoff instead of aborting on a mangled proxy response.
-func parseQueueFull(r io.Reader) queueFullBody {
-	var qf queueFullBody
+// parseQueueFull decodes a 429 refusal body — the error envelope with
+// the server's queue occupancy and per-class backlog — tolerantly: a
+// malformed, truncated or empty body yields a zero value (rendering as
+// nothing) rather than an error, so the retry loop degrades to the
+// plain Retry-After backoff instead of aborting on a mangled proxy
+// response.
+func parseQueueFull(r io.Reader) service.ErrorBody {
+	var qf service.ErrorBody
 	if err := json.NewDecoder(r).Decode(&qf); err != nil {
 		// A partial decode can leave fields half-populated; keep only
 		// the error text so the backlog renders as nothing.
-		return queueFullBody{Error: qf.Error}
+		return service.ErrorBody{Error: qf.Error}
 	}
 	if qf.Queued != nil && *qf.Queued < 0 {
 		qf.Queued = nil
@@ -212,7 +200,7 @@ func parseQueueFull(r io.Reader) queueFullBody {
 
 // renderBacklog formats a 429 body's backlog block for the retry
 // message: "16/16 queued (die40: 12, die40+die48: 4)".
-func renderBacklog(qf queueFullBody) string {
+func renderBacklog(qf service.ErrorBody) string {
 	if qf.Queued == nil {
 		return ""
 	}
@@ -410,38 +398,11 @@ func cmdStats(addr string, args []string) error {
 		return fmt.Errorf("%d: %s", code, string(raw))
 	}
 	// A gateway's stats nest the merged fleet under "fleet"; a worker's
-	// are the fleet block itself.
-	var fed struct {
-		Gateway *struct {
-			Members   int                 `json:"members"`
-			Jobs      int                 `json:"jobs"`
-			Forwarded uint64              `json:"forwarded"`
-			Done      uint64              `json:"done"`
-			Failed    uint64              `json:"failed"`
-			Recovered uint64              `json:"recovered"`
-			Cache     *service.CacheStats `json:"cache"`
-		} `json:"gateway"`
-		Fleet   service.Stats `json:"fleet"`
-		Members []struct {
-			Member    string `json:"member"`
-			Addr      string `json:"addr"`
-			Reachable bool   `json:"reachable"`
-		} `json:"members"`
-	}
-	if err := json.Unmarshal(raw, &fed); err == nil && fed.Gateway != nil {
-		gw := fed.Gateway
-		fmt.Printf("gateway  %d members, %d jobs routed (forwarded %d, done %d, failed %d, recovered %d)\n",
-			gw.Members, gw.Jobs, gw.Forwarded, gw.Done, gw.Failed, gw.Recovered)
-		if c := gw.Cache; c != nil {
-			fmt.Printf("gateway  cache %d/%d entries, hits %d, misses %d, coalesced %d\n",
-				c.Entries, c.Capacity, c.Hits, c.Misses, c.Coalesced)
-		}
-		for _, m := range fed.Members {
-			state := "reachable"
-			if !m.Reachable {
-				state = "UNREACHABLE"
-			}
-			fmt.Printf("member   %s @ %s: %s\n", m.Member, m.Addr, state)
+	// are the fleet block itself. A gateway always fronts a member.
+	var fed federation.Stats
+	if err := json.Unmarshal(raw, &fed); err == nil && fed.Gateway.Members > 0 {
+		for _, line := range renderGatewayStats(fed) {
+			fmt.Println(line)
 		}
 		return renderFleetStats(fed.Fleet)
 	}
@@ -450,6 +411,39 @@ func cmdStats(addr string, args []string) error {
 		return err
 	}
 	return renderFleetStats(st)
+}
+
+// renderGatewayStats renders a gateway's own block — routed jobs, a
+// drain, the route log (with its failed appends) and the gateway cache
+// — and each member's reachability: the lines stats prints before the
+// merged fleet.
+func renderGatewayStats(st federation.Stats) []string {
+	gw := st.Gateway
+	jobs := fmt.Sprintf("gateway  %d members, %d jobs routed (forwarded %d, done %d, failed %d, recovered %d",
+		gw.Members, gw.Jobs, gw.Forwarded, gw.Done, gw.Failed, gw.Recovered)
+	if gw.PersistErrors > 0 {
+		jobs += fmt.Sprintf(", %d route appends FAILED", gw.PersistErrors)
+	}
+	lines := []string{jobs + ")"}
+	if gw.Draining {
+		lines = append(lines, "gateway  draining: admitting nothing, finishing routed jobs")
+	}
+	if s := gw.Store; s != nil {
+		lines = append(lines, fmt.Sprintf("gateway  route log %s %s: %d records in %d segments, %d bytes",
+			s.Kind, s.Dir, s.Records, s.Segments, s.Bytes))
+	}
+	if c := gw.Cache; c != nil {
+		lines = append(lines, fmt.Sprintf("gateway  cache %d/%d entries, hits %d, misses %d, coalesced %d",
+			c.Entries, c.Capacity, c.Hits, c.Misses, c.Coalesced))
+	}
+	for _, m := range st.Members {
+		state := "reachable"
+		if !m.Reachable {
+			state = "UNREACHABLE"
+		}
+		lines = append(lines, fmt.Sprintf("member   %s @ %s: %s", m.Member, m.Addr, state))
+	}
+	return lines
 }
 
 // renderFleetStats prints the single-daemon stats summary — also the
@@ -501,24 +495,11 @@ func cmdHealth(addr string, args []string) error {
 	if code != http.StatusOK && code != http.StatusServiceUnavailable {
 		return fmt.Errorf("%d: %s", code, string(raw))
 	}
+	// A worker's body is service.Health; a gateway's shares its status,
+	// uptime and build fields and adds the member rows.
 	var h struct {
-		Status        string     `json:"status"`
-		Shards        int        `json:"shards"`
-		Queued        int        `json:"queued"`
-		Running       int64      `json:"running"`
-		UptimeSeconds float64    `json:"uptime_seconds"`
-		Build         *obs.Build `json:"build"`
-		Members       []struct {
-			Member        string  `json:"member"`
-			Addr          string  `json:"addr"`
-			Reachable     bool    `json:"reachable"`
-			Status        string  `json:"status"`
-			Shards        int     `json:"shards"`
-			Queued        int     `json:"queued"`
-			Running       int64   `json:"running"`
-			UptimeSeconds float64 `json:"uptime_seconds"`
-			Error         string  `json:"error"`
-		} `json:"members"`
+		service.Health
+		Members []federation.MemberHealth `json:"members"`
 	}
 	if err := json.Unmarshal(raw, &h); err != nil {
 		return err

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"biochip/internal/federation"
 	"biochip/internal/obs"
+	"biochip/internal/service"
+	"biochip/internal/store"
 )
 
 // TestParseQueueFullDegrades pins the 429-body contract: whatever a
@@ -119,5 +122,42 @@ func TestRenderTrace(t *testing.T) {
 	}
 	if !strings.Contains(lines[4], "open") {
 		t.Errorf("finish line %q, want open duration", lines[4])
+	}
+}
+
+// TestRenderGatewayStats pins the gateway lines of stats: the routed-job
+// counters, then a drain, the route log with its failed appends and the
+// gateway cache only when set, then one line per member.
+func TestRenderGatewayStats(t *testing.T) {
+	st := federation.Stats{
+		Gateway: federation.GatewayStats{Members: 2, Jobs: 5, Forwarded: 4, Done: 3, Failed: 1, Recovered: 2},
+		Members: []federation.MemberStats{
+			{Member: "w0", Addr: "http://a", Reachable: true},
+			{Member: "w1", Addr: "http://b"},
+		},
+	}
+	members := []string{
+		"member   w0 @ http://a: reachable",
+		"member   w1 @ http://b: UNREACHABLE",
+	}
+	plain := append([]string{
+		"gateway  2 members, 5 jobs routed (forwarded 4, done 3, failed 1, recovered 2)",
+	}, members...)
+	if got := renderGatewayStats(st); strings.Join(got, "\n") != strings.Join(plain, "\n") {
+		t.Errorf("plain gateway lines:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(plain, "\n"))
+	}
+
+	st.Gateway.PersistErrors = 2
+	st.Gateway.Draining = true
+	st.Gateway.Store = &store.Stats{Kind: "disk", Dir: "/data", Segments: 1, Bytes: 4096, Records: 9}
+	st.Gateway.Cache = &service.CacheStats{Entries: 3, Capacity: 256, Hits: 1, Misses: 4, Coalesced: 2}
+	full := append([]string{
+		"gateway  2 members, 5 jobs routed (forwarded 4, done 3, failed 1, recovered 2, 2 route appends FAILED)",
+		"gateway  draining: admitting nothing, finishing routed jobs",
+		"gateway  route log disk /data: 9 records in 1 segments, 4096 bytes",
+		"gateway  cache 3/256 entries, hits 1, misses 4, coalesced 2",
+	}, members...)
+	if got := renderGatewayStats(st); strings.Join(got, "\n") != strings.Join(full, "\n") {
+		t.Errorf("full gateway lines:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(full, "\n"))
 	}
 }

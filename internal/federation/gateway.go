@@ -55,7 +55,10 @@ type Config struct {
 	// DefaultPollInterval.
 	PollInterval time.Duration
 	// Obs enables metrics and span tracing on this gateway; nil (the
-	// default) disables observability entirely.
+	// default) disables both, and the gateway counts into a private
+	// registry that backs /v1/stats alone. The registry is the
+	// gateway's only counter store, so it must serve one backend: two
+	// sharing one would merge their /v1/stats counters.
 	Obs *obs.Registry
 }
 
@@ -121,22 +124,14 @@ type Gateway struct {
 	draining bool
 	closed   bool
 
-	forwarded     uint64
-	done          uint64
-	failed        uint64
-	recovered     uint64
-	persistErrors uint64
-	cacheHits     uint64
-	coalesced     uint64
-	cacheMisses   uint64
-
 	drained     chan struct{}
 	drainedOnce sync.Once
 	ctx         context.Context
 	cancel      context.CancelFunc
 	wg          sync.WaitGroup
 
-	// Observability (inert when obs is nil). fwdSeq mints the forward
+	// Observability: obs is the served registry (nil: no /v1/metrics),
+	// met holds every Stats counter. fwdSeq mints the forward
 	// references sent in X-Assay-Trace; started anchors health uptime.
 	obs     *obs.Registry
 	met     gwMetrics
@@ -155,6 +150,10 @@ func New(cfg Config) (*Gateway, error) {
 	if st == nil {
 		st = store.Null{}
 	}
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	g := &Gateway{
 		store:    st,
 		durable:  st.Durable(),
@@ -164,7 +163,7 @@ func New(cfg Config) (*Gateway, error) {
 		inflight: make(map[cache.Key]*gwJob),
 		drained:  make(chan struct{}),
 		obs:      cfg.Obs,
-		met:      newGwMetrics(cfg.Obs),
+		met:      newGwMetrics(reg),
 		tracing:  cfg.Obs != nil,
 		started:  obs.Now(),
 	}
@@ -241,7 +240,7 @@ func (g *Gateway) recover() error {
 				g.inflight[j.key] = j
 			}
 		}
-		g.recovered++
+		g.met.recovered.Inc()
 		return nil
 	})
 	if err != nil {
@@ -253,7 +252,7 @@ func (g *Gateway) recover() error {
 			// restart; the job's result is unreachable.
 			j.snap.Status = service.StatusFailed
 			j.snap.Error = fmt.Sprintf("federation: member of routed job removed from members spec")
-			g.failed++
+			g.met.failed.Inc()
 			close(j.done)
 			continue
 		}
@@ -397,8 +396,7 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 		return res, nil
 	}
 	if !key.Zero() {
-		g.cacheMisses++
-		g.met.cacheEvents.With("miss").Inc()
+		g.met.miss.Inc()
 	}
 	// Mint the forward reference under the lock so references are
 	// sequential in submission order, like job IDs.
@@ -473,8 +471,7 @@ func (g *Gateway) cachedLocked(key cache.Key) (service.SubmitResult, bool) {
 		return service.SubmitResult{}, false
 	}
 	if root, ok := g.inflight[key]; ok {
-		g.coalesced++
-		g.met.cacheEvents.With("coalesced").Inc()
+		g.met.coalesced.Inc()
 		return service.SubmitResult{
 			ID: root.id, Eligible: root.snap.Eligible, Cache: "coalesced"}, true
 	}
@@ -483,8 +480,7 @@ func (g *Gateway) cachedLocked(key cache.Key) (service.SubmitResult, bool) {
 	}
 	if e, ok := g.lru.Get(key); ok {
 		if root, live := g.jobs[e.ID]; live {
-			g.cacheHits++
-			g.met.cacheEvents.With("hit").Inc()
+			g.met.hit.Inc()
 			return service.SubmitResult{
 				ID: root.id, Eligible: root.snap.Eligible, Cache: "hit", DedupOf: root.id}, true
 		}
@@ -513,7 +509,7 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		ID: id, Member: m.Name, RemoteID: res.ID, Seed: seed, Program: wal,
 	}); err != nil {
 		g.seq--
-		g.persistErrors++
+		g.met.persistErrors.Inc()
 		return service.SubmitResult{}, fmt.Errorf("%w: %v", service.ErrPersist, err)
 	}
 	j := &gwJob{
@@ -553,7 +549,7 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		g.inflight[key] = j
 	}
 	g.views[idx].pending++
-	g.forwarded++
+	g.met.forwarded.Inc()
 	g.wg.Add(1)
 	go g.watch(j)
 
@@ -717,14 +713,12 @@ func (g *Gateway) finish(j *gwJob, rj service.Job) {
 	j.snap = g.rewriteLocked(j, rj)
 	j.spanRoot.End()
 	if j.snap.Status == service.StatusDone {
-		g.done++
-		g.met.jobs.With("done").Inc()
+		g.met.done.Inc()
 		if !j.key.Zero() && g.lru != nil {
 			g.lru.Add(j.key, cache.Entry{ID: j.id, Bytes: 64 + int64(len(j.snap.Report))})
 		}
 	} else {
-		g.failed++
-		g.met.jobs.With("failed").Inc()
+		g.met.failed.Inc()
 	}
 	if !j.key.Zero() && g.inflight[j.key] == j {
 		delete(g.inflight, j.key)

@@ -1,10 +1,13 @@
 package federation
 
-// Gateway observability: forwarding metrics, member scrape re-export
-// and cross-hop trace stitching. As on a worker, everything here is
-// out-of-band telemetry — Config.Obs nil disables it all and routing
-// decisions, reports and event streams are bit-identical either way
-// (docs/observability.md).
+// Gateway observability: the metric set, member scrape re-export and
+// cross-hop trace stitching. The registry behind the metric set is the
+// gateway's only counter store: Stats reads the very counters
+// /v1/metrics renders. With Config.Obs nil the gateway counts into a
+// private registry that backs /v1/stats alone, and records no traces.
+// As on a worker, everything here is out-of-band telemetry — routing
+// decisions, reports and event streams are bit-identical with
+// observability on or off (docs/observability.md).
 //
 // The federation hop is stitched with the X-Assay-Trace header: each
 // forward carries a reference minted from a monotonic counter, the
@@ -20,26 +23,36 @@ import (
 	"biochip/internal/obs"
 )
 
-// gwMetrics is the gateway's metric handle set; zero value (obs
-// disabled) is fully inert. Gateway-own families carry a gateway_
+// gwMetrics is the gateway's metric set, every counter series
+// resolved when it is built. Gateway-own families carry a gateway_
 // prefix so they never collide with the member families re-exported
 // under a member label.
 type gwMetrics struct {
-	forward     *obs.HistogramVec // member
-	memberUp    *obs.GaugeVec     // member
-	jobs        *obs.CounterVec   // status=done|failed
-	cacheEvents *obs.CounterVec   // kind=hit|miss|coalesced
-	sse         *obs.GaugeVec     // (no labels)
+	forwarded, recovered, persistErrors *obs.Counter // (no labels)
+	done, failed                        *obs.Counter // routed jobs, restored ones included
+	hit, miss, coalesced                *obs.Counter // gateway cache outcomes
+
+	forward  *obs.HistogramVec // member
+	memberUp *obs.GaugeVec     // member
+	sse      *obs.GaugeVec     // (no labels)
 }
 
-// newGwMetrics registers the gateway metric families; reg may be nil.
+// newGwMetrics registers the gateway metric families in reg.
 func newGwMetrics(reg *obs.Registry) gwMetrics {
+	jobs := reg.Counter("assayd_gateway_jobs_total", "Terminal routed jobs by status.", "status")
+	cache := reg.Counter("assayd_gateway_cache_events_total", "Gateway result-cache outcomes by kind.", "kind")
 	return gwMetrics{
-		forward:     reg.Histogram("assayd_forward_seconds", "Member submission round-trip wall latency.", nil, "member"),
-		memberUp:    reg.Gauge("assayd_member_up", "1 when the member answered its last scrape or poll, else 0.", "member"),
-		jobs:        reg.Counter("assayd_gateway_jobs_total", "Terminal routed jobs by status.", "status"),
-		cacheEvents: reg.Counter("assayd_gateway_cache_events_total", "Gateway result-cache outcomes by kind.", "kind"),
-		sse:         reg.Gauge("assayd_gateway_sse_subscribers", "Open proxied SSE event subscriptions."),
+		forwarded:     reg.Counter("assayd_gateway_forwarded_total", "Submissions forwarded to a member and bound.").With(),
+		done:          jobs.With("done"),
+		failed:        jobs.With("failed"),
+		recovered:     reg.Counter("assayd_gateway_recovered_total", "Routed jobs re-resolved from the route log at startup.").With(),
+		persistErrors: reg.Counter("assayd_gateway_persist_errors_total", "Route-log appends that failed.").With(),
+		hit:           cache.With("hit"),
+		miss:          cache.With("miss"),
+		coalesced:     cache.With("coalesced"),
+		forward:       reg.Histogram("assayd_forward_seconds", "Member submission round-trip wall latency.", nil, "member"),
+		memberUp:      reg.Gauge("assayd_member_up", "1 when the member answered its last scrape or poll, else 0.", "member"),
+		sse:           reg.Gauge("assayd_gateway_sse_subscribers", "Open proxied SSE event subscriptions."),
 	}
 }
 

@@ -24,7 +24,9 @@ type MemberStats struct {
 
 // GatewayStats is the gateway's own counter block: forwarding volume,
 // routed-job outcomes and the gateway-level cache/store state, as
-// opposed to the member-side numbers the fleet block merges.
+// opposed to the member-side numbers the fleet block merges. Done and
+// Failed count terminal routed jobs, including those a durable gateway
+// restored from its route log at startup.
 type GatewayStats struct {
 	Members   int    `json:"members"`
 	Jobs      int    `json:"jobs"`
@@ -191,18 +193,19 @@ func (g *Gateway) MemberStatsSnapshot() []MemberStats {
 }
 
 // Stats assembles the gateway's /v1/stats body: live member snapshots,
-// their fleet-wide merge, and the gateway's own counters.
+// their fleet-wide merge, and the gateway's own counters, read from the
+// metric set /v1/metrics serves.
 func (g *Gateway) Stats() Stats {
 	members := g.MemberStatsSnapshot()
 	g.mu.Lock()
 	gs := GatewayStats{
 		Members:       len(g.members),
 		Jobs:          len(g.jobs),
-		Forwarded:     g.forwarded,
-		Done:          g.done,
-		Failed:        g.failed,
-		Recovered:     g.recovered,
-		PersistErrors: g.persistErrors,
+		Forwarded:     uint64(g.met.forwarded.Value()),
+		Done:          uint64(g.met.done.Value()),
+		Failed:        uint64(g.met.failed.Value()),
+		Recovered:     uint64(g.met.recovered.Value()),
+		PersistErrors: uint64(g.met.persistErrors.Value()),
 		Draining:      g.draining,
 	}
 	if g.lru != nil {
@@ -210,9 +213,9 @@ func (g *Gateway) Stats() Stats {
 			Entries:   g.lru.Len(),
 			Capacity:  g.lru.Capacity(),
 			Bytes:     g.lru.Bytes(),
-			Hits:      g.cacheHits,
-			Misses:    g.cacheMisses,
-			Coalesced: g.coalesced,
+			Hits:      uint64(g.met.hit.Value()),
+			Misses:    uint64(g.met.miss.Value()),
+			Coalesced: uint64(g.met.coalesced.Value()),
 			Inflight:  len(g.inflight),
 		}
 	}

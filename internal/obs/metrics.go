@@ -19,9 +19,9 @@ var LatencyBuckets = []float64{
 
 // Registry holds a daemon's metric families and renders them in the
 // Prometheus text exposition format. All methods are safe for
-// concurrent use, and all methods on a nil *Registry (observability
-// disabled) are no-ops returning nil handles — instrumentation sites
-// never branch on whether obs is on.
+// concurrent use. A daemon keeps every counter here, whether or not it
+// serves the registry at /v1/metrics: the same series back its JSON
+// /v1/stats.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -61,9 +61,6 @@ type child struct {
 // (a name registered twice must agree on kind and label set — a
 // programming error, reported loudly).
 func (r *Registry) register(name, help, kind string, buckets []float64, labels []string) *family {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
@@ -86,9 +83,6 @@ func (r *Registry) register(name, help, kind string, buckets []float64, labels [
 
 // get fetches or creates the child for one label-value combination.
 func (f *family) get(values []string) *child {
-	if f == nil {
-		return nil
-	}
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
@@ -111,17 +105,11 @@ type CounterVec struct{ f *family }
 
 // Counter registers (or fetches) a counter family.
 func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
 	return &CounterVec{f: r.register(name, help, "counter", nil, labels)}
 }
 
 // With selects the series for the given label values.
 func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
 	return &Counter{ch: v.f.get(values)}
 }
 
@@ -134,7 +122,7 @@ func (c *Counter) Inc() { c.Add(1) }
 // Add increases the counter; negative deltas are ignored (counters are
 // monotone by definition).
 func (c *Counter) Add(delta float64) {
-	if c == nil || c.ch == nil || delta < 0 {
+	if delta < 0 {
 		return
 	}
 	c.ch.mu.Lock()
@@ -142,22 +130,23 @@ func (c *Counter) Add(delta float64) {
 	c.ch.mu.Unlock()
 }
 
+// Value reads the counter's total.
+func (c *Counter) Value() float64 {
+	c.ch.mu.Lock()
+	defer c.ch.mu.Unlock()
+	return c.ch.val
+}
+
 // GaugeVec is a gauge family; With selects one labelled series.
 type GaugeVec struct{ f *family }
 
 // Gauge registers (or fetches) a gauge family.
 func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
 	return &GaugeVec{f: r.register(name, help, "gauge", nil, labels)}
 }
 
 // With selects the series for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
 	return &Gauge{ch: v.f.get(values)}
 }
 
@@ -166,9 +155,6 @@ type Gauge struct{ ch *child }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) {
-	if g == nil || g.ch == nil {
-		return
-	}
 	g.ch.mu.Lock()
 	g.ch.val = v
 	g.ch.mu.Unlock()
@@ -176,9 +162,6 @@ func (g *Gauge) Set(v float64) {
 
 // Add moves the gauge by delta (use a negative delta to decrement).
 func (g *Gauge) Add(delta float64) {
-	if g == nil || g.ch == nil {
-		return
-	}
 	g.ch.mu.Lock()
 	g.ch.val += delta
 	g.ch.mu.Unlock()
@@ -190,9 +173,6 @@ type HistogramVec struct{ f *family }
 // Histogram registers (or fetches) a histogram family with the given
 // upper bucket bounds (ascending; +Inf is implicit).
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
 	if len(buckets) == 0 {
 		buckets = LatencyBuckets
 	}
@@ -201,9 +181,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 
 // With selects the series for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
 	return &Histogram{buckets: v.f.buckets, ch: v.f.get(values)}
 }
 
@@ -215,9 +192,6 @@ type Histogram struct {
 
 // Observe records one measurement.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || h.ch == nil {
-		return
-	}
 	h.ch.mu.Lock()
 	for i, ub := range h.buckets {
 		if v <= ub {
@@ -236,9 +210,6 @@ func (h *Histogram) Observe(v float64) {
 // byte-identical — the property the golden example and the promlint CI
 // check rely on.
 func (r *Registry) WriteProm(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	return WriteExposition(w, r.Gather())
 }
 
@@ -246,9 +217,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 // with ParseExposition — the form the gateway merges member scrapes
 // into.
 func (r *Registry) Gather() []MetricFamily {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {

@@ -80,22 +80,6 @@ func TestExpositionDeterministic(t *testing.T) {
 	}
 }
 
-// TestNilRegistry pins that every handle chain is inert on a nil
-// registry — instrumentation sites never branch on obs being enabled.
-func TestNilRegistry(t *testing.T) {
-	var r *Registry
-	r.Counter("x_total", "", "l").With("v").Inc()
-	r.Gauge("y", "").With().Set(1)
-	r.Histogram("z", "", nil).With().Observe(1)
-	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != "" {
-		t.Fatalf("nil registry rendered %q", b.String())
-	}
-}
-
 // TestLintExposition exercises the promlint-style problems.
 func TestLintExposition(t *testing.T) {
 	bad := strings.Join([]string{

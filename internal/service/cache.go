@@ -151,8 +151,7 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 	// consumes no slot.
 	if !key.Zero() {
 		if root, ok := s.inflight[key]; ok {
-			s.coalescedN.Add(1)
-			s.met.cacheEvents.With("coalesced").Inc()
+			s.met.coalesced.Inc()
 			return SubmitResult{ID: root.ID, Eligible: root.Eligible, Cache: "coalesced"}, nil
 		}
 		if root := s.cachedRootLocked(key); root != nil {
@@ -176,13 +175,12 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 		// before the client hears about the job, so a crash after
 		// Submit returns can never lose an acknowledged assay.
 		if err := s.store.LogSubmit(store.SubmitRecord{ID: id, Seed: seed, Program: wal}); err != nil {
-			s.persistErrs.Add(1)
+			s.met.persistErrors.Inc()
 			return SubmitResult{}, fmt.Errorf("%w: %v", ErrPersist, err)
 		}
 	}
 	if !key.Zero() {
-		s.cacheMisses.Add(1)
-		s.met.cacheEvents.With("miss").Inc()
+		s.met.miss.Inc()
 	}
 	j := s.enqueueLocked(id, pr, seed, target, eligible, false, key, traceParent)
 	if s.tracing {
@@ -223,8 +221,7 @@ func (s *Service) cacheKey(pr assay.Program, seed uint64, eligible []*profile) (
 func (s *Service) cachedRootLocked(key cache.Key) *Job {
 	if e, ok := s.lru.Get(key); ok {
 		if root := s.jobs[e.ID]; root != nil && root.Status == StatusDone {
-			s.cacheHits.Add(1)
-			s.met.cacheEvents.With("hit").Inc()
+			s.met.hit.Inc()
 			return root
 		}
 		s.lru.Remove(key)
@@ -232,8 +229,7 @@ func (s *Service) cachedRootLocked(key cache.Key) *Job {
 	if s.durable {
 		if id, ok := s.store.FinishByKey(key.String()); ok {
 			if root := s.jobs[id]; root != nil && root.Status == StatusDone {
-				s.cacheDiskHits.Add(1)
-				s.met.cacheEvents.With("disk_hit").Inc()
+				s.met.diskHit.Inc()
 				s.cacheReleaseLocked(s.lru.Add(key, cache.Entry{ID: id, Bytes: int64(len(root.Report))}))
 				return root
 			}
@@ -258,7 +254,7 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 	id := fmt.Sprintf("a-%06d", s.seq+1)
 	if s.durable {
 		if err := s.store.LogSubmit(store.SubmitRecord{ID: id, Seed: seed, Program: wal}); err != nil {
-			s.persistErrs.Add(1)
+			s.met.persistErrors.Inc()
 			return SubmitResult{}, fmt.Errorf("%w: %v", ErrPersist, err)
 		}
 	}
@@ -286,8 +282,7 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 		j.spanRoot.End()
 	}
 	s.jobs[id] = j
-	s.doneN.Add(1)
-	s.met.jobs.With("done").Inc()
+	s.met.done.Inc()
 	if s.durable {
 		rec := store.FinishRecord{
 			ID:       id,
@@ -300,7 +295,7 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 			// The alias completes in memory regardless; without its
 			// finish record it is simply re-executed (deterministically)
 			// after a restart.
-			s.persistErrs.Add(1)
+			s.met.persistErrors.Inc()
 		} else {
 			j.persisted = true
 		}

@@ -61,7 +61,7 @@ type ErrorBody struct {
 func (s *Service) Handler() http.Handler { return NewHandler(s, s.met.sse) }
 
 // handler serves the HTTP API over one Backend; sse gauges its open
-// event-stream subscriptions (nil-safe).
+// event-stream subscriptions.
 type handler struct {
 	b   Backend
 	sse *obs.GaugeVec

@@ -1,40 +1,56 @@
 package service
 
-// Observability wiring: metric handles and per-job span traces
-// (internal/obs), plus what the /v1/metrics and /v1/assays/{id}/trace
-// endpoints serve. Everything here is out-of-band telemetry — when
-// Config.Obs is nil every handle below is a nil no-op, and the
-// determinism contract requires (and CI verifies) that reports and
-// event streams are bit-identical either way. The obspurity detlint
-// rule statically keeps obs values out of reports, event payloads and
-// cache keys; see docs/observability.md.
+// Observability wiring: the metric set (internal/obs), per-job span
+// traces, and what the /v1/metrics and /v1/assays/{id}/trace endpoints
+// serve. The registry behind the metric set is the service's only
+// counter store: Stats reads the very counters /v1/metrics renders.
+// With Config.Obs nil the service counts into a private registry that
+// backs /v1/stats alone, and records no traces. Everything here is
+// out-of-band telemetry — the determinism contract requires (and CI
+// verifies) that reports and event streams are bit-identical with
+// observability on or off. The obspurity detlint rule statically keeps
+// obs values out of reports, event payloads and cache keys; see
+// docs/observability.md.
 
 import "biochip/internal/obs"
 
-// svcMetrics is the worker daemon's metric handle set. A zero
-// svcMetrics (observability disabled) is fully inert.
+// svcMetrics is the worker daemon's metric set. Every counter series
+// is resolved when the set is built — the per-shard ones by New as it
+// builds each shard — so a scrape's series set never depends on which
+// paths ran, and counter sites skip the label lookup.
 type svcMetrics struct {
-	jobs        *obs.CounterVec   // status=done|failed
-	queueDepth  *obs.GaugeVec     // class
-	queueWait   *obs.HistogramVec // class
-	execute     *obs.HistogramVec // profile
-	persist     *obs.HistogramVec // (no labels)
-	cacheEvents *obs.CounterVec   // kind=hit|disk_hit|miss|coalesced
-	steals      *obs.CounterVec   // profile
-	sse         *obs.GaugeVec     // (no labels)
+	done, failed                  *obs.Counter    // terminal jobs, restored ones included
+	recovered, persistErrors      *obs.Counter    // (no labels)
+	hit, diskHit, miss, coalesced *obs.Counter    // result-cache outcomes
+	executed, steals              *obs.CounterVec // profile, shard
+
+	queueDepth *obs.GaugeVec     // class
+	queueWait  *obs.HistogramVec // class
+	execute    *obs.HistogramVec // profile
+	persist    *obs.HistogramVec // (no labels)
+	sse        *obs.GaugeVec     // (no labels)
 }
 
-// newSvcMetrics registers the worker metric families; reg may be nil.
+// newSvcMetrics registers the worker metric families in reg.
 func newSvcMetrics(reg *obs.Registry) svcMetrics {
+	jobs := reg.Counter("assayd_jobs_total", "Terminal jobs by status.", "status")
+	cache := reg.Counter("assayd_cache_events_total", "Result-cache outcomes by kind.", "kind")
 	return svcMetrics{
-		jobs:        reg.Counter("assayd_jobs_total", "Terminal jobs by status.", "status"),
-		queueDepth:  reg.Gauge("assayd_queue_depth", "Queued jobs per compatibility class.", "class"),
-		queueWait:   reg.Histogram("assayd_queue_wait_seconds", "Submit-to-claim wait per compatibility class.", nil, "class"),
-		execute:     reg.Histogram("assayd_execute_seconds", "Execute stage wall latency per profile.", nil, "profile"),
-		persist:     reg.Histogram("assayd_persist_seconds", "Finish-record persistence wall latency.", nil),
-		cacheEvents: reg.Counter("assayd_cache_events_total", "Result-cache outcomes by kind.", "kind"),
-		steals:      reg.Counter("assayd_steals_total", "Jobs claimed by a non-designated shard, per profile.", "profile"),
-		sse:         reg.Gauge("assayd_sse_subscribers", "Open SSE event subscriptions."),
+		done:          jobs.With("done"),
+		failed:        jobs.With("failed"),
+		recovered:     reg.Counter("assayd_recovered_total", "Jobs restored from the durable store at startup.").With(),
+		persistErrors: reg.Counter("assayd_persist_errors_total", "Durable-store appends that failed.").With(),
+		hit:           cache.With("hit"),
+		diskHit:       cache.With("disk_hit"),
+		miss:          cache.With("miss"),
+		coalesced:     cache.With("coalesced"),
+		executed:      reg.Counter("assayd_executed_total", "Jobs executed, per profile and shard.", "profile", "shard"),
+		steals:        reg.Counter("assayd_steals_total", "Jobs claimed by a non-designated shard, per profile and shard.", "profile", "shard"),
+		queueDepth:    reg.Gauge("assayd_queue_depth", "Queued jobs per compatibility class.", "class"),
+		queueWait:     reg.Histogram("assayd_queue_wait_seconds", "Submit-to-claim wait per compatibility class.", nil, "class"),
+		execute:       reg.Histogram("assayd_execute_seconds", "Execute stage wall latency per profile.", nil, "profile"),
+		persist:       reg.Histogram("assayd_persist_seconds", "Finish-record persistence wall latency.", nil),
+		sse:           reg.Gauge("assayd_sse_subscribers", "Open SSE event subscriptions."),
 	}
 }
 

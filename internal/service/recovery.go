@@ -101,7 +101,7 @@ func (s *Service) recover() error {
 		s.seq = seq - 1
 		target := s.assign(s.seq, shardIDsOf(s.shards, eligible))
 		s.enqueueLocked(id, pr, h.sub.Seed, target, eligible, true, key, "")
-		s.recoveredN.Add(1)
+		s.met.recovered.Inc()
 	}
 	return nil
 }
@@ -139,8 +139,8 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 			persisted: true,
 		}
 		s.jobs[id] = j
-		s.doneN.Add(1)
-		s.recoveredN.Add(1)
+		s.met.done.Inc()
+		s.met.recovered.Inc()
 		return nil
 	}
 	j := &Job{
@@ -162,9 +162,9 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 	switch j.Status {
 	case StatusDone:
 		j.Report = fin.Report
-		s.doneN.Add(1)
+		s.met.done.Inc()
 	case StatusFailed:
-		s.failedN.Add(1)
+		s.met.failed.Inc()
 	default:
 		return fmt.Errorf("service: recovery: job %s: terminal record with status %q", id, fin.Status)
 	}
@@ -176,7 +176,7 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 		}
 	}
 	s.jobs[id] = j
-	s.recoveredN.Add(1)
+	s.met.recovered.Inc()
 	return nil
 }
 
@@ -210,6 +210,6 @@ func (s *Service) failRecoveredLocked(id string, pr assay.Program, seed uint64) 
 	j.ring.Close()
 	s.persistFinishLocked(j)
 	s.jobs[id] = j
-	s.failedN.Add(1)
-	s.recoveredN.Add(1)
+	s.met.failed.Inc()
+	s.met.recovered.Inc()
 }

@@ -168,9 +168,12 @@ type Config struct {
 	Cache CacheConfig
 	// Obs enables the observability layer: metric families registered in
 	// this registry (served at GET /v1/metrics) and a span trace per job
-	// (GET /v1/assays/{id}/trace). Nil disables both. Observability is
-	// out-of-band telemetry: reports and event streams are bit-identical
-	// with it on or off (docs/observability.md).
+	// (GET /v1/assays/{id}/trace). Nil disables both, and the service
+	// counts into a private registry that backs /v1/stats alone. The
+	// registry is the service's only counter store, so it must serve one
+	// backend: two sharing one would merge their /v1/stats counters.
+	// Observability is out-of-band telemetry: reports and event streams
+	// are bit-identical with it on or off (docs/observability.md).
 	Obs *obs.Registry
 }
 
@@ -270,11 +273,12 @@ type profile struct {
 
 // shard is one simulated die.
 type shard struct {
-	id       int
-	profile  *profile
-	sim      *chip.Simulator
-	executed atomic.Uint64
-	stolen   atomic.Uint64
+	id      int
+	profile *profile
+	sim     *chip.Simulator
+	// executed and stolen are this shard's series of the executed and
+	// steals counter families.
+	executed, stolen *obs.Counter
 	// nextClass rotates this shard's scan over the class queues for
 	// fairness across classes. Guarded by Service.mu.
 	nextClass int
@@ -327,22 +331,11 @@ type Service struct {
 	drainedOnce bool
 
 	running atomic.Int64
-	doneN   atomic.Uint64
-	failedN atomic.Uint64
-	// recoveredN counts jobs restored from the store at startup;
-	// persistErrs counts failed finish-record appends (the job still
-	// completes in memory — only its durability is degraded).
-	recoveredN  atomic.Uint64
-	persistErrs atomic.Uint64
-	// Result-cache counters (see CacheStats).
-	cacheHits     atomic.Uint64
-	cacheDiskHits atomic.Uint64
-	cacheMisses   atomic.Uint64
-	coalescedN    atomic.Uint64
-	wg            sync.WaitGroup
+	wg      sync.WaitGroup
 
-	// met holds the metric handles and tracing reports whether per-job
-	// span rings are recorded; both derive from Config.Obs.
+	// met is the metric set, and with it every counter Stats reports;
+	// tracing reports whether per-job span rings are recorded
+	// (Config.Obs set).
 	met     svcMetrics
 	tracing bool
 
@@ -383,7 +376,11 @@ func New(cfg Config) (*Service, error) {
 	s.cond = sync.NewCond(&s.mu)
 	s.assign = func(seq int, eligible []int) int { return eligible[seq%len(eligible)] }
 	s.run = s.execute
-	s.met = newSvcMetrics(cfg.Obs)
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	s.met = newSvcMetrics(reg)
 	s.tracing = cfg.Obs != nil
 	s.store = cfg.Store
 	if s.store == nil {
@@ -416,7 +413,10 @@ func New(cfg Config) (*Service, error) {
 			if err != nil {
 				return nil, fmt.Errorf("service: profile %q shard %d: %w", spec.Name, k, err)
 			}
-			s.shards = append(s.shards, &shard{id: len(s.shards), profile: p, sim: sim})
+			id := len(s.shards)
+			s.shards = append(s.shards, &shard{id: id, profile: p, sim: sim,
+				executed: s.met.executed.With(spec.Name, strconv.Itoa(id)),
+				stolen:   s.met.steals.With(spec.Name, strconv.Itoa(id))})
 		}
 		_, missesAfter := dep.CacheStats()
 		p.calMisses = missesAfter - missesBefore
@@ -679,8 +679,7 @@ func (s *Service) Close() {
 			s.queued--
 			j.Status = StatusFailed
 			j.Error = ErrClosed.Error()
-			s.failedN.Add(1)
-			s.met.jobs.With("failed").Inc()
+			s.met.failed.Inc()
 			j.spanQueue.End()
 			j.spanRoot.End()
 			j.ring.Publish(stream.Event{Type: stream.JobFailed,
@@ -786,10 +785,9 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sh.executed.Add(1)
+	sh.executed.Inc()
 	if stolen {
-		sh.stolen.Add(1)
-		s.met.steals.With(sh.profile.Name).Inc()
+		sh.stolen.Inc()
 	}
 	s.running.Add(-1)
 	var finSpan obs.SpanRef
@@ -802,23 +800,18 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 	if err != nil {
 		j.Status = StatusFailed
 		j.Error = err.Error()
-		s.failedN.Add(1)
+		s.met.failed.Inc()
 		j.ring.Publish(stream.Event{Type: stream.JobFailed,
 			Job: &stream.JobInfo{ID: j.ID}, Err: err.Error()})
 	} else {
 		j.Status = StatusDone
 		j.Report = raw
-		s.doneN.Add(1)
+		s.met.done.Inc()
 		j.ring.Publish(stream.Event{Type: stream.JobDone, T: rep.Duration,
 			Job: &stream.JobInfo{
 				ID: j.ID, Duration: rep.Duration, Trapped: rep.Trapped,
 				Steps: rep.Steps, ScanErrors: rep.ScanErrors,
 			}})
-	}
-	if err != nil {
-		s.met.jobs.With("failed").Inc()
-	} else {
-		s.met.jobs.With("done").Inc()
 	}
 	j.ring.Close()
 	if s.tracing && s.durable && j.tape != nil {
@@ -876,7 +869,7 @@ func (s *Service) persistFinishLocked(j *Job) {
 		rec.Key = j.key.String()
 	}
 	if err := s.store.LogFinish(rec); err != nil {
-		s.persistErrs.Add(1)
+		s.met.persistErrors.Inc()
 		return
 	}
 	j.persisted = true
@@ -978,7 +971,9 @@ type PlannerStats struct {
 	PlanSeconds float64 `json:"plan_seconds"`
 }
 
-// Stats is a point-in-time service snapshot (GET /v1/stats).
+// Stats is a point-in-time service snapshot (GET /v1/stats). Done and
+// Failed count terminal jobs, including those a durable service
+// restored from its log at startup.
 type Stats struct {
 	Shards     int    `json:"shards"`
 	QueueDepth int    `json:"queue_depth"`
@@ -988,7 +983,8 @@ type Stats struct {
 	Failed     uint64 `json:"failed"`
 	// Recovered counts jobs restored from the durable store at startup
 	// (both finished-from-disk and re-executed); PersistErrors counts
-	// store appends that failed after admission. Both stay zero on a
+	// failed store appends: refused submissions, and terminal records
+	// of jobs that still completed in memory. Both stay zero on a
 	// non-durable service.
 	Recovered     uint64 `json:"recovered,omitempty"`
 	PersistErrors uint64 `json:"persist_errors,omitempty"`
@@ -1017,7 +1013,8 @@ type Stats struct {
 	Cache *CacheStats `json:"cache,omitempty"`
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service: the counters are read from the metric
+// set /v1/metrics serves, the rest are instantaneous reads.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1029,11 +1026,11 @@ func (s *Service) Stats() Stats {
 		QueueDepth:        s.cfg.QueueDepth,
 		Queued:            s.queued,
 		Running:           s.running.Load(),
-		Done:              s.doneN.Load(),
-		Failed:            s.failedN.Load(),
+		Done:              uint64(s.met.done.Value()),
+		Failed:            uint64(s.met.failed.Value()),
 		Draining:          s.draining,
-		Recovered:         s.recoveredN.Load(),
-		PersistErrors:     s.persistErrs.Load(),
+		Recovered:         uint64(s.met.recovered.Value()),
+		PersistErrors:     uint64(s.met.persistErrors.Value()),
 		CalibrationHits:   hits,
 		CalibrationMisses: misses,
 		UptimeSeconds:     uptime,
@@ -1047,10 +1044,10 @@ func (s *Service) Stats() Stats {
 			Entries:   s.lru.Len(),
 			Capacity:  s.lru.Capacity(),
 			Bytes:     s.lru.Bytes(),
-			Hits:      s.cacheHits.Load(),
-			DiskHits:  s.cacheDiskHits.Load(),
-			Misses:    s.cacheMisses.Load(),
-			Coalesced: s.coalescedN.Load(),
+			Hits:      uint64(s.met.hit.Value()),
+			DiskHits:  uint64(s.met.diskHit.Value()),
+			Misses:    uint64(s.met.miss.Value()),
+			Coalesced: uint64(s.met.coalesced.Value()),
 			Inflight:  len(s.inflight),
 		}
 	}
@@ -1067,7 +1064,7 @@ func (s *Service) Stats() Stats {
 		}
 	}
 	for _, sh := range s.shards {
-		executed, stolen := sh.executed.Load(), sh.stolen.Load()
+		executed, stolen := uint64(sh.executed.Value()), uint64(sh.stolen.Value())
 		st.PerShard = append(st.PerShard, ShardStats{
 			Shard:    sh.id,
 			Profile:  sh.profile.Name,
