@@ -1,6 +1,7 @@
-// Benchmarks: one per reproduced paper artifact (`biochipbench list`
-// maps experiment IDs to artifacts), plus micro-benchmarks of the core
-// kernels and layers. Run with:
+// Benchmarks: one sub-benchmark per reproduced paper artifact under
+// BenchmarkExperiments (`biochipbench list` maps experiment IDs to
+// artifacts), plus micro-benchmarks of the core kernels and layers. Run
+// with:
 //
 //	go test -bench=. -benchmem
 package biochip
@@ -24,51 +25,25 @@ import (
 	"biochip/internal/units"
 )
 
-// benchExperiment runs a registered experiment at Quick scale.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run(experiments.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tbl.NumRows() == 0 {
-			b.Fatal("empty table")
-		}
+// BenchmarkExperiments runs each registered experiment at Quick scale,
+// one sub-benchmark per registry ID; time one with
+// -bench '^BenchmarkExperiments$/^e11$'.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tbl, err := e.Run(experiments.Quick)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if tbl.NumRows() == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
 	}
 }
-
-// One benchmark per paper artifact.
-
-func BenchmarkE1ElectronicFlow(b *testing.B)      { benchExperiment(b, "e1") }
-func BenchmarkE2FluidicFlow(b *testing.B)         { benchExperiment(b, "e2") }
-func BenchmarkE2Crossover(b *testing.B)           { benchExperiment(b, "e2b") }
-func BenchmarkE2Parallel(b *testing.B)            { benchExperiment(b, "e2c") }
-func BenchmarkE3FullChip(b *testing.B)            { benchExperiment(b, "e3") }
-func BenchmarkE4NodeSweep(b *testing.B)           { benchExperiment(b, "e4") }
-func BenchmarkE5Timescales(b *testing.B)          { benchExperiment(b, "e5") }
-func BenchmarkE5Averaging(b *testing.B)           { benchExperiment(b, "e5b") }
-func BenchmarkE5Flicker(b *testing.B)             { benchExperiment(b, "e5c") }
-func BenchmarkE5Waveform(b *testing.B)            { benchExperiment(b, "e5d") }
-func BenchmarkE6FabEconomics(b *testing.B)        { benchExperiment(b, "e6") }
-func BenchmarkE7Routing(b *testing.B)             { benchExperiment(b, "e7") }
-func BenchmarkE7Ablation(b *testing.B)            { benchExperiment(b, "e7b") }
-func BenchmarkE7Compaction(b *testing.B)          { benchExperiment(b, "e7c") }
-func BenchmarkE8Sensing(b *testing.B)             { benchExperiment(b, "e8") }
-func BenchmarkE8ROC(b *testing.B)                 { benchExperiment(b, "e8b") }
-func BenchmarkE9Chamber(b *testing.B)             { benchExperiment(b, "e9") }
-func BenchmarkE9Package(b *testing.B)             { benchExperiment(b, "e9b") }
-func BenchmarkE9Thermal(b *testing.B)             { benchExperiment(b, "e9c") }
-func BenchmarkE9Phenomena(b *testing.B)           { benchExperiment(b, "e9d") }
-func BenchmarkE10CagePhysics(b *testing.B)        { benchExperiment(b, "e10") }
-func BenchmarkE10CMCrossover(b *testing.B)        { benchExperiment(b, "e10b") }
-func BenchmarkE11ServiceScaling(b *testing.B)     { benchExperiment(b, "e11") }
-func BenchmarkE12PartitionedRouting(b *testing.B) { benchExperiment(b, "e12") }
 
 // Core kernel micro-benchmarks.
 
@@ -350,7 +325,7 @@ func BenchmarkRelease(b *testing.B) {
 func BenchmarkCaptureAll(b *testing.B)       { benchCaptureAll(b, 0) }
 func BenchmarkCaptureAllSerial(b *testing.B) { benchCaptureAll(b, 1) }
 
-// benchRunAll measures the whole 22-experiment evaluation campaign at a
+// benchRunAll measures the whole 29-experiment evaluation campaign at a
 // given worker fan-out — the biochipbench hot path.
 func benchRunAll(b *testing.B, workers int) {
 	b.Helper()

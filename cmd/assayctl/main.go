@@ -748,10 +748,12 @@ func streamEvents(addr, id string, last *uint64, output string) (terminal, faile
 			}
 			return false, false, rerr
 		}
-		line = strings.TrimRight(line, "\n")
+		// Lines may end in LF or CRLF (a proxy may rewrite either), and
+		// the space after a field's colon is optional.
+		line = strings.TrimRight(line, "\r\n")
 		switch {
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
+		case strings.HasPrefix(line, "data:"):
+			data = strings.TrimPrefix(line[len("data:"):], " ")
 		case line == "" && data != "":
 			var ev stream.Event
 			if err := json.Unmarshal([]byte(data), &ev); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"biochip/internal/obs"
 	"biochip/internal/service"
 	"biochip/internal/store"
+	"biochip/internal/stream"
 )
 
 // TestParseQueueFullDegrades pins the 429-body contract: whatever a
@@ -159,5 +161,48 @@ func TestRenderGatewayStats(t *testing.T) {
 	}, members...)
 	if got := renderGatewayStats(st); strings.Join(got, "\n") != strings.Join(full, "\n") {
 		t.Errorf("full gateway lines:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(full, "\n"))
+	}
+}
+
+// TestStreamEventsLineEnds pins watch's SSE reader against both line
+// ends the SSE format allows: a proxy may rewrite LF to CRLF, and the
+// space after "data:" is optional. Every framing must render both
+// events, move the cursor and end on the terminal event.
+func TestStreamEventsLineEnds(t *testing.T) {
+	frames := []struct {
+		id, typ, data string
+	}{
+		{"1", stream.JobStarted, `{"seq":1,"type":"job.started","t":0,"job":{"id":"a-000001","profile":"default"}}`},
+		{"2", stream.JobDone, `{"seq":2,"type":"job.done","t":1.5,"job":{"id":"a-000001","status":"done"}}`},
+	}
+	for _, tc := range []struct {
+		name, eol, sep string
+	}{
+		{"LF", "\n", ": "},
+		{"CRLF", "\r\n", ": "},
+		{"LF no space", "\n", ":"},
+		{"CRLF no space", "\r\n", ":"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "text/event-stream")
+				for _, f := range frames {
+					fmt.Fprintf(w, "id%s%s%sevent%s%s%sdata%s%s%s%s",
+						tc.sep, f.id, tc.eol, tc.sep, f.typ, tc.eol, tc.sep, f.data, tc.eol, tc.eol)
+				}
+			}))
+			defer srv.Close()
+			var last uint64
+			terminal, failed, err := streamEvents(srv.URL, "a-000001", &last, "json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !terminal || failed {
+				t.Errorf("terminal %v failed %v, want a clean terminal event", terminal, failed)
+			}
+			if last != 2 {
+				t.Errorf("cursor at #%d, want #2", last)
+			}
+		})
 	}
 }

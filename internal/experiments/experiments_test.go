@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,9 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsRunQuick runs every experiment at Quick scale and
+// holds the determinism contract the service experiments print: no
+// cell of a column whose header contains "identical" may read "NO".
 func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
@@ -52,6 +56,24 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			out := tbl.String()
 			if len(out) == 0 || !strings.Contains(out, "\n") {
 				t.Fatalf("%s rendered nothing", e.ID)
+			}
+			var sb strings.Builder
+			if err := tbl.RenderCSV(&sb); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+			if err != nil {
+				t.Fatalf("%s: reading CSV: %v", e.ID, err)
+			}
+			for c, h := range rows[0] {
+				if !strings.Contains(h, "identical") {
+					continue
+				}
+				for _, row := range rows[1:] {
+					if row[c] == "NO" {
+						t.Errorf("%s: %q is NO in row %v", e.ID, h, row)
+					}
+				}
 			}
 		})
 	}

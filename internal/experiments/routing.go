@@ -68,8 +68,8 @@ func E7Routing(scale Scale) (*table.Table, error) {
 }
 
 // E7Ablation compares priority orderings of the prioritized planner on a
-// congested transpose workload — the design-choice ablation DESIGN.md
-// calls out for the router.
+// congested transpose workload — the design-choice ablation for the
+// router (docs/routing.md's planner table lists the orderings).
 func E7Ablation(scale Scale) (*table.Table, error) {
 	grid, n := 96, 24
 	if scale == Quick {
@@ -104,29 +104,16 @@ func E7Ablation(scale Scale) (*table.Table, error) {
 	return t, nil
 }
 
-// e12Scale sizes the E12 instances.
-func e12Scale(scale Scale) (grid, agents, radius int) {
-	if scale == Quick {
-		return 160, 16, 6
-	}
-	return 320, 64, 6
-}
-
-// e12LocalProblem is the low-congestion standard instance: sparse local
-// traffic on the paper-scale array, the partitioning sweet spot. It is
-// both E12's headline row and the BENCH.json routing workload.
-func e12LocalProblem(scale Scale) (route.Problem, error) {
-	grid, agents, radius := e12Scale(scale)
-	return route.LocalProblem(grid, grid, agents, radius, seedBase(12))
-}
-
 // e12Workloads builds the three congestion regimes E12 sweeps: sparse
-// local traffic (e12LocalProblem), random all-to-all, and transpose
-// crossing traffic (worst case — the whole instance is one interaction
-// cluster).
+// local traffic on the paper-scale array (the partitioning sweet spot),
+// random all-to-all, and transpose crossing traffic (worst case — the
+// whole instance is one interaction cluster).
 func e12Workloads(scale Scale) (names []string, probs []route.Problem, err error) {
-	grid, agents, _ := e12Scale(scale)
-	local, err := e12LocalProblem(scale)
+	grid, agents, radius := 320, 64, 6
+	if scale == Quick {
+		grid, agents = 160, 16
+	}
+	local, err := route.LocalProblem(grid, grid, agents, radius, seedBase(12))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -216,43 +203,4 @@ func E12PartitionedRouting(scale Scale) (*table.Table, error) {
 	}
 	t.Note("shape: many clusters → confined sub-searches and parallel fan-out beat one die-wide table on the low-congestion paper-scale instance; one cluster → direct delegation to the serial planner")
 	return t, nil
-}
-
-// RouteTiming is one planner's timing on the standard E12 low-congestion
-// instance — the "routing" section of the BENCH.json artifact.
-type RouteTiming struct {
-	Planner  string  `json:"planner"`
-	Agents   int     `json:"agents"`
-	Solved   bool    `json:"solved"`
-	Makespan int     `json:"makespan"`
-	Seconds  float64 `json:"seconds"`
-}
-
-// RoutingTimings times every registered planner family on the E12
-// low-congestion instance, for the BENCH.json timing artifact.
-func RoutingTimings(scale Scale) ([]RouteTiming, error) {
-	prob, err := e12LocalProblem(scale)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RouteTiming, 0, 4)
-	for _, name := range []string{"greedy", "windowed", "prioritized", "partitioned"} {
-		pl, err := route.PlannerByName(name)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		plan, err := planOrPartial(pl, prob)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, RouteTiming{
-			Planner:  name,
-			Agents:   len(prob.Agents),
-			Solved:   plan.Solved,
-			Makespan: plan.Makespan,
-			Seconds:  time.Since(start).Seconds(),
-		})
-	}
-	return out, nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"biochip/internal/parallel"
 	"biochip/internal/table"
 )
@@ -15,8 +13,6 @@ type Result struct {
 	Table *table.Table
 	// Err is the experiment failure, if any.
 	Err error
-	// Elapsed is the experiment's own wall time.
-	Elapsed time.Duration
 }
 
 // RunEntries runs the given experiments at the scale, fanning them out
@@ -27,14 +23,8 @@ type Result struct {
 func RunEntries(entries []Entry, scale Scale, workers int) []Result {
 	results := make([]Result, len(entries))
 	parallel.For(workers, len(entries), func(i int) {
-		start := time.Now()
 		tbl, err := entries[i].Run(scale)
-		results[i] = Result{
-			Entry:   entries[i],
-			Table:   tbl,
-			Err:     err,
-			Elapsed: time.Since(start),
-		}
+		results[i] = Result{Entry: entries[i], Table: tbl, Err: err}
 	})
 	return results
 }

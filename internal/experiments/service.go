@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -13,6 +14,84 @@ import (
 	"biochip/internal/service"
 	"biochip/internal/table"
 )
+
+// squareDie builds a side×side die config with row-parallel readout and
+// serial per-die loops: in the service experiments the shards own the
+// cores.
+func squareDie(side int) chip.Config {
+	cfg := chip.DefaultConfig()
+	cfg.Array.Cols, cfg.Array.Rows = side, side
+	cfg.SensorParallelism = side
+	cfg.Parallelism = 1
+	return cfg
+}
+
+// captureScan is the service experiments' standard assay: load cells,
+// capture them, scan, gather them at one corner and scan again.
+func captureScan(name string, cells int) assay.Program {
+	return assay.Program{
+		Name: name,
+		Ops: []assay.Op{
+			assay.Load{Kind: particle.ViableCell(), Count: cells},
+			assay.Settle{},
+			assay.Capture{},
+			assay.Scan{Averaging: 8},
+			assay.Gather{Anchor: geom.C(1, 1)},
+			assay.Scan{Averaging: 8},
+			assay.ReleaseAll{},
+		},
+	}
+}
+
+// runBatch submits reqs in order to a worker or a gateway and waits for
+// every job. It returns the jobs in submission order and the batch
+// wall-clock in seconds, and fails on any job that is not done.
+func runBatch(b service.Backend, reqs []service.SubmitRequest) ([]service.Job, float64, error) {
+	start := time.Now()
+	ids := make([]string, len(reqs))
+	for i, req := range reqs {
+		res, err := b.Submit(req)
+		if err != nil {
+			return nil, 0, err
+		}
+		ids[i] = res.ID
+	}
+	jobs := make([]service.Job, len(ids))
+	for i, id := range ids {
+		j, _, err := b.WaitTimeout(id, 5*time.Minute)
+		if err != nil {
+			return nil, 0, err
+		}
+		if j.Status != service.StatusDone {
+			return nil, 0, fmt.Errorf("experiments: job %s: %s (%s)", id, j.Status, j.Error)
+		}
+		jobs[i] = j
+	}
+	return jobs, time.Since(start).Seconds(), nil
+}
+
+// runWorker runs reqs as one batch on a fresh in-process worker built
+// from cfg, and also returns the worker's stats after the batch.
+func runWorker(cfg service.Config, reqs []service.SubmitRequest) ([]service.Job, float64, service.Stats, error) {
+	svc, err := service.New(cfg)
+	if err != nil {
+		return nil, 0, service.Stats{}, err
+	}
+	defer svc.Close()
+	jobs, wall, err := runBatch(svc, reqs)
+	return jobs, wall, svc.Stats(), err
+}
+
+// identical is the determinism column of E15–E17: "yes" when two runs
+// of one request list returned byte-equal reports job by job.
+func identical(a, b []service.Job) string {
+	for i := range a {
+		if !bytes.Equal(a[i].Report, b[i].Report) {
+			return "NO"
+		}
+	}
+	return "yes"
+}
 
 // E11ServiceScaling measures the sharded assay service (internal/
 // service, the engine behind cmd/assayd): a fixed batch of seeded
@@ -29,22 +108,10 @@ func E11ServiceScaling(scale Scale) (*table.Table, error) {
 	if scale == Quick {
 		side, cells, jobs = 32, 6, 6
 	}
-	cfg := chip.DefaultConfig()
-	cfg.Array.Cols, cfg.Array.Rows = side, side
-	cfg.SensorParallelism = side
-	cfg.Parallelism = 1 // shards own the cores; dies run serially
-
-	pr := assay.Program{
-		Name: "svc-capture-scan",
-		Ops: []assay.Op{
-			assay.Load{Kind: particle.ViableCell(), Count: cells},
-			assay.Settle{},
-			assay.Capture{},
-			assay.Scan{Averaging: 8},
-			assay.Gather{Anchor: geom.C(1, 1)},
-			assay.Scan{Averaging: 8},
-			assay.ReleaseAll{},
-		},
+	cfg := squareDie(side)
+	reqs := make([]service.SubmitRequest, jobs)
+	for i := range reqs {
+		reqs[i] = service.SubmitRequest{Seed: seedBase(11) + uint64(i), Program: captureScan("svc-capture-scan", cells)}
 	}
 
 	t := table.New(
@@ -53,41 +120,18 @@ func E11ServiceScaling(scale Scale) (*table.Table, error) {
 		"shards", "wall ms", "jobs/s", "speedup", "stolen", "scan errors")
 	base := 0.0
 	for _, shards := range []int{1, 2, 4} {
-		svc, err := service.New(service.Config{Shards: shards, Chip: cfg})
+		done, elapsed, st, err := runWorker(service.Config{Shards: shards, Chip: cfg}, reqs)
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		ids := make([]string, jobs)
-		for i := range ids {
-			res, err := svc.Submit(service.SubmitRequest{Seed: seedBase(11) + uint64(i), Program: pr})
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			ids[i] = res.ID
-		}
 		scanErrors := 0
-		for _, id := range ids {
-			j, err := svc.Wait(id)
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			if j.Status != service.StatusDone {
-				svc.Close()
-				return nil, fmt.Errorf("experiments: job %s: %s (%s)", id, j.Status, j.Error)
-			}
+		for _, j := range done {
 			var rep assay.Report
 			if err := json.Unmarshal(j.Report, &rep); err != nil {
-				svc.Close()
-				return nil, fmt.Errorf("experiments: job %s: decoding report: %w", id, err)
+				return nil, fmt.Errorf("experiments: job %s: decoding report: %w", j.ID, err)
 			}
 			scanErrors += rep.ScanErrors
 		}
-		elapsed := time.Since(start).Seconds()
-		st := svc.Stats()
-		svc.Close()
 		var stolen uint64
 		for _, sh := range st.PerShard {
 			stolen += sh.Stolen
