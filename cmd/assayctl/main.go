@@ -49,7 +49,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -736,47 +735,40 @@ func streamEvents(addr, id string, last *uint64, output string) (terminal, faile
 		return false, false, fmt.Errorf("%s: %s: %w",
 			resp.Status, strings.TrimSpace(string(raw)), errNoRetry)
 	}
-	br := bufio.NewReader(resp.Body)
-	data := ""
+	// The reader skips a frame it cannot use (invalid JSON, id:/event:
+	// lines that disagree with the payload, a CR in the payload), as a
+	// gateway's relay does, instead of failing the watch.
+	rd := stream.NewSSEReader(resp.Body)
 	for {
-		line, rerr := br.ReadString('\n')
-		if rerr != nil {
-			// io.EOF is a clean server-side close; anything else is a
-			// broken connection worth resuming.
-			if rerr == io.EOF {
-				return false, false, nil
-			}
-			return false, false, rerr
+		ev, ok := rd.Next()
+		if !ok {
+			// A clean server-side close returns nil; a broken
+			// connection returns its error and is worth resuming.
+			return false, false, rd.Err()
 		}
-		// Lines may end in LF or CRLF (a proxy may rewrite either), and
-		// the space after a field's colon is optional.
-		line = strings.TrimRight(line, "\r\n")
+		if ev.Seq > 0 {
+			*last = ev.Seq
+		}
+		// The reader's events carry their payload as their encoding, so
+		// Data returns it without encoding anything and cannot fail.
+		data, _ := ev.Data()
+		// The reader decodes only what it checks: text mode renders
+		// from the whole payload, and skips one that does not decode.
+		var full stream.Event
 		switch {
-		case strings.HasPrefix(line, "data:"):
-			data = strings.TrimPrefix(line[len("data:"):], " ")
-		case line == "" && data != "":
-			var ev stream.Event
-			if err := json.Unmarshal([]byte(data), &ev); err != nil {
-				return false, false, fmt.Errorf("bad event payload %q: %w", data, err)
-			}
-			if ev.Seq > 0 {
-				*last = ev.Seq
-			}
-			if output == "json" {
-				fmt.Println(data)
-			} else {
-				fmt.Println(renderEvent(ev))
-			}
-			switch ev.Type {
-			case stream.JobDone:
-				return true, false, nil
-			case stream.JobFailed:
-				return true, true, nil
-			case stream.Shutdown:
-				fmt.Fprintln(os.Stderr, "assayctl: server shutting down, stream closed")
-				return true, false, nil
-			}
-			data = ""
+		case output == "json":
+			fmt.Println(string(data))
+		case json.Unmarshal(data, &full) == nil:
+			fmt.Println(renderEvent(full))
+		}
+		switch ev.Type {
+		case stream.JobDone:
+			return true, false, nil
+		case stream.JobFailed:
+			return true, true, nil
+		case stream.Shutdown:
+			fmt.Fprintln(os.Stderr, "assayctl: server shutting down, stream closed")
+			return true, false, nil
 		}
 	}
 }

@@ -167,7 +167,9 @@ func TestRenderGatewayStats(t *testing.T) {
 // TestStreamEventsLineEnds pins watch's SSE reader against both line
 // ends the SSE format allows: a proxy may rewrite LF to CRLF, and the
 // space after "data:" is optional. Every framing must render both
-// events, move the cursor and end on the terminal event.
+// events, move the cursor and end on the terminal event — also when a
+// frame whose payload is not valid JSON sits between them, which watch
+// skips.
 func TestStreamEventsLineEnds(t *testing.T) {
 	frames := []struct {
 		id, typ, data string
@@ -177,16 +179,21 @@ func TestStreamEventsLineEnds(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name, eol, sep string
+		between        string // written between the two frames
 	}{
-		{"LF", "\n", ": "},
-		{"CRLF", "\r\n", ": "},
-		{"LF no space", "\n", ":"},
-		{"CRLF no space", "\r\n", ":"},
+		{"LF", "\n", ": ", ""},
+		{"CRLF", "\r\n", ": ", ""},
+		{"LF no space", "\n", ":", ""},
+		{"CRLF no space", "\r\n", ":", ""},
+		{"LF invalid JSON", "\n", ": ", "id: 2\nevent: op.started\ndata: {\"seq\":2,\"type\":\"op.started\",\n\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "text/event-stream")
-				for _, f := range frames {
+				for i, f := range frames {
+					if i == 1 {
+						fmt.Fprint(w, tc.between)
+					}
 					fmt.Fprintf(w, "id%s%s%sevent%s%s%sdata%s%s%s%s",
 						tc.sep, f.id, tc.eol, tc.sep, f.typ, tc.eol, tc.sep, f.data, tc.eol, tc.eol)
 				}

@@ -88,7 +88,7 @@ func startGateway(t *testing.T, n int, profiles []service.FleetProfileSpec) *Gat
 }
 
 // collectSub drains a subscription until end-of-stream (the job's
-// terminal event closes the ring/mirror), blocking for live events.
+// terminal event closes the ring), blocking for live events.
 func collectSub(sub *stream.Sub) []stream.Event {
 	stop := make(chan struct{})
 	var out []stream.Event
@@ -371,11 +371,14 @@ func readSSE(t *testing.T, base, id string, after uint64, max int) []stream.Even
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("events: status %d", resp.StatusCode)
 	}
-	sc := newSSEScanner(resp.Body)
+	rd := stream.NewSSEReader(resp.Body)
 	var out []stream.Event
 	for {
-		ev, ok := sc.next()
+		ev, ok := rd.Next()
 		if !ok {
+			if err := rd.Err(); err != nil {
+				t.Fatalf("events: %v", err)
+			}
 			return out
 		}
 		out = append(out, decodeEvent(t, ev))

@@ -93,7 +93,7 @@ type gwJob struct {
 	done chan struct{}
 
 	mirrorOnce sync.Once
-	mirror     *stream.Mirror
+	mirror     *stream.Ring
 
 	// Observability (nil/zero with Obs disabled): the gateway-side span
 	// ring, its open root span, and the forward reference sent in

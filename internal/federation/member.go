@@ -93,19 +93,15 @@ func NewMember(spec MemberSpec) (*Member, error) {
 }
 
 // Eligible returns the member profiles that can run the program —
-// the same requirement evaluation the member's own placement performs
-// (service.place), run gateway-side against the declared fleet — plus
-// per-profile rejection reasons for the 422 path.
+// the member's own placement rule (service.Profile.Check), run
+// gateway-side against the declared fleet — plus per-profile rejection
+// reasons for the 422 path.
 func (m *Member) Eligible(pr assay.Program) ([]service.Profile, map[string]string) {
 	reqs := pr.EffectiveRequirements()
 	var eligible []service.Profile
 	reasons := make(map[string]string, len(m.Profiles))
 	for _, p := range m.Profiles {
-		if err := reqs.Check(p.Chip); err != nil {
-			reasons[p.Name] = err.Error()
-			continue
-		}
-		if err := pr.Check(p.Chip); err != nil {
+		if err := p.Check(pr, reqs); err != nil {
 			reasons[p.Name] = err.Error()
 			continue
 		}

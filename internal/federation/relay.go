@@ -1,8 +1,6 @@
 package federation
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"biochip/internal/stream"
 )
@@ -21,17 +18,18 @@ import (
 const relayDrainBytes = 4 << 10
 
 // mirrorFor lazily starts a job's event relay: the first subscriber
-// (SSE client or test) triggers one background goroutine that streams
-// the member's events into a stream.Mirror, and every subscriber —
-// concurrent or late — reads from the mirror with the full ring
-// contract. Events are ingested verbatim (sequence numbers, wall
-// stamps and the member's frame bytes preserved), with only the job ID
-// in job.* payloads rewritten into the gateway namespace; gap events
-// appear exactly when the member itself reported one, never from relay
-// reconnects, which resume from the mirror's cursor.
-func (g *Gateway) mirrorFor(j *gwJob) *stream.Mirror {
+// (SSE client or test) triggers one background goroutine that feeds
+// the member's events into a stream.Ring (Ring.Feed), and every
+// subscriber — concurrent or late — reads from that mirror ring with
+// the full ring contract. Events are ingested verbatim (sequence
+// numbers, wall stamps and the member's frame bytes preserved), with
+// only the job ID in job.* payloads rewritten into the gateway
+// namespace; gap events appear exactly when the member itself reported
+// one, never from relay reconnects, which resume from the mirror's
+// cursor.
+func (g *Gateway) mirrorFor(j *gwJob) *stream.Ring {
 	j.mirrorOnce.Do(func() {
-		j.mirror = stream.NewMirror(stream.DefaultCapacity)
+		j.mirror = stream.NewRing(stream.DefaultCapacity)
 		j.mirror.SetBackfill(func(from, to uint64) []stream.Event {
 			return g.rangeFetch(j, from, to)
 		})
@@ -63,8 +61,14 @@ func (g *Gateway) relay(j *gwJob) {
 		if err != nil && errors.Is(err, ErrUnknownJob) {
 			// The member lost the job (non-durable restart). The watcher
 			// fails the job gateway-side; emit its terminal event so
-			// subscribers end instead of hanging.
-			<-j.done
+			// subscribers end instead of hanging. A watcher that saw the
+			// gateway close returns without failing the job, so Close
+			// must end the wait too.
+			select {
+			case <-j.done:
+			case <-g.ctx.Done():
+				return
+			}
 			g.mu.Lock()
 			snap := j.snap
 			g.mu.Unlock()
@@ -88,7 +92,7 @@ func (g *Gateway) relay(j *gwJob) {
 
 // streamOnce runs one SSE connection to the member, feeding the mirror
 // until the connection ends. It reports whether the job's terminal
-// event was mirrored.
+// event was mirrored, and the error that broke the connection, if any.
 func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 	ctx, cancel := context.WithCancel(g.ctx)
 	defer cancel()
@@ -97,11 +101,11 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 		return false, err
 	}
 	defer resp.Body.Close()
-	sc := newSSEScanner(resp.Body)
+	rd := stream.NewSSEReader(resp.Body)
 	for {
-		ev, ok := sc.next()
+		ev, ok := rd.Next()
 		if !ok {
-			return false, nil
+			return false, rd.Err()
 		}
 		if ev.Type == stream.Shutdown {
 			// The member is draining: its stream is about to end; the
@@ -169,8 +173,8 @@ func (g *Gateway) openEvents(ctx context.Context, j *gwJob, after uint64) (*http
 
 // rangeFetch recovers events that left the mirror window — the
 // backfill behind deep Last-Event-ID resumes — with one bounded SSE
-// fetch from the member, which serves its own ring, tape or durable
-// log as appropriate. Events are rewritten exactly as the live relay
+// fetch from the member, which serves its own ring or durable log as
+// appropriate. Events are rewritten exactly as the live relay
 // rewrites them.
 func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 	ctx, cancel := context.WithTimeout(g.ctx, rpcTimeout)
@@ -180,10 +184,10 @@ func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 		return nil
 	}
 	defer resp.Body.Close()
-	sc := newSSEScanner(resp.Body)
+	rd := stream.NewSSEReader(resp.Body)
 	var out []stream.Event
 	for {
-		ev, ok := sc.next()
+		ev, ok := rd.Next()
 		if !ok || ev.Seq > to {
 			return out
 		}
@@ -213,90 +217,4 @@ func (g *Gateway) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {
 		return nil, false
 	}
 	return g.mirrorFor(j).Subscribe(after), true
-}
-
-// sseScanner incrementally parses a member's SSE byte stream into
-// events. Each frame's data: payload is kept as its bytes, the event's
-// encoding (stream.WithEncoding), and decoded only as far as the relay
-// acts on it: job.* frames in full (the relay rewrites their job ID),
-// gap frames in full (the mirror advances its window by them), and so
-// are frames without an id: line, such as shutdown. Every other frame
-// decodes only its seq and type, which must match its id: and event:
-// lines. A frame whose payload is not valid JSON, disagrees with those
-// lines, or holds a CR, is skipped — forward compatibility over failure.
-type sseScanner struct {
-	r *bufio.Reader
-	f sseFrame // the frame being read
-}
-
-// sseFrame holds a frame's id: and event: fields, and whether the
-// frame has each line.
-type sseFrame struct {
-	id, event       string
-	hasID, hasEvent bool
-}
-
-func newSSEScanner(r io.Reader) *sseScanner {
-	return &sseScanner{r: bufio.NewReader(r)}
-}
-
-// next returns the next event, or ok false at end of stream.
-func (s *sseScanner) next() (stream.Event, bool) {
-	for {
-		line, err := s.r.ReadBytes('\n')
-		if err != nil {
-			return stream.Event{}, false
-		}
-		line = bytes.TrimRight(line, "\r\n")
-		switch {
-		case len(line) == 0:
-			// A blank line ends the frame.
-			s.f = sseFrame{}
-		case bytes.HasPrefix(line, []byte("id:")):
-			s.f.id, s.f.hasID = string(bytes.TrimSpace(line[len("id:"):])), true
-		case bytes.HasPrefix(line, []byte("event:")):
-			s.f.event, s.f.hasEvent = string(bytes.TrimSpace(line[len("event:"):])), true
-		case bytes.HasPrefix(line, []byte("data:")):
-			ev, ok := s.f.decode(bytes.TrimSpace(line[len("data:"):]))
-			s.f = sseFrame{}
-			if ok {
-				return ev, true
-			}
-		}
-	}
-}
-
-// decode turns the frame's data: payload into an event carrying the
-// payload as its encoding, checked against the id: and event: lines.
-// The relay writes the payload and the type out as they are, so a frame
-// is refused when either holds a line end an SSE reader would honour:
-// a CR in the payload (JSON whitespace, and the scanner splits lines on
-// LF only), or a CR or LF in the type. A member's encoder writes
-// neither.
-func (f sseFrame) decode(payload []byte) (stream.Event, bool) {
-	var ev stream.Event
-	if bytes.IndexByte(payload, '\r') >= 0 {
-		return stream.Event{}, false
-	}
-	if f.hasID && f.hasEvent && !strings.HasPrefix(f.event, "job.") && f.event != stream.Gap {
-		var head struct {
-			Seq  uint64 `json:"seq"`
-			Type string `json:"type"`
-		}
-		if json.Unmarshal(payload, &head) != nil {
-			return stream.Event{}, false
-		}
-		ev.Seq, ev.Type = head.Seq, head.Type
-	} else if json.Unmarshal(payload, &ev) != nil {
-		return stream.Event{}, false
-	}
-	if f.hasID {
-		if seq, err := strconv.ParseUint(f.id, 10, 64); err != nil || seq != ev.Seq {
-			return stream.Event{}, false
-		}
-	}
-	if f.hasEvent && f.event != ev.Type || strings.ContainsAny(ev.Type, "\r\n") {
-		return stream.Event{}, false
-	}
-	return stream.WithEncoding(ev, payload), true
 }

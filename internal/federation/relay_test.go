@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -215,7 +214,7 @@ func TestMemberConnectionReuse(t *testing.T) {
 			}
 		}},
 		{"relay", func(t *testing.T, g *Gateway, m *Member) {
-			j := &gwJob{id: "a-000001", member: m, remoteID: "j-000001", mirror: stream.NewMirror(0)}
+			j := &gwJob{id: "a-000001", member: m, remoteID: "j-000001", mirror: stream.NewRing(0)}
 			if terminal, err := g.streamOnce(j); !terminal || err != nil {
 				t.Fatalf("relay: terminal %v, err %v", terminal, err)
 			}
@@ -301,63 +300,43 @@ func TestMemberPoolHoldsConcurrentCalls(t *testing.T) {
 	}
 }
 
-// FuzzSSEScanner feeds the gateway's SSE scanner arbitrary bytes. It
-// must never panic, and every event it returns must carry an encoding
-// that is valid JSON whose seq and type are the event's Seq and Type;
-// neither the encoding nor the type may hold a CR or LF, which would
-// cut the frame the relay writes out; job.* and gap events must carry
-// the Job and Gap blocks that encoding decodes to.
-//
-// The seeds are real frames, each on its own or in short runs: the
-// fuzzer's minimizer is quadratic in input length, and a whole stream
-// as a seed would spend the run minimizing its mutants.
-func FuzzSSEScanner(f *testing.F) {
-	frames := goldenFrames(f, "a-000001")
-	// One detection row keeps the real scan.rows frame short.
-	frames[12] = strings.Replace(frames[12], `,{"col":5,"row":1,"id":1,"occupied":true,"detected":true,"snr":798.7900274669146},{"col":3,"row":1,"id":2,"occupied":true,"detected":true,"snr":989.6310979686441},{"col":1,"row":1,"id":3,"occupied":true,"detected":true,"snr":790.8613171193542}`, "", 1)
-	for _, fr := range frames {
-		f.Add([]byte(fr))
-	}
-	f.Add([]byte(frames[1] + frames[16]))
-	f.Add([]byte(strings.ReplaceAll(frames[0]+frames[12], "\n", "\r\n")))
-	f.Add([]byte("event: gap\ndata: {\"type\":\"gap\",\"t\":0,\"gap\":{\"from\":3,\"to\":9}}\n\n"))
-	f.Add([]byte("event: shutdown\ndata: {\"type\":\"shutdown\",\"t\":0}\n\n"))
-	f.Add([]byte(strings.TrimPrefix(frames[2], "id: 3\n")))
-	f.Add([]byte("id: 4\nevent: op.started\ndata: {\"seq\":5,\"type\":\"op.started\"}\n\n"))
-	f.Add([]byte("id: 5\nevent: op.started\ndata: {\"seq\":5,\"type\":\"op.started\",\r\"t\":0}\n\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := newSSEScanner(bytes.NewReader(data))
-		for n := 0; ; n++ {
-			ev, ok := sc.next()
-			if !ok {
-				return
-			}
-			if n > len(data) {
-				t.Fatalf("%d events from %d bytes", n, len(data))
-			}
-			enc, err := ev.Data()
-			if err != nil || !json.Valid(enc) {
-				t.Fatalf("event %d: encoding %q is not valid JSON (%v)", n, enc, err)
-			}
-			if bytes.ContainsAny(enc, "\r\n") || strings.ContainsAny(ev.Type, "\r\n") {
-				t.Fatalf("event %d: type %q or encoding %q holds a line end", n, ev.Type, enc)
-			}
-			var head struct {
-				Seq  uint64 `json:"seq"`
-				Type string `json:"type"`
-			}
-			if err := json.Unmarshal(enc, &head); err != nil || head.Seq != ev.Seq || head.Type != ev.Type {
-				t.Fatalf("event %d: encoding %q has seq/type %d/%q (%v), event %d/%q",
-					n, enc, head.Seq, head.Type, err, ev.Seq, ev.Type)
-			}
-			if strings.HasPrefix(ev.Type, "job.") || ev.Type == stream.Gap {
-				var full stream.Event
-				if err := json.Unmarshal(enc, &full); err != nil ||
-					!reflect.DeepEqual(ev.Job, full.Job) || !reflect.DeepEqual(ev.Gap, full.Gap) {
-					t.Fatalf("event %d (%s): decoded blocks %+v/%+v, encoding %q (%v)",
-						n, ev.Type, ev.Job, ev.Gap, enc, err)
-				}
-			}
+// TestRelayLostJobEndsOnClose pins that Close returns while a
+// relay waits for the watcher to fail a job its member lost. The
+// member 404s the job's events, and no watcher runs, as when one
+// returned on Close without failing the job.
+func TestRelayLostJobEndsOnClose(t *testing.T) {
+	asked := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case asked <- struct{}{}:
+		default:
 		}
-	})
+		http.NotFound(w, r)
+	}))
+	defer ts.Close()
+	g, err := New(Config{Members: []MemberSpec{{Name: "w0", Addr: ts.URL, Profiles: die40()}},
+		PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &gwJob{id: "a-000001", member: g.members[0], remoteID: "j-000001", done: make(chan struct{})}
+	g.mirrorFor(j)
+	select {
+	case <-asked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the relay never asked the member for the job's events")
+	}
+	// Nothing shows when the relay starts waiting on the 404; the pause
+	// only lets it get there before Close, which must return either way.
+	time.Sleep(50 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close did not return: the relay still waits for the lost job to fail")
+	}
 }

@@ -3,8 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -359,7 +357,7 @@ func (h *handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			break
 		}
-		writeSSE(w, ev)
+		stream.WriteSSE(w, ev)
 		fl.Flush()
 	}
 	// Terminal shutdown event: a stream that ends while the backend is
@@ -369,30 +367,11 @@ func (h *handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if h.b.Draining() && r.Context().Err() == nil {
 		select {
 		case <-drained:
-			writeSSE(w, stream.Event{Type: stream.Shutdown})
+			stream.WriteSSE(w, stream.Event{Type: stream.Shutdown})
 			fl.Flush()
 		case <-r.Context().Done():
 		}
 	}
-}
-
-// writeSSE frames one event on the wire, its data the event's own
-// encoding (stream.Event.Data): a relayed frame goes out as the bytes
-// it arrived as. Synthetic events (seq 0: gap, shutdown) carry no id
-// line, so they never disturb a client's resume cursor. The id line is
-// a Write of its own: the traced benchmark (assaybench/traced.go's
-// stampWriter) stamps a member's frames by the writes that begin with
-// it, and a single-Write frame leaves federation.relay_lag_ms without
-// samples.
-func writeSSE(w io.Writer, ev stream.Event) {
-	data, err := ev.Data()
-	if err != nil {
-		return
-	}
-	if ev.Seq > 0 {
-		fmt.Fprintf(w, "id: %d\n", ev.Seq)
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
 }
 
 // writeJob writes a job record with the bytes writeJSON would write,

@@ -199,9 +199,8 @@ func (s *Service) failRecoveredLocked(id string, pr assay.Program, seed uint64) 
 		pr:        pr,
 		done:      closedDone,
 		ring:      stream.NewRing(s.cfg.EventBuffer),
-		tape:      &stream.Tape{},
 	}
-	j.ring.Tee(j.tape.Append)
+	j.ring.Pin()
 	j.ring.Publish(stream.Event{Type: stream.JobPlaced, Job: &stream.JobInfo{
 		ID: id, Program: pr.Name, Seed: seed,
 	}})

@@ -138,6 +138,16 @@ type Profile struct {
 	NoCache bool
 }
 
+// Check returns why a die of the profile cannot run the program, or nil:
+// reqs, its effective requirements, then its full check. Worker and
+// gateway placement both decide eligibility by it.
+func (p *Profile) Check(pr assay.Program, reqs assay.Requirements) error {
+	if err := reqs.Check(p.Chip); err != nil {
+		return err
+	}
+	return pr.Check(p.Chip)
+}
+
 // Config sizes the service.
 type Config struct {
 	// Profiles is the fleet: one entry per die class. Empty means a
@@ -151,7 +161,9 @@ type Config struct {
 	QueueDepth int
 	// EventBuffer bounds each job's event ring (the replay window of
 	// GET /v1/assays/{id}/events); 0 means stream.DefaultCapacity.
-	// Subscribers that fall further behind than this see a gap event.
+	// Subscribers that fall further behind than this see a gap event,
+	// unless the ring is pinned (a durable or cacheable job's, while it
+	// runs or is cached) or a durable log backfills the range.
 	EventBuffer int
 	// Chip is the per-die platform configuration of the homogeneous
 	// pool when Profiles is empty.
@@ -236,14 +248,12 @@ type Job struct {
 	done chan struct{}
 	// ring is the job's bounded event stream; it lives as long as the
 	// job record, so subscribers can replay a finished job's events.
-	// Cache-hit aliases share their root's ring.
+	// Cache-hit aliases share their root's ring. The ring of a durable
+	// or cacheable job is pinned while it runs (the window is bounded,
+	// the finish record is not); finish unpins it once the log takes
+	// over as the backfill source, or — non-durable cacheable jobs —
+	// leaves it pinned until LRU eviction so cache hits replay in full.
 	ring *stream.Ring
-	// tape records the full stream of a durably-persisted or cacheable
-	// job while it executes (the ring window is bounded, the finish
-	// record is not); finish drops it once the log takes over as the
-	// backfill source, or — non-durable cacheable jobs — keeps it
-	// pinned until LRU eviction so cache hits replay in full.
-	tape *stream.Tape
 	// key is the content address of a cacheable job (zero otherwise);
 	// persisted reports that the finish record reached the durable log.
 	key       cache.Key
@@ -305,7 +315,7 @@ type Service struct {
 	start    time.Time
 	// store is the durable persistence layer (store.Null{} when
 	// Config.Store is nil); durable caches store.Durable() — it gates
-	// every WAL write, tape attachment and backfill swap, so the
+	// every WAL write, ring pin and backfill swap, so the
 	// non-durable service behaves exactly as before persistence existed.
 	store   store.Store
 	durable bool
@@ -495,11 +505,7 @@ func (s *Service) place(pr assay.Program) ([]*profile, map[string]string) {
 	eligible := make([]*profile, 0, len(s.profiles))
 	reasons := make(map[string]string, len(s.profiles))
 	for _, p := range s.profiles {
-		if err := reqs.Check(p.Chip); err != nil {
-			reasons[p.Name] = err.Error()
-			continue
-		}
-		if err := pr.Check(p.Chip); err != nil {
+		if err := p.Check(pr, reqs); err != nil {
 			reasons[p.Name] = err.Error()
 			continue
 		}
@@ -523,12 +529,12 @@ func shardIDsOf(shards []*shard, eligible []*profile) []int {
 }
 
 // enqueueLocked creates the job record under the given (already WAL'd
-// when durable) ID, attaches its event ring — log-backed via a tape tee
-// on a durable service — publishes the placement event, registers
-// cacheable jobs in the singleflight table and queues the job. The ID
-// must be fmt("a-%06d", s.seq+1); enqueueLocked advances s.seq.
-// traceParent is the foreign parent span from an X-Assay-Trace header
-// ("" for local and recovered submissions). Caller holds s.mu.
+// when durable) ID, attaches its event ring — pinned on a durable
+// service or for a cacheable job — publishes the placement event,
+// registers cacheable jobs in the singleflight table and queues the
+// job. The ID must be fmt("a-%06d", s.seq+1); enqueueLocked advances
+// s.seq. traceParent is the foreign parent span from an X-Assay-Trace
+// header ("" for local and recovered submissions). Caller holds s.mu.
 func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target int, eligible []*profile, recovered bool, key cache.Key, traceParent string) *Job {
 	cls := s.classFor(eligible)
 	j := &Job{
@@ -552,14 +558,12 @@ func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target
 		j.enqAt = obs.Now()
 	}
 	if s.durable || !key.Zero() {
-		// Tee the full stream onto an unbounded tape: the bounded ring
-		// window alone cannot feed the finish record, and with the tape
-		// as backfill a subscriber never sees a gap for events the
-		// service still holds. Cacheable jobs tape even without a
-		// store, so a later cache hit can replay the whole stream.
-		j.tape = &stream.Tape{}
-		j.ring.Tee(j.tape.Append)
-		j.ring.SetBackfill(j.tape.Range)
+		// Pin the ring: the bounded window alone cannot feed the finish
+		// record, and a pinned ring never shows a subscriber a gap for
+		// events the service still holds. Cacheable jobs pin even
+		// without a store, so a later cache hit can replay the whole
+		// stream.
+		j.ring.Pin()
 	}
 	if !key.Zero() {
 		if _, dup := s.inflight[key]; !dup {
@@ -652,12 +656,12 @@ func (s *Service) WaitTimeout(id string, d time.Duration) (Job, bool, error) {
 	defer timer.Stop()
 	select {
 	case <-j.done:
-		snap, _ := s.Get(id)
-		return snap, true, nil
 	case <-timer.C:
-		snap, _ := s.Get(id)
-		return snap, false, nil
 	}
+	// The snapshot decides: when both cases are ready, select may take
+	// the timer's although the job is terminal.
+	snap, _ := s.Get(id)
+	return snap, snap.Status == StatusDone || snap.Status == StatusFailed, nil
 }
 
 // Close stops accepting submissions, fails all still-queued jobs, waits
@@ -814,7 +818,7 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 			}})
 	}
 	j.ring.Close()
-	if s.tracing && s.durable && j.tape != nil {
+	if s.tracing && s.durable {
 		pAt := obs.Now()
 		s.persistFinishLocked(j)
 		s.met.persist.With().Observe(obs.Since(pAt))
@@ -828,12 +832,11 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 		}
 		if j.Status == StatusDone && (!s.durable || j.persisted) {
 			s.cacheInsertLocked(j)
-		} else if !s.durable && j.tape != nil {
+		} else if !s.durable {
 			// A failed cacheable job on a non-durable service caches
-			// nothing — release its tape (failures are often
+			// nothing — unpin its ring (failures are often
 			// environmental: close, drain; a retry should execute).
-			j.ring.SetBackfill(nil)
-			j.tape = nil
+			j.ring.Unpin()
 		}
 	}
 	finSpan.End()
@@ -844,14 +847,14 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 }
 
 // persistFinishLocked appends the job's terminal record — status,
-// report and the complete event stream off the tape — to the durable
-// log, then swaps the ring's backfill source from the in-memory tape to
-// the log and drops the tape. On append failure the tape stays attached
-// (subscribers can still replay from memory) and the error is counted;
-// the job itself completes regardless. Caller holds s.mu. No-op on a
-// non-durable service.
+// report and the complete event stream off the pinned ring — to the
+// durable log, then makes the log the ring's backfill and unpins the
+// ring. On append failure the ring stays pinned (subscribers can still
+// replay from memory) and the error is counted; the job itself
+// completes regardless. Caller holds s.mu. No-op on a non-durable
+// service.
 func (s *Service) persistFinishLocked(j *Job) {
-	if !s.durable || j.tape == nil {
+	if !s.durable {
 		return
 	}
 	rec := store.FinishRecord{
@@ -861,7 +864,7 @@ func (s *Service) persistFinishLocked(j *Job) {
 		Eligible: j.Eligible,
 		Error:    j.Error,
 		Report:   j.Report,
-		Events:   j.tape.Events(),
+		Events:   j.ring.Events(),
 	}
 	if !j.key.Zero() && j.Status == StatusDone {
 		// The content address makes the log the durable cache tier:
@@ -874,8 +877,7 @@ func (s *Service) persistFinishLocked(j *Job) {
 	}
 	j.persisted = true
 	j.ring.SetBackfill(s.storeBackfill(j.ID))
-	j.ring.Tee(nil)
-	j.tape = nil
+	j.ring.Unpin()
 }
 
 // storeBackfill returns a ring backfill reading the job's persisted

@@ -154,6 +154,26 @@ func newFakeService(t *testing.T, shards, depth int, fn func(sh *shard, j *Job))
 	return svc
 }
 
+// TestWaitTimeoutReportsTerminal pins WaitTimeout's flag on a finished
+// job: with a zero timeout the done and timer cases are both ready, and
+// whichever select takes, the flag must say terminal.
+func TestWaitTimeoutReportsTerminal(t *testing.T) {
+	svc := newFakeService(t, 1, 0, func(*shard, *Job) {})
+	defer svc.Close()
+	id, err := submit(svc, testProgram(2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+		t.Fatalf("job: %v %v", j.Status, err)
+	}
+	for i := 0; i < 200; i++ {
+		if j, terminal, err := svc.WaitTimeout(id, 0); err != nil || !terminal {
+			t.Fatalf("call %d on a done job: status %s, terminal %v, err %v", i, j.Status, terminal, err)
+		}
+	}
+}
+
 // TestWorkStealing pins every job on shard 0 and stalls that shard on
 // its first claim: the backlog can then only drain through the other
 // shards stealing it, so at least 11 of the 12 jobs must come back with

@@ -173,8 +173,8 @@ func TestStreamDeterminism(t *testing.T) {
 // naming the lost prefix, then the retained tail — bounded memory with
 // explicit truncation, never an unbounded buffer.
 func TestStreamGapWindow(t *testing.T) {
-	// Cache off: a cacheable job keeps its full event tape as ring
-	// backfill, which is exactly the truncation this test must defeat.
+	// Cache off: a cacheable job's ring is pinned and keeps its full
+	// stream, which would hide exactly the truncation this test pins.
 	svc, err := New(Config{Shards: 1, EventBuffer: 4, Chip: testChip(),
 		Cache: CacheConfig{Disable: true}})
 	if err != nil {

@@ -5,35 +5,84 @@ import (
 	"testing"
 )
 
-// TestTapeBackfillNoGap is the log-backed-ring regression test: with a
-// tape tee as backfill, a subscriber attaching after the bounded window
-// overwrote the head replays the complete stream — no gap event, every
-// sequence number — even though the ring retains only 4 events.
+// backfillFrom serves a copy of a stream's events, seqs 1..n in order,
+// as a ring backfill — the shape of the durable log's.
+func backfillFrom(evs []Event) func(from, to uint64) []Event {
+	return func(from, to uint64) []Event {
+		from, to = max(from, 1), min(to, uint64(len(evs)))
+		if from > to {
+			return nil
+		}
+		return append([]Event(nil), evs[from-1:to]...)
+	}
+}
+
+// TestTapeBackfillNoGap is the log-backed-ring regression test (named
+// for the tape that pinning replaced): a pinned ring keeps the stream
+// past its window, so a subscriber attaching after the window would
+// have overwritten the head replays the complete stream — no gap
+// event, every sequence number — although the ring's capacity is 4.
+// After Unpin, with the ring's Events as backfill, replay stays
+// complete.
 func TestTapeBackfillNoGap(t *testing.T) {
 	r := NewRing(4)
 	r.now = func() float64 { return 0 }
-	tape := &Tape{}
-	r.Tee(tape.Append)
-	r.SetBackfill(tape.Range)
+	r.Pin()
 	publishN(r, 20)
 	r.Close()
 
-	evs := drain(r.Subscribe(0))
-	if len(evs) != 20 {
-		t.Fatalf("got %d events, want 20", len(evs))
+	evs := r.Events()
+	for _, phase := range []string{"pinned", "unpinned with backfill"} {
+		if phase != "pinned" {
+			r.SetBackfill(backfillFrom(evs))
+			r.Unpin()
+		}
+		got := drain(r.Subscribe(0))
+		if len(got) != 20 {
+			t.Fatalf("%s: got %d events, want 20", phase, len(got))
+		}
+		for i, ev := range got {
+			if ev.Type == Gap {
+				t.Fatalf("%s: event %d is a gap despite a full backfill", phase, i)
+			}
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("%s: event %d has seq %d", phase, i, ev.Seq)
+			}
+		}
+		if !reflect.DeepEqual(got, evs) {
+			t.Fatalf("%s: late replay differs from Events:\n got %+v\nwant %+v", phase, got, evs)
+		}
+		// Resume from the middle of the stream.
+		mid := drain(r.Subscribe(7))
+		if len(mid) != 13 || mid[0].Seq != 8 {
+			t.Fatalf("%s: resume after 7: %d events, first seq %d", phase, len(mid), mid[0].Seq)
+		}
+	}
+}
+
+// TestTeeObservesStampedEvents pins what the finish record persists
+// (named for the tee that Events replaced): a pinned ring's Events are
+// the events after sequencing and stamping, exactly what subscribers
+// saw and what a durable log should persist. Unpinning a closed ring is
+// safe and keeps the newest capacity events.
+func TestTeeObservesStampedEvents(t *testing.T) {
+	r := NewRing(2)
+	r.now = func() float64 { return 3.5 }
+	r.Pin()
+	publishN(r, 5)
+	r.Close()
+	evs := r.Events()
+	if len(evs) != 5 {
+		t.Fatalf("Events: %d events, want 5", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.Type == Gap {
-			t.Fatalf("event %d is a gap despite a full backfill", i)
-		}
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d", i, ev.Seq)
+		if ev.Seq != uint64(i+1) || ev.Wall != 3.5 {
+			t.Fatalf("Events: event %d has seq %d wall %v", i, ev.Seq, ev.Wall)
 		}
 	}
-	// Resume from the middle of the backfilled region.
-	mid := drain(r.Subscribe(7))
-	if len(mid) != 13 || mid[0].Seq != 8 {
-		t.Fatalf("resume after 7: %d events, first seq %d", len(mid), mid[0].Seq)
+	r.Unpin()
+	if got := r.Events(); !reflect.DeepEqual(got, evs[3:]) {
+		t.Fatalf("Events after Unpin: got %+v, want %+v", got, evs[3:])
 	}
 }
 
@@ -45,15 +94,13 @@ func TestTapeBackfillNoGap(t *testing.T) {
 func TestPartialBackfillGapOnlyUnrecoverable(t *testing.T) {
 	r := NewRing(4)
 	r.now = func() float64 { return 0 }
-	tape := &Tape{}
-	r.Tee(tape.Append)
+	r.Pin()
 	publishN(r, 20)
 	r.Close()
+	all := backfillFrom(r.Events())
+	r.Unpin()
 	r.SetBackfill(func(from, to uint64) []Event {
-		if from < 5 {
-			from = 5
-		}
-		return tape.Range(from, to)
+		return all(max(from, 5), to)
 	})
 
 	evs := drain(r.Subscribe(0))
@@ -91,15 +138,13 @@ func TestNoBackfillKeepsGapSemantics(t *testing.T) {
 // window is empty, the stream is closed, and subscribers replay wholly
 // through the backfill with live-identical resume semantics.
 func TestRecoveredRing(t *testing.T) {
-	tape := &Tape{}
 	src := NewRing(64)
 	src.now = func() float64 { return 42 }
-	src.Tee(tape.Append)
 	publishN(src, 9)
 	src.Close()
 	want := drain(src.Subscribe(0))
 
-	r := RecoveredRing(9, tape.Range)
+	r := RecoveredRing(9, backfillFrom(src.Events()))
 	if got := r.Last(); got != 9 {
 		t.Fatalf("Last() = %d, want 9", got)
 	}
@@ -116,26 +161,4 @@ func TestRecoveredRing(t *testing.T) {
 	if rest := drain(r.Subscribe(9)); len(rest) != 0 {
 		t.Fatalf("resume after 9 returned %d events", len(rest))
 	}
-}
-
-// TestTeeObservesStampedEvents pins the tee contract: the tape records
-// events after sequencing and stamping, so its copy is exactly what
-// subscribers saw and what a durable log should persist.
-func TestTeeObservesStampedEvents(t *testing.T) {
-	r := NewRing(2)
-	r.now = func() float64 { return 3.5 }
-	tape := &Tape{}
-	r.Tee(tape.Append)
-	publishN(r, 5)
-	r.Close()
-	evs := tape.Events()
-	if len(evs) != 5 {
-		t.Fatalf("tape has %d events, want 5", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) || ev.Wall != 3.5 {
-			t.Fatalf("tape event %d: seq %d wall %v", i, ev.Seq, ev.Wall)
-		}
-	}
-	r.Tee(nil) // detaching must be safe on a closed ring
 }

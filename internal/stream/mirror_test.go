@@ -5,15 +5,15 @@ import (
 	"testing"
 )
 
-// feedN feeds events 1..n with distinct payloads and upstream wall
-// stamps into the mirror.
-func feedN(m *Mirror, from, to uint64) {
+// feedN feeds events from..to with distinct payloads and upstream wall
+// stamps into the ring, as a relay mirroring an upstream stream does.
+func feedN(m *Ring, from, to uint64) {
 	for seq := from; seq <= to; seq++ {
 		m.Feed(Event{Seq: seq, Type: OpStarted, T: float64(seq), Wall: 100 + float64(seq)})
 	}
 }
 
-// drain collects every event the subscriber can produce until
+// mirrorDrain collects every event the subscriber can produce until
 // end-of-stream or max events.
 func mirrorDrain(sub *Sub, max int) []Event {
 	stop := make(chan struct{})
@@ -29,11 +29,11 @@ func mirrorDrain(sub *Sub, max int) []Event {
 	return out
 }
 
-// TestMirrorVerbatimIngest pins the reason Mirror exists: fed events
+// TestMirrorVerbatimIngest pins the reason Feed exists: fed events
 // keep their upstream sequence numbers AND wall stamps, unlike Publish
 // which re-assigns both.
 func TestMirrorVerbatimIngest(t *testing.T) {
-	m := NewMirror(8)
+	m := NewRing(8)
 	feedN(m, 1, 3)
 	m.Close()
 	evs := mirrorDrain(m.Subscribe(0), 10)
@@ -55,7 +55,7 @@ func TestMirrorVerbatimIngest(t *testing.T) {
 // resumes with an overlap: already-mirrored sequence numbers must be
 // dropped so subscribers never see a duplicate.
 func TestMirrorDropsReplayedDuplicates(t *testing.T) {
-	m := NewMirror(8)
+	m := NewRing(8)
 	feedN(m, 1, 4)
 	feedN(m, 2, 6) // overlapping replay after a reconnect
 	m.Close()
@@ -75,7 +75,7 @@ func TestMirrorDropsReplayedDuplicates(t *testing.T) {
 // positioned before it sees one locally synthesized gap covering
 // exactly the upstream-reported range — never a relay-invented one.
 func TestMirrorUpstreamGapAdvancesWindow(t *testing.T) {
-	m := NewMirror(8)
+	m := NewRing(8)
 	feedN(m, 1, 2)
 	m.Feed(Event{Type: Gap, Gap: &GapInfo{From: 3, To: 5}})
 	feedN(m, 6, 7)
@@ -101,7 +101,7 @@ func TestMirrorUpstreamGapAdvancesWindow(t *testing.T) {
 // a late subscriber recovers them and the residual gap names exactly
 // the range the upstream lost.
 func TestMirrorImplicitJumpIsAGap(t *testing.T) {
-	m := NewMirror(8)
+	m := NewRing(8)
 	feedN(m, 1, 2)
 	m.Feed(Event{Seq: 5, Type: OpStarted, T: 5})
 	m.SetBackfill(func(from, to uint64) []Event {
@@ -131,7 +131,7 @@ func TestMirrorImplicitJumpIsAGap(t *testing.T) {
 // are recovered through the backfill hook (a relay's bounded upstream
 // re-fetch), so a late subscriber replays in full without a gap.
 func TestMirrorBackfillOnOverflow(t *testing.T) {
-	m := NewMirror(4)
+	m := NewRing(4)
 	var all []Event
 	for seq := uint64(1); seq <= 10; seq++ {
 		ev := Event{Seq: seq, Type: OpStarted, T: float64(seq)}
@@ -161,7 +161,7 @@ func TestMirrorBackfillOnOverflow(t *testing.T) {
 
 // TestMirrorFeedAfterClose is a no-op, matching Publish-after-Close.
 func TestMirrorFeedAfterClose(t *testing.T) {
-	m := NewMirror(4)
+	m := NewRing(4)
 	feedN(m, 1, 2)
 	m.Close()
 	feedN(m, 3, 3)
@@ -175,9 +175,9 @@ func TestMirrorFeedAfterClose(t *testing.T) {
 // subscribers must read each stored event from its own slot and see a
 // gap for exactly the ranges the upstream skipped.
 func TestMirrorJumpPastGrownLength(t *testing.T) {
-	m := NewMirror(16)
+	m := NewRing(16)
 	feedN(m, 1, 3)
-	if n := len(m.ring.buf); n != 3 {
+	if n := len(m.buf); n != 3 {
 		t.Fatalf("%d slots after 3 events, want 3", n)
 	}
 	// Seq 12 lands in slot 11: past the grown length (and capacity).
@@ -215,7 +215,7 @@ func TestMirrorJumpPastGrownLength(t *testing.T) {
 // with an encoding is served with exactly those bytes, while events
 // built in-process encode themselves.
 func TestMirrorServesCarriedEncoding(t *testing.T) {
-	m := NewMirror(8)
+	m := NewRing(8)
 	upstream := []byte(`{"seq":1,"type":"op.started","t":0.5,"op":{"index":0,"kind":"load"},"future":true}`)
 	m.Feed(WithEncoding(Event{Seq: 1, Type: OpStarted}, upstream))
 	m.Feed(Event{Seq: 2, Type: OpFinished, T: 1})

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -14,15 +15,17 @@ const DefaultCapacity = 512
 // read it yet receives a synthetic gap event instead of stalling the
 // publisher. Subscribers attach at any time (Subscribe) and replay the
 // retained window from any resume point — the engine behind SSE
-// Last-Event-ID reconnects.
+// Last-Event-ID reconnects. A relay fills a ring with Feed, not Publish.
 type Ring struct {
 	mu sync.Mutex
 	// buf is circular storage indexed by (seq-1) % capacity. It grows
 	// on demand (slot) up to capacity, so a ring holds slots for the
-	// events it has published, not its capacity up front — a short
-	// job's ring stays small although every job record keeps its ring.
-	buf      []Event
-	capacity int
+	// events it has stored, not its capacity up front — a short job's
+	// ring stays small although every job record keeps its ring.
+	buf []Event
+	// capacity bounds the window. It is window, the bound the ring was
+	// built with, except while pinned, when it is unbounded (Pin).
+	capacity, window int
 	// first is the oldest retained sequence number; next is the next
 	// to assign. Both start at 1 (empty ring: first == next).
 	first, next uint64
@@ -30,10 +33,6 @@ type Ring struct {
 	subs        map[*Sub]struct{}
 	// now stamps Event.Wall; tests may zero-stamp by replacing it.
 	now func() float64
-	// tee, when set, receives every published event (stamped, with its
-	// sequence number) synchronously under the ring lock — the hook a
-	// durable log uses to capture the full stream past the window.
-	tee Sink
 	// backfill, when set, recovers events that have left the window:
 	// it returns the retained subsequence of [from, to] in ascending
 	// seq order. Subscribers only see a gap for sequence numbers the
@@ -49,6 +48,7 @@ func NewRing(capacity int) *Ring {
 	}
 	return &Ring{
 		capacity: capacity,
+		window:   capacity,
 		first:    1,
 		next:     1,
 		subs:     make(map[*Sub]struct{}),
@@ -69,27 +69,91 @@ func (r *Ring) Publish(ev Event) uint64 {
 	}
 	ev.Seq = r.next
 	ev.Wall = r.now()
-	r.buf[r.slot(ev.Seq)] = ev
-	r.next++
-	if r.tee != nil {
-		r.tee(ev)
-	}
-	if r.next-r.first > uint64(r.capacity) {
-		r.first = r.next - uint64(r.capacity)
-	}
-	r.notifyLocked()
+	r.storeLocked(ev)
 	r.mu.Unlock()
 	return ev.Seq
 }
 
+// Feed ingests one event of an upstream job's stream, preserving its
+// sequence number and wall stamp, as a relay must: re-stamping either
+// would break resume cursors and the relayed stream's bit-identity.
+// Events at the next expected sequence number are stored; already-seen
+// sequence numbers (an overlapping resume replay) are dropped; an
+// upstream gap event — or an implicit jump past the expected number —
+// advances the window so subscribers positioned before it receive a
+// locally synthesized gap for exactly the upstream-reported range, per
+// the proxying rule that a relay never invents gaps of its own.
+// Synthetic upstream events other than gaps (shutdown, Seq 0) are
+// ignored: they describe the upstream connection, not the job. Feeding
+// a closed ring is a no-op.
+//
+// An event is stored as given, its encoding included (WithEncoding), so
+// subscribers are served the upstream's bytes. A relay need decode only
+// what Feed reads — Seq, Type and a gap's range — and what it rewrites
+// itself; a federation gateway decodes the Job and Gap blocks and
+// leaves every other payload block encoded. A subscriber that reads
+// payload fields decodes the event's Data.
+func (r *Ring) Feed(ev Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
+	if ev.Type == Gap && ev.Gap != nil {
+		r.advanceLocked(ev.Gap.To + 1)
+		return
+	}
+	if ev.Seq == 0 || ev.Seq < r.next {
+		return
+	}
+	if ev.Seq > r.next {
+		// The upstream skipped ahead without an explicit gap event (a
+		// resume that lost the gap frame); treat the jump as the gap.
+		r.advanceLocked(ev.Seq)
+	}
+	r.storeLocked(ev)
+}
+
+// storeLocked stores ev, whose sequence number is the next one, slides
+// the window past the oldest event when the ring is full, and wakes
+// subscribers. Caller holds r.mu.
+func (r *Ring) storeLocked(ev Event) {
+	r.buf[r.slot(ev.Seq)] = ev
+	r.next = ev.Seq + 1
+	if r.next-r.first > uint64(r.capacity) {
+		r.first = r.next - uint64(r.capacity)
+	}
+	r.notifyLocked()
+}
+
+// advanceLocked moves the window start and the next expected sequence
+// number forward to seq without storing anything. Retained events
+// before seq leave the window (the backfill tier recovers them, as on
+// any overflow), so subscribers whose cursor lies before seq observe a
+// gap event for exactly the subrange of [cursor+1, seq-1] that no
+// backfill can produce. Caller holds r.mu.
+func (r *Ring) advanceLocked(seq uint64) {
+	if seq <= r.next {
+		return
+	}
+	r.next = seq
+	if r.first < seq {
+		r.first = seq
+	}
+	r.notifyLocked()
+}
+
+// index returns the storage index of seq. Caller holds r.mu.
+func (r *Ring) index(seq uint64) int { return int((seq - 1) % uint64(r.capacity)) }
+
 // slot returns the storage index of seq, growing buf to cover it. The
-// index is (seq-1) % capacity, never len(buf): a Mirror's forward jump
-// can store past the grown length, and growth pads the slots between.
+// index is (seq-1) % capacity, never len(buf): Feed's forward jump can
+// store past the grown length, and growth pads the slots between.
 // Growth doubles from 8 slots, so a ring that stored n events holds at
 // most max(2n, 8) slots, and never more than capacity. Caller holds
 // r.mu.
 func (r *Ring) slot(seq uint64) int {
-	i := int((seq - 1) % uint64(r.capacity))
+	i := r.index(seq)
 	if i < len(r.buf) {
 		return i
 	}
@@ -106,14 +170,49 @@ func (r *Ring) slot(seq uint64) int {
 // Sink returns a Sink publishing into the ring.
 func (r *Ring) Sink() Sink { return func(ev Event) { r.Publish(ev) } }
 
-// Tee attaches (or, with nil, detaches) a secondary sink that receives
-// every published event after it is stamped and sequenced. The tee runs
-// synchronously under the ring lock and must not block — Tape.Append,
-// the production tee, never does.
-func (r *Ring) Tee(sink Sink) {
+// Pin lifts the ring's bound until Unpin, so it keeps every event: for a
+// job whose stream must outlive the window, one a finish record
+// persists or a cache hit replays. Slots are then indexed by seq-1, so
+// call Pin before the first Publish.
+func (r *Ring) Pin() {
 	r.mu.Lock()
-	r.tee = sink
+	r.capacity = math.MaxInt
 	r.mu.Unlock()
+}
+
+// Unpin ends a pin: the ring keeps the newest events as its window, as
+// if it had never been pinned, and releases the rest to the backfill,
+// or to a gap. Unpinning an unpinned ring is a no-op.
+func (r *Ring) Unpin() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.capacity == r.window {
+		return
+	}
+	r.capacity = r.window
+	if r.next-r.first > uint64(r.capacity) {
+		r.first = r.next - uint64(r.capacity)
+	}
+	if cap(r.buf) > r.capacity {
+		// Seq s sat at s-1; the window puts it at (s-1) % capacity.
+		pinned := r.buf
+		r.buf = make([]Event, min(len(pinned), r.capacity))
+		for seq := r.first; seq < r.next; seq++ {
+			r.buf[r.index(seq)] = pinned[seq-1]
+		}
+	}
+}
+
+// Events returns a copy of the retained events in sequence order: a
+// pinned ring's whole stream, as subscribers saw it.
+func (r *Ring) Events() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Event, 0, r.next-r.first)
+	for seq := r.first; seq < r.next; seq++ {
+		out = append(out, r.buf[r.index(seq)])
+	}
+	return out
 }
 
 // SetBackfill installs (or, with nil, removes) the recovery source for
@@ -221,7 +320,7 @@ func (s *Sub) Next(stop <-chan struct{}) (Event, bool) {
 			s.ring.mu.Unlock()
 			return gap, true
 		case want < s.ring.next:
-			ev := s.ring.buf[int((want-1)%uint64(s.ring.capacity))]
+			ev := s.ring.buf[s.ring.index(want)]
 			s.cursor = want
 			s.ring.mu.Unlock()
 			return ev, true

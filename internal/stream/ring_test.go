@@ -160,37 +160,49 @@ func TestRingStopCancelsNext(t *testing.T) {
 
 // TestRingConcurrentFanOut races one publisher against many readers
 // (run under -race): every fast-enough subscriber sees the identical
-// gap-free sequence.
+// gap-free sequence — on a ring big enough that nobody gaps, and on a
+// small pinned one that unpins to a backfill as readers drain it, as a
+// durable job's ring does once its finish record persists.
 func TestRingConcurrentFanOut(t *testing.T) {
 	const events, readers = 200, 8
-	r := testRing(events) // big enough that nobody gaps
-	var wg sync.WaitGroup
-	streams := make([][]Event, readers)
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		sub := r.Subscribe(0)
-		go func(i int, sub *Sub) {
-			defer wg.Done()
-			defer sub.Cancel()
-			for {
-				ev, ok := sub.Next(nil)
-				if !ok {
-					return
-				}
-				streams[i] = append(streams[i], ev)
-			}
-		}(i, sub)
-	}
-	publishN(r, events)
-	r.Close()
-	wg.Wait()
-	want := fmt.Sprintf("%+v", streams[0])
-	for i, got := range streams {
-		if len(got) != events {
-			t.Fatalf("reader %d saw %d events, want %d", i, len(got), events)
+	for _, pinned := range []bool{false, true} {
+		r := testRing(events) // big enough that nobody gaps
+		if pinned {
+			r = testRing(8)
+			r.Pin()
 		}
-		if fmt.Sprintf("%+v", got) != want {
-			t.Errorf("reader %d diverged from reader 0", i)
+		var wg sync.WaitGroup
+		streams := make([][]Event, readers)
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			sub := r.Subscribe(0)
+			go func(i int, sub *Sub) {
+				defer wg.Done()
+				defer sub.Cancel()
+				for {
+					ev, ok := sub.Next(nil)
+					if !ok {
+						return
+					}
+					streams[i] = append(streams[i], ev)
+				}
+			}(i, sub)
+		}
+		publishN(r, events)
+		r.Close()
+		if pinned {
+			r.SetBackfill(backfillFrom(r.Events()))
+			r.Unpin()
+		}
+		wg.Wait()
+		want := fmt.Sprintf("%+v", streams[0])
+		for i, got := range streams {
+			if len(got) != events {
+				t.Fatalf("pinned %v: reader %d saw %d events, want %d", pinned, i, len(got), events)
+			}
+			if fmt.Sprintf("%+v", got) != want {
+				t.Errorf("pinned %v: reader %d diverged from reader 0", pinned, i)
+			}
 		}
 	}
 }
@@ -236,19 +248,21 @@ func TestCollectorMatchesRingNumbering(t *testing.T) {
 // TestRingGrowsWithPublishedEvents pins the ring's memory: a ring of
 // the default capacity holds only as many slots as it has published
 // events (at most double, at least 8), never the full capacity up
-// front, and stops growing at the capacity.
+// front, and stops growing at the capacity. A pinned ring grows past
+// the capacity and replays every event with no gap; after Unpin it
+// holds at most the capacity and keeps the newest events, as a ring
+// that was never pinned does.
 func TestRingGrowsWithPublishedEvents(t *testing.T) {
-	for _, n := range []int{0, 1, 8, 9, 20, 100, 300, 512, 2000} {
-		r := testRing(DefaultCapacity)
-		publishN(r, n)
-		limit := min(max(2*n, 8), DefaultCapacity)
+	// check verifies that r holds at most limit slots and replays the
+	// newest kept of n events, after a gap for the older ones.
+	check := func(t *testing.T, r *Ring, n, limit, kept int) {
+		t.Helper()
 		if got := cap(r.buf); got > limit {
 			t.Errorf("after %d events: %d slots, want at most %d", n, got, limit)
 		}
-		r.Close()
 		got := drain(r.Subscribe(0))
-		want := min(n, DefaultCapacity)
-		if n > DefaultCapacity {
+		want := kept
+		if n > kept {
 			want++ // the gap event for the overwritten prefix
 		}
 		if len(got) != want {
@@ -258,6 +272,24 @@ func TestRingGrowsWithPublishedEvents(t *testing.T) {
 			if ev.Type != Gap && ev.Op.Index != int(ev.Seq-1) {
 				t.Fatalf("after %d events: seq %d holds op %d", n, ev.Seq, ev.Op.Index)
 			}
+		}
+		if n > 0 && got[len(got)-1].Seq != uint64(n) {
+			t.Fatalf("after %d events: last replayed seq %d", n, got[len(got)-1].Seq)
+		}
+	}
+	for _, pinned := range []bool{false, true} {
+		for _, n := range []int{0, 1, 8, 9, 20, 100, 300, 512, 2000} {
+			r := testRing(DefaultCapacity)
+			if pinned {
+				r.Pin()
+			}
+			publishN(r, n)
+			r.Close()
+			if pinned {
+				check(t, r, n, max(2*n, 8), n)
+				r.Unpin()
+			}
+			check(t, r, n, min(max(2*n, 8), DefaultCapacity), min(n, DefaultCapacity))
 		}
 	}
 }

@@ -7,7 +7,9 @@
 // The package sits below every layer that emits or serves events: the
 // chip simulator and the assay executor publish through a Sink, the
 // assay service owns one Ring per job, and the HTTP layer turns a Sub
-// into a Server-Sent-Events stream (GET /v1/assays/{id}/events).
+// into a Server-Sent-Events stream (GET /v1/assays/{id}/events). The
+// package owns that wire format too: WriteSSE frames an event, and
+// SSEReader, which relays and clients read a stream with, parses one.
 //
 // Determinism contract. Event payloads carry only seed-deterministic
 // state: sequence numbers, the simulated clock (T) and the operation /
@@ -18,10 +20,7 @@
 // comparing). docs/streaming.md is the full taxonomy and wire contract.
 package stream
 
-import (
-	"encoding/json"
-	"sync"
-)
+import "encoding/json"
 
 // Event types. The job.* envelope events are published by the service
 // around an execution; everything else is emitted by the instrumented
@@ -187,54 +186,6 @@ type GapInfo struct {
 // invoked synchronously on the executing goroutine and must not block
 // (Ring.Publish, the production sink, never does).
 type Sink func(Event)
-
-// Tape is the unbounded, thread-safe recorder behind the log-backed
-// ring: attached as a Ring.Tee it retains the job's full event stream —
-// already stamped and sequenced, so sequence numbers run 1..n with no
-// holes — until the finish record is persisted and the durable log
-// takes over as the backfill source. Range is the Ring backfill
-// signature, so a live job's subscribers never see a gap while a tape
-// is attached.
-type Tape struct {
-	mu  sync.Mutex
-	evs []Event
-}
-
-// Append records one event. It is the Ring tee target and never blocks
-// beyond the tape's own lock.
-func (t *Tape) Append(ev Event) {
-	t.mu.Lock()
-	t.evs = append(t.evs, ev)
-	t.mu.Unlock()
-}
-
-// Range returns the recorded events with sequence numbers in the
-// inclusive [from, to] range — the Ring backfill contract.
-func (t *Tape) Range(from, to uint64) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if from < 1 {
-		from = 1
-	}
-	if to > uint64(len(t.evs)) {
-		to = uint64(len(t.evs))
-	}
-	if from > to {
-		return nil
-	}
-	out := make([]Event, to-from+1)
-	copy(out, t.evs[from-1:to])
-	return out
-}
-
-// Events returns a snapshot of the full recorded stream.
-func (t *Tape) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, len(t.evs))
-	copy(out, t.evs)
-	return out
-}
 
 // Collector is an in-memory Sink for serial replays and tests: it
 // assigns sequence numbers exactly like a Ring (starting at 1) but
