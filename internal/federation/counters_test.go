@@ -161,9 +161,14 @@ func (refusingRoutes) LogRoute(store.RouteRecord) error {
 // and each refusal counts once on both endpoints.
 func TestGatewayRouteAppendFails(t *testing.T) {
 	member := newStubMember(t, service.Stats{}, accept)
+	disk, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
 	g, err := New(Config{
 		Members:      []MemberSpec{{Name: "w0", Addr: member.ts.URL, Profiles: die40()}},
-		Store:        refusingRoutes{store.Null{}},
+		Store:        refusingRoutes{disk},
 		PollInterval: time.Hour,
 		Obs:          obs.NewRegistry(),
 	})

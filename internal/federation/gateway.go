@@ -46,8 +46,8 @@ func (noMembers) Unwrap() error { return service.ErrUnavailable }
 type Config struct {
 	// Members is the worker fleet (ParseMembersSpec).
 	Members []MemberSpec
-	// Store durably records job→member bindings; nil means the
-	// in-memory default (bindings lost on restart).
+	// Store durably records job→member bindings; nil means none
+	// (bindings lost on restart).
 	Store store.Store
 	// Cache configures the gateway's own result cache.
 	Cache service.FleetCacheSpec
@@ -109,8 +109,7 @@ type gwJob struct {
 // the member results under gateway job IDs.
 type Gateway struct {
 	members []*Member
-	store   store.Store
-	durable bool
+	store   store.Store // nil: no route log
 	poll    time.Duration
 
 	mu       sync.Mutex
@@ -146,17 +145,12 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("federation: no members")
 	}
-	st := cfg.Store
-	if st == nil {
-		st = store.Null{}
-	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	g := &Gateway{
-		store:    st,
-		durable:  st.Durable(),
+		store:    cfg.Store,
 		poll:     cfg.PollInterval,
 		jobs:     make(map[string]*gwJob),
 		remote:   make(map[string]string),
@@ -183,9 +177,11 @@ func New(cfg Config) (*Gateway, error) {
 		g.views = append(g.views, memberView{reachable: true})
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
-	if err := g.recover(); err != nil {
-		g.cancel()
-		return nil, err
+	if g.store != nil {
+		if err := g.recover(); err != nil {
+			g.cancel()
+			return nil, err
+		}
 	}
 	g.wg.Add(1)
 	go g.pollLoop()
@@ -195,6 +191,7 @@ func New(cfg Config) (*Gateway, error) {
 // recover replays the store's route records: each becomes a routed job
 // again, watched to (re-)termination against its member, with the
 // content address recomputed so deduplication spans the restart.
+// Caller guarantees g.store != nil.
 func (g *Gateway) recover() error {
 	err := g.store.Replay(func(rec *store.Record) error {
 		if rec.Kind != store.KindRoute || rec.Route == nil {
@@ -226,7 +223,11 @@ func (g *Gateway) recover() error {
 			if jsonErr := json.Unmarshal(r.Program, &pr); jsonErr == nil {
 				j.prName = pr.Name
 				j.snap.Program = pr.Name
-				if key, keyErr := g.keyOf(pr, r.Seed); keyErr == nil {
+				eligible := make([][]int, len(g.members))
+				for i, m := range g.members {
+					eligible[i], _ = m.Eligible(pr)
+				}
+				if key, keyErr := g.keyOf(pr, r.Seed, eligible); keyErr == nil {
 					j.key = key
 				}
 			}
@@ -274,25 +275,25 @@ func (g *Gateway) memberByName(name string) *Member {
 func routeKey(member, remoteID string) string { return member + "\x00" + remoteID }
 
 // keyOf content-addresses a submission against the fleet-wide eligible
-// profile set: every distinct (name, config) pair across members, in
-// members order. Determinism makes this sound — any member's execution
-// of the job yields bit-identical results — and binding the whole
-// eligible set keeps the key stable across placement choices. The zero
-// key (not cacheable) is returned when the gateway cache is off or any
-// eligible profile opts out.
-func (g *Gateway) keyOf(pr assay.Program, seed uint64) (cache.Key, error) {
+// profile set, where eligible[i] is member i's Member.Eligible: every
+// distinct (name, config) pair across members, in members order.
+// Determinism makes this sound — any member's execution of the job
+// yields bit-identical results — and binding the whole eligible set
+// keeps the key stable across placement choices. The zero key (not
+// cacheable) is returned when the gateway cache is off or any eligible
+// profile opts out.
+func (g *Gateway) keyOf(pr assay.Program, seed uint64, eligible [][]int) (cache.Key, error) {
 	if g.lru == nil {
 		return cache.Key{}, nil
 	}
 	var mats []cache.ProfileMaterial
 	seen := make(map[string]bool)
-	for _, m := range g.members {
-		eligible, _ := m.Eligible(pr)
-		for _, p := range eligible {
-			if p.NoCache {
+	for i, m := range g.members {
+		for _, p := range eligible[i] {
+			if m.Profiles[p].NoCache {
 				return cache.Key{}, nil
 			}
-			mat := m.matOf(p.Name)
+			mat := m.mats[p]
 			id := mat.Name + "\x00" + string(mat.Config)
 			if seen[id] {
 				continue
@@ -305,16 +306,6 @@ func (g *Gateway) keyOf(pr assay.Program, seed uint64) (cache.Key, error) {
 		return cache.Key{}, nil
 	}
 	return cache.KeyOf(pr, seed, mats)
-}
-
-// matOf returns the cache key material of the named profile.
-func (m *Member) matOf(name string) cache.ProfileMaterial {
-	for i, p := range m.Profiles {
-		if p.Name == name {
-			return m.mats[i]
-		}
-	}
-	return cache.ProfileMaterial{}
 }
 
 // fwdTrace carries the telemetry stamps of one submission through the
@@ -350,18 +341,20 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 		eligible []string
 	}
 	var cands []candidate
+	eligible := make([][]int, len(g.members))
 	reasons := make(map[string]string)
 	for i, m := range g.members {
-		eligible, why := m.Eligible(pr)
-		if len(eligible) == 0 {
+		var why map[string]string
+		eligible[i], why = m.Eligible(pr)
+		if len(eligible[i]) == 0 {
 			for name, r := range why {
 				reasons[m.Name+"/"+name] = r
 			}
 			continue
 		}
-		names := make([]string, 0, len(eligible))
-		for _, p := range eligible {
-			names = append(names, p.Name)
+		names := make([]string, 0, len(eligible[i]))
+		for _, p := range eligible[i] {
+			names = append(names, m.Profiles[p].Name)
 		}
 		cands = append(cands, candidate{idx: i, member: m, eligible: names})
 	}
@@ -369,12 +362,12 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 		return service.SubmitResult{}, &service.IncompatibleError{
 			Program: pr.Name, Requirements: pr.EffectiveRequirements(), Reasons: reasons}
 	}
-	key, err := g.keyOf(pr, seed)
+	key, err := g.keyOf(pr, seed, eligible)
 	if err != nil {
 		return service.SubmitResult{}, err
 	}
 	var wal json.RawMessage
-	if g.durable {
+	if g.store != nil {
 		raw, err := json.Marshal(pr)
 		if err != nil {
 			return service.SubmitResult{}, fmt.Errorf("%w: encoding program: %v", service.ErrPersist, err)
@@ -489,8 +482,8 @@ func (g *Gateway) cachedLocked(key cache.Key) (service.SubmitResult, bool) {
 	return service.SubmitResult{}, false
 }
 
-// bind records an accepted forward under a fresh gateway ID: the route
-// record is appended (and fsynced, on a durable store) before the
+// bind records an accepted forward under a fresh gateway ID: with a
+// store, the route record is appended (and fsynced) before the
 // submission is acked, under the gateway lock so log order matches ID
 // order. A submission whose identical twin won the forwarding race
 // coalesces onto the twin instead of double-binding.
@@ -505,12 +498,14 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 	}
 	g.seq++
 	id := fmt.Sprintf("a-%06d", g.seq)
-	if err := g.store.LogRoute(store.RouteRecord{
-		ID: id, Member: m.Name, RemoteID: res.ID, Seed: seed, Program: wal,
-	}); err != nil {
-		g.seq--
-		g.met.persistErrors.Inc()
-		return service.SubmitResult{}, fmt.Errorf("%w: %v", service.ErrPersist, err)
+	if g.store != nil {
+		if err := g.store.LogRoute(store.RouteRecord{
+			ID: id, Member: m.Name, RemoteID: res.ID, Seed: seed, Program: wal,
+		}); err != nil {
+			g.seq--
+			g.met.persistErrors.Inc()
+			return service.SubmitResult{}, fmt.Errorf("%w: %v", service.ErrPersist, err)
+		}
 	}
 	j := &gwJob{
 		id:       id,

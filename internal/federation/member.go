@@ -56,8 +56,8 @@ type Member struct {
 	// Profiles is the member's declared fleet, expanded to full die
 	// configs (FleetSpecOf).
 	Profiles []service.Profile
-	// mats is the cache key material of each profile, aligned with
-	// Profiles; nil entries mark NoCache profiles.
+	// mats is the cache key material of each profile, indexed like
+	// Profiles; NoCache profiles have a zero entry.
 	mats []cache.ProfileMaterial
 
 	// client has a transport of its own, so the member's idle pool is
@@ -92,20 +92,20 @@ func NewMember(spec MemberSpec) (*Member, error) {
 	return m, nil
 }
 
-// Eligible returns the member profiles that can run the program —
-// the member's own placement rule (service.Profile.Check), run
-// gateway-side against the declared fleet — plus per-profile rejection
-// reasons for the 422 path.
-func (m *Member) Eligible(pr assay.Program) ([]service.Profile, map[string]string) {
+// Eligible returns the positions in Profiles of the member profiles
+// that can run the program — the member's own placement rule
+// (service.Profile.Check), run gateway-side against the declared fleet
+// — plus per-profile rejection reasons for the 422 path.
+func (m *Member) Eligible(pr assay.Program) ([]int, map[string]string) {
 	reqs := pr.EffectiveRequirements()
-	var eligible []service.Profile
+	var eligible []int
 	reasons := make(map[string]string, len(m.Profiles))
-	for _, p := range m.Profiles {
+	for i, p := range m.Profiles {
 		if err := p.Check(pr, reqs); err != nil {
 			reasons[p.Name] = err.Error()
 			continue
 		}
-		eligible = append(eligible, p)
+		eligible = append(eligible, i)
 	}
 	return eligible, reasons
 }

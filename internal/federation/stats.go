@@ -220,7 +220,7 @@ func (g *Gateway) Stats() Stats {
 		}
 	}
 	g.mu.Unlock()
-	if g.durable {
+	if g.store != nil {
 		st := g.store.Stats()
 		gs.Store = &st
 	}

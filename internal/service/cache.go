@@ -129,7 +129,7 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 		return SubmitResult{}, err
 	}
 	var wal json.RawMessage
-	if s.durable {
+	if s.store != nil {
 		raw, err := json.Marshal(pr)
 		if err != nil {
 			return SubmitResult{}, fmt.Errorf("%w: encoding program: %v", ErrPersist, err)
@@ -170,7 +170,7 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 		return SubmitResult{}, fmt.Errorf("service: assignment to ineligible shard %d", target)
 	}
 	id := fmt.Sprintf("a-%06d", s.seq+1)
-	if s.durable {
+	if s.store != nil {
 		// WAL before ack: the submission must exist on stable storage
 		// before the client hears about the job, so a crash after
 		// Submit returns can never lose an acknowledged assay.
@@ -226,7 +226,7 @@ func (s *Service) cachedRootLocked(key cache.Key) *Job {
 		}
 		s.lru.Remove(key)
 	}
-	if s.durable {
+	if s.store != nil {
 		if id, ok := s.store.FinishByKey(key.String()); ok {
 			if root := s.jobs[id]; root != nil && root.Status == StatusDone {
 				s.met.diskHit.Inc()
@@ -252,7 +252,7 @@ func (s *Service) cachedRootLocked(key cache.Key) *Job {
 // the alias's DedupOf reference is always resolvable after a restart.
 func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal json.RawMessage, traceParent string) (SubmitResult, error) {
 	id := fmt.Sprintf("a-%06d", s.seq+1)
-	if s.durable {
+	if s.store != nil {
 		if err := s.store.LogSubmit(store.SubmitRecord{ID: id, Seed: seed, Program: wal}); err != nil {
 			s.met.persistErrors.Inc()
 			return SubmitResult{}, fmt.Errorf("%w: %v", ErrPersist, err)
@@ -283,7 +283,7 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 	}
 	s.jobs[id] = j
 	s.met.done.Inc()
-	if s.durable {
+	if s.store != nil {
 		rec := store.FinishRecord{
 			ID:       id,
 			Status:   string(StatusDone),
@@ -308,7 +308,7 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 // and guarantees the job is done and (on a durable service) persisted.
 func (s *Service) cacheInsertLocked(j *Job) {
 	bytes := int64(len(j.Report))
-	if !s.durable {
+	if s.store == nil {
 		if raw, err := json.Marshal(j.ring.Events()); err == nil {
 			bytes += int64(len(raw))
 		}
@@ -334,7 +334,7 @@ func (s *Service) cacheReleaseLocked(evicted []cache.Entry) {
 func (s *Service) queueFullLocked() error {
 	e := &QueueFullError{Queued: s.queued, Depth: s.cfg.QueueDepth}
 	for _, cls := range s.classList {
-		if n := cls.queue.Len(); n > 0 {
+		if n := len(cls.queue); n > 0 {
 			e.Classes = append(e.Classes, ClassStats{Profiles: cls.names, Queued: n})
 		}
 	}

@@ -31,7 +31,7 @@ var closedDone = func() chan struct{} {
 // event sequence bit for bit. A recovered job that no longer fits any
 // profile (the fleet shrank across the restart) is failed — durably, so
 // the next restart serves the failure from disk instead of retrying
-// forever. Caller guarantees s.durable.
+// forever. Caller guarantees s.store != nil.
 func (s *Service) recover() error {
 	type history struct {
 		sub *store.SubmitRecord

@@ -42,7 +42,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"biochip/internal/assay"
@@ -173,7 +172,7 @@ type Config struct {
 	// stream) are appended on finish, and New replays it — finished
 	// jobs come back served from disk, jobs that were in flight at a
 	// crash are re-executed deterministically from (program, seed).
-	// Nil means store.Null{}: no persistence, exact legacy semantics.
+	// Nil means no persistence: nothing is logged or recovered.
 	Store store.Store
 	// Cache configures the content-addressed result cache (enabled by
 	// default; see CacheConfig and docs/caching.md).
@@ -304,7 +303,9 @@ type classQueue struct {
 	// label is the human-readable class name used as the metrics label
 	// ("die40+die64"); profile names joined, stable per class.
 	label string
-	queue parallel.Deque[*Job]
+	// queue holds the class's queued jobs, oldest first. Guarded by
+	// Service.mu.
+	queue []*Job
 }
 
 // Service is a live fleet. Create with New, stop with Close.
@@ -313,12 +314,10 @@ type Service struct {
 	profiles []*profile
 	shards   []*shard
 	start    time.Time
-	// store is the durable persistence layer (store.Null{} when
-	// Config.Store is nil); durable caches store.Durable() — it gates
-	// every WAL write, ring pin and backfill swap, so the
-	// non-durable service behaves exactly as before persistence existed.
-	store   store.Store
-	durable bool
+	// store is Config.Store, nil on an in-memory service. Every WAL
+	// write, ring pin and backfill swap is behind a nil check, so the
+	// in-memory service behaves exactly as before persistence existed.
+	store store.Store
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -339,9 +338,10 @@ type Service struct {
 	// a terminal state. SSE handlers use it to send shutdown events.
 	drained     chan struct{}
 	drainedOnce bool
+	// running counts claimed jobs not yet finished. Guarded by mu.
+	running int
 
-	running atomic.Int64
-	wg      sync.WaitGroup
+	wg sync.WaitGroup
 
 	// met is the metric set, and with it every counter Stats reports;
 	// tracing reports whether per-job span rings are recorded
@@ -393,10 +393,6 @@ func New(cfg Config) (*Service, error) {
 	s.met = newSvcMetrics(reg)
 	s.tracing = cfg.Obs != nil
 	s.store = cfg.Store
-	if s.store == nil {
-		s.store = store.Null{}
-	}
-	s.durable = s.store.Durable()
 	seen := make(map[string]bool, len(specs))
 	for i, spec := range specs {
 		switch {
@@ -439,7 +435,7 @@ func New(cfg Config) (*Service, error) {
 		s.lru = cache.NewLRU(cfg.Cache.Entries)
 		s.inflight = make(map[cache.Key]*Job)
 	}
-	if s.durable {
+	if s.store != nil {
 		// Replay the log before any shard loop starts: restored jobs
 		// land in the map / queues with no executor racing the rebuild.
 		if err := s.recover(); err != nil {
@@ -557,7 +553,7 @@ func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target
 		j.spanRoot = j.trace.Start("job", traceParent, obs.Attr{K: "program", V: pr.Name})
 		j.enqAt = obs.Now()
 	}
-	if s.durable || !key.Zero() {
+	if s.store != nil || !key.Zero() {
 		// Pin the ring: the bounded window alone cannot feed the finish
 		// record, and a pinned ring never shows a subscriber a gap for
 		// events the service still holds. Cacheable jobs pin even
@@ -579,11 +575,11 @@ func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target
 	}})
 	s.seq++
 	s.jobs[j.ID] = j
-	cls.queue.PushBack(j)
+	cls.queue = append(cls.queue, j)
 	s.queued++
 	if s.tracing {
 		j.spanQueue = j.trace.Start("queue", j.spanRoot.ID(), obs.Attr{K: "class", V: cls.label})
-		s.met.queueDepth.With(cls.label).Set(float64(cls.queue.Len()))
+		s.met.queueDepth.With(cls.label).Set(float64(len(cls.queue)))
 	}
 	s.cond.Broadcast()
 	return j
@@ -675,11 +671,7 @@ func (s *Service) Close() {
 	}
 	s.closed = true
 	for _, cls := range s.classList {
-		for {
-			j, ok := cls.queue.PopFront()
-			if !ok {
-				break
-			}
+		for _, j := range cls.queue {
 			s.queued--
 			j.Status = StatusFailed
 			j.Error = ErrClosed.Error()
@@ -694,6 +686,7 @@ func (s *Service) Close() {
 			}
 			close(j.done)
 		}
+		cls.queue = nil
 		s.met.queueDepth.With(cls.label).Set(0)
 	}
 	s.cond.Broadcast()
@@ -746,9 +739,12 @@ func (s *Service) popFor(sh *shard) *Job {
 		if !cls.member[sh.profile.index] {
 			continue
 		}
-		if j, ok := cls.queue.PopFront(); ok {
+		if len(cls.queue) > 0 {
+			j := cls.queue[0]
+			cls.queue[0] = nil // release the reference
+			cls.queue = cls.queue[1:]
 			sh.nextClass = (sh.nextClass + k + 1) % n
-			s.met.queueDepth.With(cls.label).Set(float64(cls.queue.Len()))
+			s.met.queueDepth.With(cls.label).Set(float64(len(cls.queue)))
 			return j
 		}
 	}
@@ -762,7 +758,7 @@ func (s *Service) markRunning(sh *shard, j *Job) {
 	j.Shard = sh.id
 	j.Profile = sh.profile.Name
 	j.Stolen = sh.id != j.Assigned
-	s.running.Add(1)
+	s.running++
 	if s.tracing {
 		j.spanQueue.End()
 		s.met.queueWait.With(j.class).Observe(obs.Since(j.enqAt))
@@ -793,7 +789,7 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 	if stolen {
 		sh.stolen.Inc()
 	}
-	s.running.Add(-1)
+	s.running--
 	var finSpan obs.SpanRef
 	if s.tracing {
 		s.met.execute.With(sh.profile.Name).Observe(obs.Since(j.execAt))
@@ -818,7 +814,7 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 			}})
 	}
 	j.ring.Close()
-	if s.tracing && s.durable {
+	if s.tracing && s.store != nil {
 		pAt := obs.Now()
 		s.persistFinishLocked(j)
 		s.met.persist.With().Observe(obs.Since(pAt))
@@ -830,9 +826,9 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 		if s.inflight[j.key] == j {
 			delete(s.inflight, j.key)
 		}
-		if j.Status == StatusDone && (!s.durable || j.persisted) {
+		if j.Status == StatusDone && (s.store == nil || j.persisted) {
 			s.cacheInsertLocked(j)
-		} else if !s.durable {
+		} else if s.store == nil {
 			// A failed cacheable job on a non-durable service caches
 			// nothing — unpin its ring (failures are often
 			// environmental: close, drain; a retry should execute).
@@ -851,10 +847,10 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 // durable log, then makes the log the ring's backfill and unpins the
 // ring. On append failure the ring stays pinned (subscribers can still
 // replay from memory) and the error is counted; the job itself
-// completes regardless. Caller holds s.mu. No-op on a non-durable
+// completes regardless. Caller holds s.mu. No-op on an in-memory
 // service.
 func (s *Service) persistFinishLocked(j *Job) {
-	if !s.durable {
+	if s.store == nil {
 		return
 	}
 	rec := store.FinishRecord{
@@ -1027,7 +1023,7 @@ func (s *Service) Stats() Stats {
 		Shards:            len(s.shards),
 		QueueDepth:        s.cfg.QueueDepth,
 		Queued:            s.queued,
-		Running:           s.running.Load(),
+		Running:           int64(s.running),
 		Done:              uint64(s.met.done.Value()),
 		Failed:            uint64(s.met.failed.Value()),
 		Draining:          s.draining,
@@ -1037,7 +1033,7 @@ func (s *Service) Stats() Stats {
 		CalibrationMisses: misses,
 		UptimeSeconds:     uptime,
 	}
-	if s.durable {
+	if s.store != nil {
 		sst := s.store.Stats()
 		st.Store = &sst
 	}
@@ -1086,7 +1082,7 @@ func (s *Service) Stats() Stats {
 		}
 	}
 	for _, cls := range s.classList {
-		depth := cls.queue.Len()
+		depth := len(cls.queue)
 		st.Classes = append(st.Classes, ClassStats{Profiles: cls.names, Queued: depth})
 		for i := range s.profiles {
 			if cls.member[i] {

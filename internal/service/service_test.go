@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -346,6 +347,52 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 	}
 	if _, err := submit(svc, testProgram(4), 1); err != ErrClosed {
 		t.Errorf("submit after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestClassQueueFIFO pins claim order inside a class: one shard stalls
+// on its first job until eight identical jobs are queued behind it in
+// the same class, and once released it must run them oldest first.
+func TestClassQueueFIFO(t *testing.T) {
+	const behind = 8
+	release := make(chan struct{})
+	ran := make(chan string, behind+1)
+	first := true // touched only by the one shard's goroutine
+	svc := newFakeService(t, 1, 0, func(sh *shard, j *Job) {
+		ran <- j.ID
+		if first {
+			first = false
+			<-release
+		}
+	})
+	defer svc.Close()
+	ids := make([]string, behind+1)
+	for i := range ids {
+		id, err := submit(svc, testProgram(4), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for st := svc.Stats(); st.Running != 1 || st.Queued != behind; st = svc.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog never formed: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for _, id := range ids {
+		if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+			t.Fatalf("job %s: %v %v", id, j.Status, err)
+		}
+	}
+	order := make([]string, len(ids))
+	for i := range order {
+		order[i] = <-ran
+	}
+	if !slices.Equal(order, ids) {
+		t.Errorf("claim order %v, want submission order %v", order, ids)
 	}
 }
 

@@ -33,7 +33,7 @@ func (s *Service) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {
 func (s *Service) Drain() {
 	s.mu.Lock()
 	s.draining = true
-	for s.queued > 0 || s.running.Load() > 0 {
+	for s.queued > 0 || s.running > 0 {
 		s.cond.Wait()
 	}
 	if !s.drainedOnce {

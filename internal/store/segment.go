@@ -53,8 +53,8 @@ type Disk struct {
 	opts Options
 
 	mu        sync.Mutex
-	cur       *os.File // active segment, positioned at its end
-	curSeg    int      // active segment number
+	cur       segmentFile // active segment, positioned at its end
+	curSeg    int         // active segment number
 	curSize   int64
 	segments  []int // existing segment numbers, ascending; last == curSeg
 	records   uint64
@@ -63,6 +63,20 @@ type Disk struct {
 	index     map[string]recordPos
 	keyIndex  map[string]string // content-address hex → root job ID
 	closed    bool
+	// broken is set when a failed append could not be cut back off the
+	// active segment: the segment's end is then unknown, so every later
+	// append is refused.
+	broken error
+}
+
+// segmentFile is what the store needs of the active segment file
+// (*os.File); package tests wrap it to inject write, fsync and
+// truncate failures.
+type segmentFile interface {
+	io.WriteSeeker
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // recordPos locates one finish record: segment number and byte offset
@@ -257,23 +271,26 @@ func (d *Disk) append(rec *Record) error {
 	if d.closed {
 		return fmt.Errorf("store: closed")
 	}
+	if d.broken != nil {
+		return fmt.Errorf("store: log end unknown since a failed append: %w", d.broken)
+	}
 	if d.curSize > 0 && d.curSize+int64(len(buf)) > d.opts.MaxSegmentBytes {
 		if err := d.roll(); err != nil {
 			return err
 		}
 	}
 	off := d.curSize
-	if _, err := d.cur.Write(buf); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if !d.opts.NoSync {
+	_, err = d.cur.Write(buf)
+	if err == nil && !d.opts.NoSync {
 		// fsync is the durability barrier of the WAL: the record must be
 		// on stable storage before the service acks the submission. It
 		// costs wall-clock time but reads none, so the determinism
 		// contract is untouched.
-		if err := d.cur.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
+		err = d.cur.Sync()
+	}
+	if err != nil {
+		d.rollback(off)
+		return fmt.Errorf("store: %w", err)
 	}
 	d.curSize += int64(len(buf))
 	d.bytes += int64(len(buf))
@@ -282,6 +299,19 @@ func (d *Disk) append(rec *Record) error {
 		d.indexFinish(rec.Finish, recordPos{seg: d.curSeg, off: off})
 	}
 	return nil
+}
+
+// rollback cuts the active segment back to size, the end of the last
+// acked record, after a failed write or fsync left some or all of a
+// refused frame in it: the next record must start where the index will
+// say it does, and a refused record must never replay. When the cut
+// fails too, the store refuses every later append. Caller holds d.mu.
+func (d *Disk) rollback(size int64) {
+	if err := d.cur.Truncate(size); err != nil {
+		d.broken = err
+	} else if _, err := d.cur.Seek(size, io.SeekStart); err != nil {
+		d.broken = err
+	}
 }
 
 // indexFinish registers one finish record in the in-memory indexes:
@@ -383,9 +413,6 @@ func (d *Disk) FinishByKey(key string) (string, bool) {
 	id, ok := d.keyIndex[key]
 	return id, ok
 }
-
-// Durable implements Store.
-func (d *Disk) Durable() bool { return true }
 
 // Stats implements Store.
 func (d *Disk) Stats() Stats {

@@ -20,12 +20,11 @@
 // daemon that executes it, so a restarted gateway re-resolves every
 // routed job instead of losing track of acked work.
 //
-// Two implementations ship: Disk, an append-only segment log with CRC
-// framing and an in-memory index (see segment.go), and Null, the no-op
-// formalization of the in-memory-only default where nothing survives
-// the process. The store never interprets program or report payloads —
-// both travel as raw JSON — so it depends only on the stream event
-// vocabulary.
+// Disk, an append-only segment log with CRC framing and an in-memory
+// index (see segment.go), is the one implementation. A daemon without a
+// data directory has no store at all: it logs and recovers nothing. The
+// store never interprets program or report payloads — both travel as
+// raw JSON — so it depends only on the stream event vocabulary.
 package store
 
 import (
@@ -134,7 +133,8 @@ type RouteRecord struct {
 // Stats is a point-in-time store snapshot, surfaced by the service
 // under /v1/stats.
 type Stats struct {
-	// Kind names the implementation ("disk" or "null").
+	// Kind names the implementation: "disk", or "merged" on a
+	// federation gateway's sum over its members' stores.
 	Kind string `json:"kind"`
 	// Dir is the data directory of a disk store.
 	Dir string `json:"dir,omitempty"`
@@ -176,9 +176,6 @@ type Store interface {
 	// with the given content-address key, if any — the durable tier of
 	// the result cache. Lookups hit the in-memory index only.
 	FinishByKey(key string) (string, bool)
-	// Durable reports whether records written here survive the process.
-	// The service only pays for full-stream capture when they do.
-	Durable() bool
 	// Stats snapshots the store counters.
 	Stats() Stats
 	// Close releases the store. A Close without a prior drain is the
@@ -186,36 +183,3 @@ type Store interface {
 	// simply have no finish record and re-execute on the next open.
 	Close() error
 }
-
-// Null is the no-op store: the formalization of the in-memory-only
-// default. Nothing is recorded, nothing is recovered, Events never
-// backfills — so a subscriber that falls out of the ring window sees a
-// gap, exactly as before persistence existed.
-type Null struct{}
-
-// LogSubmit implements Store as a no-op.
-func (Null) LogSubmit(SubmitRecord) error { return nil }
-
-// LogFinish implements Store as a no-op.
-func (Null) LogFinish(FinishRecord) error { return nil }
-
-// LogRoute implements Store as a no-op.
-func (Null) LogRoute(RouteRecord) error { return nil }
-
-// Replay implements Store; there is never anything to replay.
-func (Null) Replay(func(rec *Record) error) error { return nil }
-
-// Events implements Store; a Null store can back-fill nothing.
-func (Null) Events(string) ([]stream.Event, error) { return nil, ErrUnknownJob }
-
-// FinishByKey implements Store; a Null store caches nothing durably.
-func (Null) FinishByKey(string) (string, bool) { return "", false }
-
-// Durable implements Store: nothing survives the process.
-func (Null) Durable() bool { return false }
-
-// Stats implements Store.
-func (Null) Stats() Stats { return Stats{Kind: "null"} }
-
-// Close implements Store as a no-op.
-func (Null) Close() error { return nil }

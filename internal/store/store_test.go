@@ -238,29 +238,6 @@ func TestDiskCorruptionMidLogIsHardError(t *testing.T) {
 	}
 }
 
-// TestNullStore pins the no-op contract the default service runs on.
-func TestNullStore(t *testing.T) {
-	var n Null
-	if n.Durable() {
-		t.Error("Null claims durability")
-	}
-	if err := n.LogSubmit(testSubmit("a-000001", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.LogFinish(testFinish("a-000001", 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Replay(func(rec *Record) error { t.Fatal("replayed a record"); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Events("a-000001"); err != ErrUnknownJob {
-		t.Errorf("Events: %v, want ErrUnknownJob", err)
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDiskRouteRecords pins the federation gateway's binding records:
 // route records appended to a store replay in order from a fresh Open,
 // interleaved with submit records, survive a trailing torn write, and
