@@ -22,14 +22,10 @@ const (
 	// DefaultPollInterval paces the background member-stats poll that
 	// refreshes backlog views.
 	DefaultPollInterval = time.Second
-	// memberWaitWindow is the long-poll window a job watcher holds on
-	// its member; short enough that drain progress and lost-member
-	// detection stay responsive.
-	memberWaitWindow = 25 * time.Second
-	// watchBackoff bounds the retry backoff of watchers and relays when
-	// a member is unreachable.
-	watchBackoffMin = 250 * time.Millisecond
-	watchBackoffMax = 2 * time.Second
+	// relayBackoffMin and relayBackoffMax bound the retry backoff of a
+	// relay whose member is unreachable.
+	relayBackoffMin = 250 * time.Millisecond
+	relayBackoffMax = 2 * time.Second
 )
 
 // ErrNoMembers reports a submission no member could take because none
@@ -76,7 +72,7 @@ type memberView struct {
 
 // gwJob is one routed job: the gateway-side record binding a gateway
 // ID to the member execution, the latest rewritten snapshot, and the
-// lazily started event mirror.
+// job's event mirror.
 type gwJob struct {
 	id        string
 	member    *Member
@@ -87,13 +83,14 @@ type gwJob struct {
 	recovered bool
 
 	// snap is the latest gateway-view snapshot (ID rewritten); guarded
-	// by the gateway mutex.
+	// by the gateway mutex. Only the job's relay and finishLocked write
+	// it.
 	snap service.Job
-	// done closes when snap turns terminal.
+	// done closes when snap turns terminal (finishLocked).
 	done chan struct{}
-
-	mirrorOnce sync.Once
-	mirror     *stream.Ring
+	// mirror is the job's event stream as the gateway serves it, built
+	// with the job and fed by its relay.
+	mirror *stream.Ring
 
 	// Observability (nil/zero with Obs disabled): the gateway-side span
 	// ring, its open root span, and the forward reference sent in
@@ -105,8 +102,8 @@ type gwJob struct {
 }
 
 // Gateway is the federation front: it places submissions on members,
-// records the bindings, watches routed jobs to termination and serves
-// the member results under gateway job IDs.
+// records the bindings, follows each routed job to termination with
+// one relay and serves the member results under gateway job IDs.
 type Gateway struct {
 	members []*Member
 	store   store.Store // nil: no route log
@@ -189,8 +186,8 @@ func New(cfg Config) (*Gateway, error) {
 }
 
 // recover replays the store's route records: each becomes a routed job
-// again, watched to (re-)termination against its member, with the
-// content address recomputed so deduplication spans the restart.
+// again, its relay following it to (re-)termination on its member, with
+// the content address recomputed so deduplication spans the restart.
 // Caller guarantees g.store != nil.
 func (g *Gateway) recover() error {
 	err := g.store.Replay(func(rec *store.Record) error {
@@ -210,6 +207,7 @@ func (g *Gateway) recover() error {
 			seed:      r.Seed,
 			recovered: true,
 			done:      make(chan struct{}),
+			mirror:    stream.NewRing(0),
 			snap: service.Job{
 				ID: r.ID, Status: service.StatusQueued, Seed: r.Seed,
 				Assigned: -1, Shard: -1, Recovered: true,
@@ -251,14 +249,11 @@ func (g *Gateway) recover() error {
 		if j.member == nil {
 			// The member disappeared from members.json across the
 			// restart; the job's result is unreachable.
-			j.snap.Status = service.StatusFailed
-			j.snap.Error = fmt.Sprintf("federation: member of routed job removed from members spec")
-			g.met.failed.Inc()
-			close(j.done)
+			g.fail(j, "federation: member of routed job removed from members spec")
 			continue
 		}
 		g.wg.Add(1)
-		go g.watch(j)
+		go g.relay(j)
 	}
 	return nil
 }
@@ -515,6 +510,7 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		prName:   pr.Name,
 		key:      key,
 		done:     make(chan struct{}),
+		mirror:   stream.NewRing(0),
 		snap: service.Job{
 			ID: id, Status: service.StatusQueued, Program: pr.Name, Seed: seed,
 			Eligible: res.Eligible, Assigned: -1, Shard: -1, Member: m.Name,
@@ -546,7 +542,7 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 	g.views[idx].pending++
 	g.met.forwarded.Inc()
 	g.wg.Add(1)
-	go g.watch(j)
+	go g.relay(j)
 
 	out := service.SubmitResult{ID: id, Eligible: res.Eligible, Cache: res.Cache}
 	// A member-side hit names the member's root job; surface it as the
@@ -657,60 +653,18 @@ func (g *Gateway) pollLoop() {
 	}
 }
 
-// watch follows one routed job on its member until it terminates,
-// long-polling with backoff across member restarts. A member that no
-// longer knows the job — a non-durable worker restarted — fails the
-// job gateway-side; a durable worker re-executes it deterministically
-// and the watcher simply picks the result up.
-func (g *Gateway) watch(j *gwJob) {
-	defer g.wg.Done()
-	backoff := watchBackoffMin
-	for {
-		if g.ctx.Err() != nil {
-			return
-		}
-		rj, err := j.member.WaitTimeout(j.remoteID, memberWaitWindow)
-		switch {
-		case errors.Is(err, ErrUnknownJob):
-			g.finish(j, service.Job{
-				ID: j.remoteID, Status: service.StatusFailed,
-				Error: "federation: job lost by member restart (member runs without -data)",
-			})
-			return
-		case err != nil:
-			if !g.sleep(backoff) {
-				return
-			}
-			backoff *= 2
-			if backoff > watchBackoffMax {
-				backoff = watchBackoffMax
-			}
-			continue
-		}
-		backoff = watchBackoffMin
-		terminal := rj.Status == service.StatusDone || rj.Status == service.StatusFailed
-		if terminal {
-			g.finish(j, rj)
-			return
-		}
-		g.mu.Lock()
-		j.snap = g.rewriteLocked(j, rj)
-		g.mu.Unlock()
-	}
-}
-
-// finish records a routed job's terminal snapshot: counters, cache
-// insertion for successful cacheable roots, singleflight cleanup, and
-// the completion broadcast drains and long-polls wait on.
-func (g *Gateway) finish(j *gwJob, rj service.Job) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	j.snap = g.rewriteLocked(j, rj)
+// finishLocked ends a routed job with its terminal snapshot, exactly
+// once: counters, cache insertion for successful cacheable roots,
+// singleflight release, and the completion broadcast drains and
+// long-polls wait on. Its callers are the job's relay, with the
+// member's record, and fail. Caller holds g.mu.
+func (g *Gateway) finishLocked(j *gwJob, snap service.Job) {
+	j.snap = snap
 	j.spanRoot.End()
-	if j.snap.Status == service.StatusDone {
+	if snap.Status == service.StatusDone {
 		g.met.done.Inc()
 		if !j.key.Zero() && g.lru != nil {
-			g.lru.Add(j.key, cache.Entry{ID: j.id, Bytes: 64 + int64(len(j.snap.Report))})
+			g.lru.Add(j.key, cache.Entry{ID: j.id, Bytes: 64 + int64(len(snap.Report))})
 		}
 	} else {
 		g.met.failed.Inc()
@@ -720,6 +674,22 @@ func (g *Gateway) finish(j *gwJob, rj service.Job) {
 	}
 	close(j.done)
 	g.cond.Broadcast()
+}
+
+// fail ends a routed job the gateway can no longer follow — its member
+// lost it, or left the members spec — as failed with msg. The snapshot
+// keeps what the gateway knows of the job (program, seed, eligible
+// set), and the mirror ends with the job.failed frame a worker would
+// have published, so subscribers terminate instead of hanging.
+func (g *Gateway) fail(j *gwJob, msg string) {
+	g.mu.Lock()
+	snap := j.snap
+	snap.Status, snap.Error = service.StatusFailed, msg
+	g.finishLocked(j, snap)
+	g.mu.Unlock()
+	j.mirror.Feed(stream.Event{Seq: j.mirror.Last() + 1, Type: stream.JobFailed,
+		Job: &stream.JobInfo{ID: j.id}, Err: msg})
+	j.mirror.Close()
 }
 
 // rewriteLocked maps a member-side snapshot into the gateway's
@@ -753,33 +723,16 @@ func (g *Gateway) sleep(d time.Duration) bool {
 	}
 }
 
-// Get snapshots a gateway job. Non-terminal jobs are refreshed from
-// the member when reachable, so status tracks the member view between
-// watcher updates; the last snapshot serves when the member is not.
+// Get snapshots a gateway job: what its relay last read from the
+// member's stream — queued, running from job.started on — and, once
+// the relay finished it, the member's terminal record.
 func (g *Gateway) Get(id string) (service.Job, bool) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	j, ok := g.jobs[id]
 	if !ok {
-		g.mu.Unlock()
 		return service.Job{}, false
 	}
-	snap := j.snap
-	g.mu.Unlock()
-	if snap.Status == service.StatusDone || snap.Status == service.StatusFailed {
-		return snap, true
-	}
-	rj, err := j.member.Job(j.remoteID)
-	if err != nil {
-		return snap, true
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if j.snap.Status == service.StatusDone || j.snap.Status == service.StatusFailed {
-		// The watcher finished the job while we fetched; its terminal
-		// snapshot wins.
-		return j.snap, true
-	}
-	j.snap = g.rewriteLocked(j, rj)
 	return j.snap, true
 }
 
@@ -839,10 +792,9 @@ func (g *Gateway) pendingLocked() int {
 	return n
 }
 
-// Close releases the gateway: watchers, relays and the poller stop,
-// and idle member connections close. It does not drain — call Drain
-// first for a clean shutdown — and does not close the store (the
-// caller owns it).
+// Close releases the gateway: relays and the poller stop, and idle
+// member connections close. It does not drain — call Drain first for a
+// clean shutdown — and does not close the store (the caller owns it).
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	g.closed = true

@@ -19,9 +19,8 @@ func (g *Gateway) Handler() http.Handler { return service.NewHandler(g, g.met.ss
 
 // List pages the gateway's routed jobs with service.List semantics —
 // ID order, status filter, exclusive After cursor, report payloads
-// stripped, member names kept. Statuses reflect the latest watcher/Get
-// snapshot, which may trail the member by one poll for non-terminal
-// jobs.
+// stripped, member names kept. Statuses are the relays' snapshots (see
+// Get): a non-terminal job is as far as its event stream has reached.
 func (g *Gateway) List(f service.ListFilter) service.ListPage {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"biochip/internal/assay"
@@ -27,18 +26,19 @@ var ErrUnknownJob = errors.New("federation: unknown job")
 // distinguish "member down" from "member refused".
 var ErrUnreachable = errors.New("federation: member unreachable")
 
-// rpcTimeout bounds plain request/response member calls; long-polls
-// and SSE streams manage their own deadlines.
+// rpcTimeout bounds plain request/response member calls; a relay's
+// SSE stream lasts until its job ends or the gateway closes.
 const rpcTimeout = 10 * time.Second
 
 // memberIdleConns is the idle-connection pool of each member's
 // transport. A connection that finds the pool full when its call ends
 // is closed, and the next call dials afresh. The gateway holds open,
-// per member, a watcher long-poll and a relay stream per in-flight job,
-// plus forwards, Get re-fetches and the stats poller. The size is the
-// peak measured on the gateway-scan benchmark (two closed-loop clients,
-// so at most two jobs in flight, through a gateway over two
-// single-shard members; 10 s runs): a ConnState count on the members
+// per member, a relay stream per in-flight job (and, at its terminal
+// frame, that job's record fetch), plus forwards and the stats poller.
+// The size is the peak measured on the gateway-scan benchmark (two
+// closed-loop clients, so at most two jobs in flight, through a gateway
+// over two single-shard members; 10 s runs) when each in-flight job
+// also held a long-poll on its member: a ConnState count on the members
 // saw at most 6 connections open to each at once. With the default
 // transport's 2 idle connections per host, each member took 650–740
 // new connections a run (about 1,000 jobs each); with this pool, 6.
@@ -174,27 +174,14 @@ func (m *Member) Submit(req service.SubmitRequest) (service.SubmitResult, error)
 // wrapping on transport failure.
 func (m *Member) Job(id string) (service.Job, error) {
 	var j service.Job
-	err := m.get("/v1/assays/"+url.PathEscape(id), rpcTimeout, &j)
-	return j, err
-}
-
-// WaitTimeout long-polls the member until the job is terminal or the
-// timeout elapses, returning the latest snapshot either way (as
-// service.WaitTimeout does, plus Job's errors).
-func (m *Member) WaitTimeout(id string, timeout time.Duration) (service.Job, error) {
-	var j service.Job
-	path := fmt.Sprintf("/v1/assays/%s?wait=1&timeout=%s", url.PathEscape(id),
-		strconv.FormatFloat(max(timeout.Seconds(), 0), 'f', -1, 64))
-	// Allow headroom over the server-side window before the transport
-	// deadline fires.
-	err := m.get(path, timeout+rpcTimeout, &j)
+	err := m.get("/v1/assays/"+url.PathEscape(id), &j)
 	return j, err
 }
 
 // Stats snapshots the member's /v1/stats.
 func (m *Member) Stats() (service.Stats, error) {
 	var st service.Stats
-	err := m.get("/v1/stats", rpcTimeout, &st)
+	err := m.get("/v1/stats", &st)
 	return st, err
 }
 
@@ -203,7 +190,7 @@ func (m *Member) Stats() (service.Stats, error) {
 // ErrUnreachable wrapping on transport failure.
 func (m *Member) Trace(id string) (obs.TraceDoc, error) {
 	var doc obs.TraceDoc
-	err := m.get("/v1/assays/"+url.PathEscape(id)+"/trace", rpcTimeout, &doc)
+	err := m.get("/v1/assays/"+url.PathEscape(id)+"/trace", &doc)
 	return doc, err
 }
 
@@ -212,7 +199,7 @@ func (m *Member) Trace(id string) (obs.TraceDoc, error) {
 // — the member is up, it just has nothing to report.
 func (m *Member) Metrics() ([]obs.MetricFamily, error) {
 	var fams []obs.MetricFamily
-	if err := m.get("/v1/metrics", rpcTimeout, &fams); err != nil && !errors.Is(err, ErrUnknownJob) {
+	if err := m.get("/v1/metrics", &fams); err != nil && !errors.Is(err, ErrUnknownJob) {
 		return nil, err
 	}
 	return fams, nil
@@ -222,19 +209,19 @@ func (m *Member) Metrics() ([]obs.MetricFamily, error) {
 // 200 and 503 (a draining member still reports itself).
 func (m *Member) Health() (service.Health, error) {
 	var h service.Health
-	err := m.get("/v1/healthz", rpcTimeout, &h)
+	err := m.get("/v1/healthz", &h)
 	return h, err
 }
 
-// get GETs path from the member within timeout and decodes the reply
-// into v: Prometheus text into a *[]obs.MetricFamily, JSON into
+// get GETs path from the member within rpcTimeout and decodes the
+// reply into v: Prometheus text into a *[]obs.MetricFamily, JSON into
 // anything else. A 200 decodes, as does a 503 into a *service.Health.
 // A 404 is ErrUnknownJob: the only 404s a worker serves are unknown
 // jobs (and traces) and, on /v1/metrics, disabled observability.
 // Transport failures, other statuses and undecodable bodies wrap
 // ErrUnreachable.
-func (m *Member) get(path string, timeout time.Duration, v any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+func (m *Member) get(path string, v any) error {
+	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.Addr+path, nil)
 	if err != nil {

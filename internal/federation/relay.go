@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strconv"
 
+	"biochip/internal/service"
 	"biochip/internal/stream"
 )
 
@@ -17,39 +18,25 @@ import (
 // reused instead of dropped.
 const relayDrainBytes = 4 << 10
 
-// mirrorFor lazily starts a job's event relay: the first subscriber
-// (SSE client or test) triggers one background goroutine that feeds
-// the member's events into a stream.Ring (Ring.Feed), and every
-// subscriber — concurrent or late — reads from that mirror ring with
-// the full ring contract. Events are ingested verbatim (sequence
-// numbers, wall stamps and the member's frame bytes preserved), with
-// only the job ID in job.* payloads rewritten into the gateway
-// namespace; gap events appear exactly when the member itself reported
-// one, never from relay reconnects, which resume from the mirror's
-// cursor.
-func (g *Gateway) mirrorFor(j *gwJob) *stream.Ring {
-	j.mirrorOnce.Do(func() {
-		j.mirror = stream.NewRing(stream.DefaultCapacity)
-		j.mirror.SetBackfill(func(from, to uint64) []stream.Event {
-			return g.rangeFetch(j, from, to)
-		})
-		g.wg.Add(1)
-		go g.relay(j)
-	})
-	return j.mirror
-}
-
-// relay is the per-job replication loop: connect to the member's SSE
-// endpoint resuming after the mirror's last sequence number, feed
-// frames until the stream ends, reconnect with backoff until the
-// job's terminal event has been mirrored. A member restart mid-stream
-// is just a reconnect: the durable member re-serves (or
-// deterministically re-executes) the job, and the resume cursor
-// guarantees no duplicates and no relay-invented gaps.
+// relay is the one follower of a routed job, started by bind and
+// recover: it connects to the member's SSE endpoint resuming after the
+// mirror's last sequence number, feeds frames into the mirror until
+// the stream ends, and reconnects with backoff until the job is
+// finished. Events are ingested verbatim (sequence numbers, wall stamps
+// and the member's frame bytes preserved), with only the job ID in
+// job.* payloads rewritten into the gateway namespace; gap events
+// appear exactly when the member itself reported one, never from
+// reconnects, which resume from the mirror's cursor. A member restart
+// mid-stream is just a reconnect: the durable member re-serves (or
+// deterministically re-executes) the job. A member that no longer
+// knows the job — a non-durable worker restarted — gets it failed.
 func (g *Gateway) relay(j *gwJob) {
 	defer g.wg.Done()
 	defer j.mirror.Close()
-	backoff := watchBackoffMin
+	j.mirror.SetBackfill(func(from, to uint64) []stream.Event {
+		return g.rangeFetch(j, from, to)
+	})
+	backoff := relayBackoffMin
 	for {
 		if g.ctx.Err() != nil {
 			return
@@ -58,41 +45,21 @@ func (g *Gateway) relay(j *gwJob) {
 		if terminal {
 			return
 		}
-		if err != nil && errors.Is(err, ErrUnknownJob) {
-			// The member lost the job (non-durable restart). The watcher
-			// fails the job gateway-side; emit its terminal event so
-			// subscribers end instead of hanging. A watcher that saw the
-			// gateway close returns without failing the job, so Close
-			// must end the wait too.
-			select {
-			case <-j.done:
-			case <-g.ctx.Done():
-				return
-			}
-			g.mu.Lock()
-			snap := j.snap
-			g.mu.Unlock()
-			j.mirror.Feed(stream.Event{
-				Seq:  j.mirror.Last() + 1,
-				Type: stream.JobFailed,
-				Job:  &stream.JobInfo{ID: j.id},
-				Err:  snap.Error,
-			})
+		if errors.Is(err, ErrUnknownJob) {
+			g.fail(j, "federation: job lost by member restart (member runs without -data)")
 			return
 		}
 		if !g.sleep(backoff) {
 			return
 		}
-		backoff *= 2
-		if backoff > watchBackoffMax {
-			backoff = watchBackoffMax
-		}
+		backoff = min(2*backoff, relayBackoffMax)
 	}
 }
 
 // streamOnce runs one SSE connection to the member, feeding the mirror
-// until the connection ends. It reports whether the job's terminal
-// event was mirrored, and the error that broke the connection, if any.
+// and the job's snapshot until the connection ends. It reports whether
+// it finished the job, and the error that broke the connection, if
+// any.
 func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 	ctx, cancel := context.WithCancel(g.ctx)
 	defer cancel()
@@ -107,24 +74,46 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 		if !ok {
 			return false, rd.Err()
 		}
-		if ev.Type == stream.Shutdown {
+		switch ev.Type {
+		case stream.Shutdown:
 			// The member is draining: its stream is about to end; the
 			// next connection lands on the restarted (or drained-and-
 			// recovered) member.
 			return false, nil
-		}
-		j.mirror.Feed(j.rewrite(ev))
-		if ev.Type == stream.JobDone || ev.Type == stream.JobFailed {
+		case stream.JobStarted:
+			g.mu.Lock()
+			j.snap.Status = service.StatusRunning
+			if ev.Job != nil {
+				j.snap.Profile = ev.Job.Profile
+			}
+			g.mu.Unlock()
+		case stream.JobDone, stream.JobFailed:
+			// Finish the job from the member's record before the
+			// terminal frame reaches subscribers, so a client that read
+			// the stream to its end reads a terminal job. The record is
+			// fetched while this response is still open: a draining
+			// member holds it open until its drain completes, and a
+			// non-durable one that then exits would take the record
+			// along. A failed fetch, or a record not yet terminal, ends
+			// the connection with the frame unfed, so the reconnect
+			// resumes just before it and fetches again.
+			rj, err := j.member.Job(j.remoteID)
+			if err != nil || (rj.Status != service.StatusDone && rj.Status != service.StatusFailed) {
+				return false, err
+			}
+			g.mu.Lock()
+			g.finishLocked(j, g.rewriteLocked(j, rj))
+			g.mu.Unlock()
+			j.mirror.Feed(j.rewrite(ev))
+			j.mirror.Close()
 			// The member ends the response right after the terminal
 			// frame: read to that end, within a small bound, so the
 			// connection goes back to the member's idle pool (a failed
-			// read only costs the connection). The mirror closes first
-			// — a draining member holds the response open until its
-			// drain completes.
-			j.mirror.Close()
+			// read only costs the connection).
 			_, _ = io.CopyN(io.Discard, resp.Body, relayDrainBytes)
 			return true, nil
 		}
+		j.mirror.Feed(j.rewrite(ev))
 	}
 }
 
@@ -203,7 +192,7 @@ func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 
 // SubscribeEvents attaches to a gateway job's mirrored event stream,
 // resuming after the given sequence number (service.SubscribeEvents
-// semantics). The relay starts on first subscription. Relayed events
+// semantics). Relayed events
 // are served as the member's bytes: each carries Seq, Type, its Job or
 // Gap block where the relay decoded one, and its encoding
 // (stream.Event.Data), while other payload blocks stay encoded. The
@@ -216,5 +205,5 @@ func (g *Gateway) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {
 	if !ok {
 		return nil, false
 	}
-	return g.mirrorFor(j).Subscribe(after), true
+	return j.mirror.Subscribe(after), true
 }

@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,30 +193,28 @@ func TestGatewaySSEBodyMatchesMember(t *testing.T) {
 }
 
 // TestMemberConnectionReuse pins that member calls keep their
-// connection: ten sequential Job, WaitTimeout and relayed-stream calls
-// against one member, each reply a ~40 KB chunked body, open one
-// connection between them, not one per call.
+// connections: ten sequential Job calls against one member, each reply
+// a ~40 KB chunked body, open one connection between them, not one per
+// call; ten sequential relays open two, since each fetches its job's
+// record while its stream is still open.
 func TestMemberConnectionReuse(t *testing.T) {
 	report := json.RawMessage(`{"program":"capture-scan","pad":"` + strings.Repeat("x", 40<<10) + `"}`)
 	frames := goldenFrames(t, "j-000001")
 	frames[2] = strings.Replace(frames[2], `"detail":"load 4 × viable-cell"`,
 		`"detail":"`+strings.Repeat("y", 40<<10)+`"`, 1)
 	calls := []struct {
-		name string
-		call func(t *testing.T, g *Gateway, m *Member)
+		name  string
+		conns int64
+		call  func(t *testing.T, g *Gateway, m *Member)
 	}{
-		{"Job", func(t *testing.T, _ *Gateway, m *Member) {
+		{"Job", 1, func(t *testing.T, _ *Gateway, m *Member) {
 			if j, err := m.Job("j-000001"); err != nil || !bytes.Equal(j.Report, report) {
 				t.Fatalf("Job: %v (report %d bytes)", err, len(j.Report))
 			}
 		}},
-		{"WaitTimeout", func(t *testing.T, _ *Gateway, m *Member) {
-			if j, err := m.WaitTimeout("j-000001", time.Second); err != nil || !bytes.Equal(j.Report, report) {
-				t.Fatalf("WaitTimeout: %v (report %d bytes)", err, len(j.Report))
-			}
-		}},
-		{"relay", func(t *testing.T, g *Gateway, m *Member) {
-			j := &gwJob{id: "a-000001", member: m, remoteID: "j-000001", mirror: stream.NewRing(0)}
+		{"relay", 2, func(t *testing.T, g *Gateway, m *Member) {
+			j := &gwJob{id: "a-000001", member: m, remoteID: "j-000001", mirror: stream.NewRing(0),
+				done: make(chan struct{})}
 			if terminal, err := g.streamOnce(j); !terminal || err != nil {
 				t.Fatalf("relay: terminal %v, err %v", terminal, err)
 			}
@@ -235,8 +235,8 @@ func TestMemberConnectionReuse(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				c.call(t, g, g.members[0])
 			}
-			if n := m.conns.Load(); n != 1 {
-				t.Errorf("10 sequential %s calls opened %d connections, want 1", c.name, n)
+			if n := m.conns.Load(); n != c.conns {
+				t.Errorf("10 sequential %s calls opened %d connections, want %d", c.name, n, c.conns)
 			}
 		})
 	}
@@ -244,7 +244,7 @@ func TestMemberConnectionReuse(t *testing.T) {
 
 // TestMemberPoolHoldsConcurrentCalls pins the member pool's size: two
 // rounds of memberIdleConns calls held open together at the member, as
-// a busy gateway's watchers, relays and forwards are, open
+// a busy gateway's relays, record fetches and forwards are, open
 // memberIdleConns connections between them. With the default
 // transport's 2 idle connections per host, the second round re-dials
 // all but two.
@@ -300,34 +300,67 @@ func TestMemberPoolHoldsConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestRelayLostJobEndsOnClose pins that Close returns while a
-// relay waits for the watcher to fail a job its member lost. The
-// member 404s the job's events, and no watcher runs, as when one
-// returned on Close without failing the job.
+// TestRelayLostJobEndsOnClose pins the lost-job path: a member that
+// 404s a job's events gets the job failed by its relay, with the
+// job.failed frame ending the stream, and Close still returns at once.
 func TestRelayLostJobEndsOnClose(t *testing.T) {
-	asked := make(chan struct{}, 1)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case asked <- struct{}{}:
-		default:
-		}
-		http.NotFound(w, r)
-	}))
+	ts := httptest.NewServer(http.NotFoundHandler())
 	defer ts.Close()
 	g, err := New(Config{Members: []MemberSpec{{Name: "w0", Addr: ts.URL, Profiles: die40()}},
 		PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &gwJob{id: "a-000001", member: g.members[0], remoteID: "j-000001", done: make(chan struct{})}
-	g.mirrorFor(j)
+	j := &gwJob{id: "a-000001", member: g.members[0], remoteID: "j-000001",
+		done: make(chan struct{}), mirror: stream.NewRing(0),
+		snap: service.Job{ID: "a-000001", Status: service.StatusQueued, Seed: 7, Member: "w0"}}
+	g.wg.Add(1)
+	go g.relay(j)
 	select {
-	case <-asked:
+	case <-j.done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the relay never asked the member for the job's events")
+		t.Fatal("the relay never failed the lost job")
 	}
-	// Nothing shows when the relay starts waiting on the 404; the pause
-	// only lets it get there before Close, which must return either way.
+	if j.snap.Status != service.StatusFailed || !strings.Contains(j.snap.Error, "lost") || j.snap.Seed != 7 {
+		t.Errorf("lost job snapshot %+v, want failed as lost with its seed kept", j.snap)
+	}
+	sub := j.mirror.Subscribe(0)
+	evs := collectSub(sub)
+	sub.Cancel()
+	if len(evs) != 1 || evs[0].Type != stream.JobFailed || evs[0].Err != j.snap.Error {
+		t.Errorf("lost job stream %+v, want one job.failed carrying %q", evs, j.snap.Error)
+	}
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close did not return after the relay failed a lost job")
+	}
+}
+
+// TestGatewayCloseWithoutDrain pins that Close, without a Drain first,
+// stops following an unfinished job at once: the held stub member
+// keeps the job queued, and nothing the gateway asks it about the job
+// returns until release.
+func TestGatewayCloseWithoutDrain(t *testing.T) {
+	stub := newStubMember(t, service.Stats{}, accept)
+	// A Close that returned leaves no request held; a failed one must
+	// not leave the stub's shutdown waiting on its handlers.
+	defer stub.holdJobs()()
+	g, err := New(Config{Members: []MemberSpec{{Name: "w0", Addr: stub.ts.URL, Profiles: die40()}},
+		PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Submit(service.SubmitRequest{Seed: 1, Program: testProgram(4)}); err != nil {
+		t.Fatal(err)
+	}
+	// The pause only lets the gateway reach the member before Close,
+	// which must return either way.
 	time.Sleep(50 * time.Millisecond)
 	closed := make(chan struct{})
 	go func() {
@@ -337,6 +370,62 @@ func TestRelayLostJobEndsOnClose(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(3 * time.Second):
-		t.Fatal("Close did not return: the relay still waits for the lost job to fail")
+		t.Fatal("Close did not return while the member held the job")
+	}
+}
+
+// TestGatewayFollowsJobOnce pins that the gateway follows a routed job
+// with one relay: for each of N jobs a client submits, reads the
+// events to their end and GETs the job, the member sees one
+// submission, one event stream and one record fetch, and no long-poll,
+// and each GET after the stream ended is the finished job.
+func TestGatewayFollowsJobOnce(t *testing.T) {
+	const n = 5
+	svc, err := service.New(service.FleetSpec{Profiles: die40()}.ServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The member's requests, counted by route.
+	var mu sync.Mutex
+	routes := make(map[string]int)
+	h := svc.Handler()
+	ws := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		route := r.Method + " " + r.URL.Path
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/events"):
+			route = "events"
+		case r.URL.Query().Has("wait"):
+			route = "long-poll"
+		case strings.HasPrefix(r.URL.Path, "/v1/assays/"):
+			route = "get"
+		}
+		mu.Lock()
+		routes[route]++
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer func() { ws.Close(); svc.Close() }()
+	base := serveGateway(t, MemberSpec{Name: "w0", Addr: ws.URL, Profiles: die40()})
+	for i := 0; i < n; i++ {
+		resp, body := do(t, http.MethodPost, base+"/v1/assays", submitBody(t, 100+uint64(i)))
+		var res service.SubmitResult
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &res) != nil {
+			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		if resp, body := do(t, http.MethodGet, base+"/v1/assays/"+res.ID+"/events", ""); resp.StatusCode != http.StatusOK ||
+			!strings.Contains(string(body), "event: job.done\n") {
+			t.Fatalf("events of %s: status %d, no job.done frame", res.ID, resp.StatusCode)
+		}
+		resp, body = do(t, http.MethodGet, base+"/v1/assays/"+res.ID, "")
+		var j service.Job
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &j) != nil || j.Status != service.StatusDone {
+			t.Errorf("GET %s after its stream ended: status %d: %.120s, want done", res.ID, resp.StatusCode, body)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string]int{"POST /v1/assays": n, "events": n, "get": n}
+	if !reflect.DeepEqual(routes, want) {
+		t.Errorf("member requests by route %v, want %v", routes, want)
 	}
 }

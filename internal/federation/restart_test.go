@@ -1,8 +1,11 @@
 package federation
 
 import (
+	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -307,5 +310,74 @@ func TestGatewayNonDurableMemberLosesJob(t *testing.T) {
 	}
 	if lost == 0 {
 		t.Error("no job was lost — the kill landed after the whole batch finished; tighten the batch")
+	}
+}
+
+// TestGatewayRecoveryMemberRemoved pins the restart of a durable
+// gateway after a member left the members spec: the job routed to that
+// member fails, its stream is the one job.failed frame, and it releases
+// its content address, so an identical resubmission is forwarded to a
+// remaining member and runs there.
+func TestGatewayRecoveryMemberRemoved(t *testing.T) {
+	_, ts0 := startWorker(t, die40())
+	_, ts1 := startWorker(t, die40())
+	w0 := MemberSpec{Name: "w0", Addr: ts0.URL, Profiles: die40()}
+	w1 := MemberSpec{Name: "w1", Addr: ts1.URL, Profiles: die40()}
+	dir := t.TempDir()
+	open := func(members ...MemberSpec) (*Gateway, *store.Disk) {
+		st, err := store.Open(dir, store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := New(Config{Members: members, Store: st, PollInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, st
+	}
+	req := service.SubmitRequest{Seed: 11, Program: testProgram(4)}
+
+	// The members tie, so placement takes w1, first in members order.
+	g, st := open(w1, w0)
+	res, err := g.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second); err != nil || !terminal || j.Member != "w1" {
+		t.Fatalf("job %s: terminal=%v member %q err=%v, want done on w1", res.ID, terminal, j.Member, err)
+	}
+	g.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g, st = open(w0)
+	defer func() { g.Close(); st.Close() }()
+	gs := httptest.NewServer(g.Handler())
+	defer gs.Close()
+	const removed = "federation: member of routed job removed from members spec"
+	resp, body := do(t, http.MethodGet, gs.URL+"/v1/assays/"+res.ID, "")
+	var j service.Job
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &j) != nil ||
+		j.Status != service.StatusFailed || j.Error != removed || j.Seed != req.Seed || j.Program != req.Program.Name {
+		t.Errorf("GET after restart: status %d %s, want failed with %q, seed and program kept", resp.StatusCode, body, removed)
+	}
+	resp, body = do(t, http.MethodGet, gs.URL+"/v1/assays/"+res.ID+"/events", "")
+	want := fmt.Sprintf("id: 1\nevent: job.failed\ndata: {\"seq\":1,\"type\":\"job.failed\",\"t\":0,\"job\":{\"id\":%q},\"error\":%q}\n\n",
+		res.ID, removed)
+	if resp.StatusCode != http.StatusOK || string(body) != want {
+		t.Errorf("events after restart: status %d\n%q\nwant\n%q", resp.StatusCode, body, want)
+	}
+	again, err := g.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Cache != "" || again.ID == res.ID {
+		t.Fatalf("resubmission = %+v, want a fresh forward", again)
+	}
+	if j, terminal, err := g.WaitTimeout(again.ID, 30*time.Second); err != nil || !terminal ||
+		j.Status != service.StatusDone || j.Member != "w0" {
+		t.Errorf("resubmitted job %s: %s on %q terminal=%v err=%v (%s), want done on w0",
+			again.ID, j.Status, j.Member, terminal, err, j.Error)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"biochip/internal/service"
 	"biochip/internal/store"
+	"biochip/internal/stream"
 )
 
 func memberStats(name string, st service.Stats) MemberStats {
@@ -180,7 +181,9 @@ func TestParseMembersSpec(t *testing.T) {
 
 // stubMember is a scripted worker endpoint for placement tests: it
 // serves a crafted /v1/stats body and answers submissions by script,
-// recording what it was asked to run.
+// recording what it was asked to run. Its jobs stay queued: a job's
+// event stream is job.placed and then nothing, until holdJobs releases
+// it.
 type stubMember struct {
 	mu       sync.Mutex
 	stats    service.Stats
@@ -208,39 +211,50 @@ func newStubMember(t *testing.T, stats service.Stats, response func(n int) (int,
 		reply(w, code, body)
 	})
 	mux.HandleFunc("GET /v1/assays/{id}", func(w http.ResponseWriter, r *http.Request) {
-		// Jobs stay queued forever, or until holdJobs releases them.
-		s.mu.Lock()
-		hold := s.hold
-		s.mu.Unlock()
 		status := service.StatusQueued
-		if hold != nil {
-			if r.URL.Query().Get("wait") == "1" {
-				select {
-				case <-hold:
-				case <-r.Context().Done():
-				}
-			}
-			select {
-			case <-hold:
-				status = service.StatusDone
-			default:
-			}
+		select {
+		case <-s.held():
+			status = service.StatusDone
+		default:
 		}
 		reply(w, http.StatusOK, service.Job{ID: r.PathValue("id"), Status: status})
+	})
+	mux.HandleFunc("GET /v1/assays/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		frame := func(seq int, typ string) {
+			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: {\"seq\":%d,\"type\":%q,\"t\":0,\"job\":{\"id\":%q}}\n\n",
+				seq, typ, seq, typ, r.PathValue("id"))
+			w.(http.Flusher).Flush()
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		if r.Header.Get("Last-Event-ID") == "" {
+			frame(1, stream.JobPlaced)
+		}
+		select {
+		case <-s.held(): // a nil channel (no holdJobs) holds for good
+			frame(2, stream.JobDone)
+		case <-r.Context().Done():
+		}
 	})
 	s.ts = httptest.NewServer(mux)
 	t.Cleanup(s.ts.Close)
 	return s
 }
 
-// holdJobs keeps the stub's jobs queued, holding long-polls on them,
-// until release runs; from then on every job is done.
+// holdJobs keeps the stub's jobs queued, holding their event streams
+// after job.placed, until release runs; from then on every job is done.
 func (s *stubMember) holdJobs() (release func()) {
 	hold := make(chan struct{})
 	s.mu.Lock()
 	s.hold = hold
 	s.mu.Unlock()
 	return func() { close(hold) }
+}
+
+// held is the channel release closes (nil before holdJobs).
+func (s *stubMember) held() chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hold
 }
 
 // reply writes one JSON response, as a worker does.

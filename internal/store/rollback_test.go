@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -155,4 +156,40 @@ func TestDiskFailedRollbackRefusesAppends(t *testing.T) {
 	if st := d.Stats(); st.Records != 1 {
 		t.Errorf("store counts %d records, want the 1 acked", st.Records)
 	}
+}
+
+// TestDiskFailedRollRecovers: a roll whose next segment cannot be
+// created refuses the one append that needed it and leaves the active
+// segment in service. Once the cause is gone, the next append rolls,
+// Close succeeds, and a reopen replays exactly the acked records.
+func TestDiskFailedRollRecovers(t *testing.T) {
+	opts := Options{NoSync: true, MaxSegmentBytes: 64}
+	d, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub1, sub3, sub4 := testSubmit("a-000001", 1), testSubmit("a-000003", 3), testSubmit("a-000004", 4)
+	if err := d.LogSubmit(sub1); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the next segment goes: its create fails.
+	stale := d.segPath(2)
+	if err := os.Mkdir(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.LogSubmit(testSubmit("a-000002", 2)); err == nil {
+		t.Fatal("an append whose roll failed was acked")
+	}
+	if err := os.Remove(stale); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []SubmitRecord{sub3, sub4} {
+		if err := d.LogSubmit(sub); err != nil {
+			t.Fatalf("append %s after the failed roll: %v", sub.ID, err)
+		}
+	}
+	checkReopen(t, d, opts,
+		&Record{Kind: KindSubmit, Submit: &sub1},
+		&Record{Kind: KindSubmit, Submit: &sub3},
+		&Record{Kind: KindSubmit, Submit: &sub4})
 }

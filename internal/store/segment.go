@@ -325,19 +325,22 @@ func (d *Disk) indexFinish(fin *FinishRecord, pos recordPos) {
 	}
 }
 
-// roll seals the active segment and starts the next one. Caller holds
-// d.mu.
+// roll starts the next segment and seals the active one. The next
+// segment is created first: when that fails, the active segment stays
+// open and current, so only the append that needed the roll is refused
+// and the next append tries the roll again. Caller holds d.mu.
 func (d *Disk) roll() error {
-	if err := d.cur.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	d.curSeg++
-	f, err := os.OpenFile(d.segPath(d.curSeg), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(d.segPath(d.curSeg+1), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	sealed := d.cur
 	d.cur, d.curSize = f, 0
+	d.curSeg++
 	d.segments = append(d.segments, d.curSeg)
+	if err := sealed.Close(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
 	return nil
 }
 
