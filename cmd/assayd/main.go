@@ -84,6 +84,10 @@ import (
 	"biochip/internal/store"
 )
 
+// readHeaderTimeout bounds the wait for a request's headers, so a
+// client cannot hold a connection open without ever sending a request.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8547", "HTTP listen address")
 	fleet := flag.String("fleet", "", "fleet spec file (JSON); overrides -shards/-cols/-rows/-p")
@@ -249,7 +253,7 @@ func openStore(dir string) *store.Disk {
 // drain is unbounded when the backlog is deep, and the operator must
 // keep a way out.
 func serve(addr string, b service.Backend, h http.Handler, disk *store.Disk) {
-	srv := &http.Server{Addr: addr, Handler: h}
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

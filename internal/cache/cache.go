@@ -94,12 +94,13 @@ func KeyOf(pr assay.Program, seed uint64, profiles []ProfileMaterial) (Key, erro
 }
 
 // Entry is one cached result reference: the ID of the job that computed
-// the result plus the approximate retained size of its cached payload
-// (report and, on a non-durable service, the pinned event ring).
+// the result plus the size of its report.
 type Entry struct {
 	// ID is the job whose terminal record holds the result.
 	ID string
-	// Bytes is the accounted in-memory footprint of the entry.
+	// Bytes is the length of the job's report encoding. It is a figure
+	// for stats only: eviction goes by entry count, and a non-durable
+	// worker's pinned event ring is not counted.
 	Bytes int64
 }
 
@@ -143,7 +144,7 @@ func (l *LRU) Capacity() int { return l.capacity }
 // Len returns the resident entry count.
 func (l *LRU) Len() int { return len(l.items) }
 
-// Bytes returns the accounted footprint of the resident entries.
+// Bytes returns the summed report bytes of the resident entries.
 func (l *LRU) Bytes() int64 { return l.bytes }
 
 // Get returns the entry for key, promoting it to most recently used.

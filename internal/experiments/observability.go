@@ -9,15 +9,15 @@ import (
 	"biochip/internal/table"
 )
 
-// E17ObservabilityOverhead measures the cost of the observability
-// layer (internal/obs) on the service it instruments: the same
-// distinct-seed batch runs with obs off (Config.Obs nil — the counters
-// behind /v1/stats still run, into the service's private registry, but
-// no latency histograms, gauges or spans are recorded) and on
-// (counters, latency histograms and a span tree per job). The
-// obspurity rule guarantees telemetry cannot feed reports, so the
-// reports must be bit-identical; the claim on display is cost — the
-// instrumented batch must stay within 5% of the baseline wall-clock.
+// E17ObservabilityOverhead measures the cost of span tracing
+// (internal/obs) on the service it instruments: the same distinct-seed
+// batch runs with obs off (Config.Obs nil — counters, latency
+// histograms and gauges still run, into the service's private
+// registry, but no spans are recorded) and on (the same metrics, served,
+// plus a span tree per job). The obspurity rule guarantees telemetry
+// cannot feed reports, so the reports must be bit-identical; the claim
+// on display is cost — the traced batch must stay within 5% of the
+// baseline wall-clock.
 func E17ObservabilityOverhead(scale Scale) (*table.Table, error) {
 	side, cells, jobs, shards, reps := 48, 12, 16, 4, 3
 	if scale == Quick {
@@ -36,17 +36,17 @@ func E17ObservabilityOverhead(scale Scale) (*table.Table, error) {
 	var base float64
 	var baseJobs []service.Job
 	for _, on := range []bool{false, true} {
-		name := "obs off (counters only)"
+		name := "obs off (metrics, no spans)"
 		if on {
 			name = "obs on (metrics + traces)"
 		}
 		var best float64
 		var done []service.Job
 		for rep := 0; rep < reps; rep++ {
-			// Obs nil counts only into the service's private registry.
-			// The result cache is off so every job executes: the point
-			// is the per-execution cost of metrics and span recording,
-			// not cache arithmetic.
+			// Obs nil records metrics into the service's private
+			// registry only. The result cache is off so every job
+			// executes: the point is the per-execution cost of span
+			// recording, not cache arithmetic.
 			var reg *obs.Registry
 			if on {
 				reg = obs.NewRegistry()
@@ -70,6 +70,6 @@ func E17ObservabilityOverhead(scale Scale) (*table.Table, error) {
 		}
 		t.AddRow(name, fmt.Sprintf("%.0f", 1000*best), fmt.Sprintf("%.1f", float64(jobs)/best), overhead, same)
 	}
-	t.Note("shape: the counters behind /v1/stats run in both rows, so the gap is the latency histograms, gauges and bounded span appends, all off the execute path; the instrumented row must sit within 5%% of the baseline (noise-floor on loaded hosts) with bit-identical reports — telemetry is out-of-band by construction (docs/observability.md)")
+	t.Note("shape: counters, latency histograms and gauges run in both rows, so the gap is the bounded span appends alone, all off the execute path; the traced row must sit within 5%% of the baseline (noise-floor on loaded hosts) with bit-identical reports — telemetry is out-of-band by construction (docs/observability.md)")
 	return t, nil
 }

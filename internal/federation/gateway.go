@@ -50,11 +50,12 @@ type Config struct {
 	// PollInterval paces backlog polling; 0 selects
 	// DefaultPollInterval.
 	PollInterval time.Duration
-	// Obs enables metrics and span tracing on this gateway; nil (the
-	// default) disables both, and the gateway counts into a private
-	// registry that backs /v1/stats alone. The registry is the
-	// gateway's only counter store, so it must serve one backend: two
-	// sharing one would merge their /v1/stats counters.
+	// Obs is the registry served at /v1/metrics; setting it also
+	// records a span trace per routed job. Nil (the default) serves
+	// neither, and the gateway records the same metrics into a private
+	// registry that backs /v1/stats alone. The registry is the gateway's
+	// only counter store, so it must serve one backend: two sharing one
+	// would merge their /v1/stats counters.
 	Obs *obs.Registry
 }
 
@@ -114,7 +115,7 @@ type Gateway struct {
 	views    []memberView
 	jobs     map[string]*gwJob
 	remote   map[string]string // memberName \x00 remoteID → gateway ID
-	seq      uint64
+	seq      int
 	lru      *cache.LRU
 	inflight map[cache.Key]*gwJob
 	draining bool
@@ -126,12 +127,11 @@ type Gateway struct {
 	cancel      context.CancelFunc
 	wg          sync.WaitGroup
 
-	// Observability: obs is the served registry (nil: no /v1/metrics),
-	// met holds every Stats counter. fwdSeq mints the forward
-	// references sent in X-Assay-Trace; started anchors health uptime.
+	// Observability: obs is the served registry (nil: no /v1/metrics
+	// and no traces), met holds every Stats counter. fwdSeq mints the
+	// forward references sent in X-Assay-Trace; started anchors uptime.
 	obs     *obs.Registry
 	met     gwMetrics
-	tracing bool
 	fwdSeq  uint64 // guarded by mu
 	started obs.Stamp
 }
@@ -155,7 +155,6 @@ func New(cfg Config) (*Gateway, error) {
 		drained:  make(chan struct{}),
 		obs:      cfg.Obs,
 		met:      newGwMetrics(reg),
-		tracing:  cfg.Obs != nil,
 		started:  obs.Now(),
 	}
 	if g.poll <= 0 {
@@ -196,8 +195,7 @@ func (g *Gateway) recover() error {
 		}
 		r := rec.Route
 		m := g.memberByName(r.Member)
-		var n uint64
-		if _, err := fmt.Sscanf(r.ID, "a-%d", &n); err == nil && n > g.seq {
+		if n, ok := service.ParseJobID(r.ID); ok && n > g.seq {
 			g.seq = n
 		}
 		j := &gwJob{
@@ -326,10 +324,7 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 	if err := pr.CheckOps(); err != nil {
 		return service.SubmitResult{}, err
 	}
-	var subAt obs.Stamp
-	if g.tracing {
-		subAt = obs.Now()
-	}
+	subAt := obs.Now()
 	type candidate struct {
 		idx      int
 		member   *Member
@@ -387,9 +382,11 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 		g.met.miss.Inc()
 	}
 	// Mint the forward reference under the lock so references are
-	// sequential in submission order, like job IDs.
+	// sequential in submission order, like job IDs. Only a gateway that
+	// records traces sends one, so a member's trace names a parent
+	// exactly when the gateway can stitch it.
 	ref := ""
-	if g.tracing {
+	if g.obs != nil {
 		g.fwdSeq++
 		ref = fmt.Sprintf("f-%06d", g.fwdSeq)
 	}
@@ -404,28 +401,16 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 	sort.SliceStable(cands, func(a, b int) bool {
 		return scores[cands[a].idx] < scores[cands[b].idx]
 	})
-	var placeEnd obs.Stamp
-	if g.tracing {
-		placeEnd = obs.Now()
-	}
+	placeEnd := obs.Now()
 
 	var fulls []*service.QueueFullError
 	var lastErr error
 	for _, c := range cands {
-		var fwdAt obs.Stamp
-		if g.tracing {
-			fwdAt = obs.Now()
-		}
-		res, err := c.member.Submit(service.SubmitRequest{Seed: seed, Program: pr, Trace: ref})
-		if g.tracing {
-			g.met.forward.With(c.member.Name).Observe(obs.Since(fwdAt))
-		}
+		fwdAt := obs.Now()
+		res, err := c.member.Submit(g.ctx, service.SubmitRequest{Seed: seed, Program: pr, Trace: ref})
+		g.met.forward.With(c.member.Name).Observe(obs.Since(fwdAt))
 		if err == nil {
-			var ft *fwdTrace
-			if g.tracing {
-				ft = &fwdTrace{ref: ref, parent: req.Trace,
-					subAt: subAt, placeEnd: placeEnd, fwdAt: fwdAt}
-			}
+			ft := fwdTrace{ref: ref, parent: req.Trace, subAt: subAt, placeEnd: placeEnd, fwdAt: fwdAt}
 			return g.bind(c.idx, c.member, pr, seed, key, wal, res, ft)
 		}
 		lastErr = err
@@ -482,7 +467,7 @@ func (g *Gateway) cachedLocked(key cache.Key) (service.SubmitResult, bool) {
 // submission is acked, under the gateway lock so log order matches ID
 // order. A submission whose identical twin won the forwarding race
 // coalesces onto the twin instead of double-binding.
-func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key cache.Key, wal json.RawMessage, res service.SubmitResult, ft *fwdTrace) (service.SubmitResult, error) {
+func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key cache.Key, wal json.RawMessage, res service.SubmitResult, ft fwdTrace) (service.SubmitResult, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if dup, ok := g.cachedLocked(key); ok {
@@ -492,7 +477,7 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		return dup, nil
 	}
 	g.seq++
-	id := fmt.Sprintf("a-%06d", g.seq)
+	id := service.JobID(g.seq)
 	if g.store != nil {
 		if err := g.store.LogRoute(store.RouteRecord{
 			ID: id, Member: m.Name, RemoteID: res.ID, Seed: seed, Program: wal,
@@ -516,22 +501,22 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 			Eligible: res.Eligible, Assigned: -1, Shard: -1, Member: m.Name,
 		},
 	}
-	if ft != nil {
-		// Root and place are recorded retroactively from the stamps the
-		// forwarding path carried — the job ID they hang off was only
-		// just minted. The forward span closes now: its round trip ended
-		// when the member acked.
+	if g.obs != nil {
 		j.trace = obs.NewTrace(id, ft.parent)
-		j.spanRoot = j.trace.Add("job", ft.parent, ft.subAt, 0,
-			obs.Attr{K: "program", V: pr.Name})
-		j.trace.Add("place", j.spanRoot.ID(), ft.subAt, ft.placeEnd)
-		fwd := j.trace.Add("forward", j.spanRoot.ID(), ft.fwdAt, obs.Now(),
-			obs.Attr{K: "member", V: m.Name},
-			obs.Attr{K: "remote_id", V: res.ID},
-			obs.Attr{K: "ref", V: ft.ref})
-		j.fwdRef = ft.ref
-		j.fwdSpan = fwd.ID()
 	}
+	// Root and place are recorded retroactively from the stamps the
+	// forwarding path carried — the job ID they hang off was only just
+	// minted. The forward span closes now: its round trip ended when the
+	// member acked.
+	j.spanRoot = j.trace.Add("job", ft.parent, ft.subAt, 0,
+		obs.Attr{K: "program", V: pr.Name})
+	j.trace.Add("place", j.spanRoot.ID(), ft.subAt, ft.placeEnd)
+	fwd := j.trace.Add("forward", j.spanRoot.ID(), ft.fwdAt, obs.Now(),
+		obs.Attr{K: "member", V: m.Name},
+		obs.Attr{K: "remote_id", V: res.ID},
+		obs.Attr{K: "ref", V: ft.ref})
+	j.fwdRef = ft.ref
+	j.fwdSpan = fwd.ID()
 	g.jobs[id] = j
 	if _, dup := g.remote[routeKey(m.Name, res.ID)]; !dup {
 		g.remote[routeKey(m.Name, res.ID)] = id
@@ -635,7 +620,7 @@ func (g *Gateway) pollLoop() {
 		case <-t.C:
 		}
 		for i, m := range g.members {
-			st, err := m.Stats()
+			st, err := m.Stats(g.ctx)
 			g.mu.Lock()
 			v := &g.views[i]
 			if err != nil {
@@ -664,7 +649,7 @@ func (g *Gateway) finishLocked(j *gwJob, snap service.Job) {
 	if snap.Status == service.StatusDone {
 		g.met.done.Inc()
 		if !j.key.Zero() && g.lru != nil {
-			g.lru.Add(j.key, cache.Entry{ID: j.id, Bytes: 64 + int64(len(snap.Report))})
+			g.lru.Add(j.key, cache.Entry{ID: j.id, Bytes: int64(len(snap.Report))})
 		}
 	} else {
 		g.met.failed.Inc()

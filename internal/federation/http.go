@@ -2,7 +2,7 @@ package federation
 
 import (
 	"net/http"
-	"sort"
+	"slices"
 
 	"biochip/internal/service"
 )
@@ -30,7 +30,7 @@ func (g *Gateway) List(f service.ListFilter) service.ListPage {
 			ids = append(ids, id)
 		}
 	}
-	sort.Strings(ids)
+	slices.SortFunc(ids, service.CompareJobIDs)
 	ids, next := service.PageIDs(ids, f)
 	page := service.ListPage{Jobs: make([]service.Job, len(ids)), Next: next}
 	for i, id := range ids {

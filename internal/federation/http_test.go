@@ -119,8 +119,9 @@ func submitBody(t *testing.T, seed uint64) string {
 
 // TestHTTPConformance runs the same requests against a worker and a
 // gateway: the error mapping (statuses, Retry-After, the JSON error
-// envelope), job records with the member field only on the gateway,
-// listing pagination, queue-full backpressure and the drain refusal.
+// envelope), refused requests consuming no job ID, job records with the
+// member field only on the gateway, listing pagination, queue-full
+// backpressure and the drain refusal.
 func TestHTTPConformance(t *testing.T) {
 	for _, r := range roles() {
 		t.Run(r.name, func(t *testing.T) {
@@ -143,6 +144,8 @@ func TestHTTPConformance(t *testing.T) {
 				{"events for unknown job", http.MethodGet, "/v1/assays/a-999999/events", "", http.StatusNotFound},
 				{"trace for unknown job", http.MethodGet, "/v1/assays/a-999999/trace", "", http.StatusNotFound},
 				{"metrics with obs disabled", http.MethodGet, "/v1/metrics", "", http.StatusNotFound},
+				{"oversized body", http.MethodPost, "/v1/assays", `{"seed":1,"program":{"name":"` + strings.Repeat("x", 1<<20) +
+					`","ops":[{"op":"load","kind":"viable-cell","count":1}]}}`, http.StatusRequestEntityTooLarge},
 			} {
 				resp, body := do(t, tc.method, base+tc.path, tc.body)
 				if resp.StatusCode != tc.want {
@@ -167,6 +170,9 @@ func TestHTTPConformance(t *testing.T) {
 					t.Fatalf("submit %d: status %d (%s)", i, resp.StatusCode, body)
 				}
 				ids = append(ids, res.ID)
+			}
+			if ids[0] != "a-000001" {
+				t.Errorf("first job after the refused requests is %s, want a-000001", ids[0])
 			}
 			for _, id := range ids {
 				resp, body := do(t, http.MethodGet, base+"/v1/assays/"+id+"?wait=1&timeout=30", "")

@@ -26,8 +26,9 @@ var ErrUnknownJob = errors.New("federation: unknown job")
 // distinguish "member down" from "member refused".
 var ErrUnreachable = errors.New("federation: member unreachable")
 
-// rpcTimeout bounds plain request/response member calls; a relay's
-// SSE stream lasts until its job ends or the gateway closes.
+// rpcTimeout bounds plain request/response member calls within the
+// caller's context (the gateway's, which Close cancels); a relay's SSE
+// stream lasts until its job ends or the gateway closes.
 const rpcTimeout = 10 * time.Second
 
 // memberIdleConns is the idle-connection pool of each member's
@@ -117,12 +118,12 @@ func (m *Member) Eligible(pr assay.Program) ([]int, map[string]string) {
 // Transport failures wrap ErrUnreachable. A req.Trace travels in the
 // X-Assay-Trace header; the member records it as its root span's
 // parent, stitching the federation hop (docs/observability.md).
-func (m *Member) Submit(req service.SubmitRequest) (service.SubmitResult, error) {
+func (m *Member) Submit(ctx context.Context, req service.SubmitRequest) (service.SubmitResult, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return service.SubmitResult{}, fmt.Errorf("federation: encoding submission: %w", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, m.Addr+"/v1/assays", bytes.NewReader(body))
 	if err != nil {
@@ -172,34 +173,34 @@ func (m *Member) Submit(req service.SubmitRequest) (service.SubmitResult, error)
 
 // Job fetches a job snapshot: ErrUnknownJob on 404, ErrUnreachable
 // wrapping on transport failure.
-func (m *Member) Job(id string) (service.Job, error) {
+func (m *Member) Job(ctx context.Context, id string) (service.Job, error) {
 	var j service.Job
-	err := m.get("/v1/assays/"+url.PathEscape(id), &j)
+	err := m.get(ctx, "/v1/assays/"+url.PathEscape(id), &j)
 	return j, err
 }
 
 // Stats snapshots the member's /v1/stats.
-func (m *Member) Stats() (service.Stats, error) {
+func (m *Member) Stats(ctx context.Context) (service.Stats, error) {
 	var st service.Stats
-	err := m.get("/v1/stats", &st)
+	err := m.get(ctx, "/v1/stats", &st)
 	return st, err
 }
 
 // Trace fetches a job's span tree from the member: ErrUnknownJob on
 // 404 (unknown job, or the member runs without observability),
 // ErrUnreachable wrapping on transport failure.
-func (m *Member) Trace(id string) (obs.TraceDoc, error) {
+func (m *Member) Trace(ctx context.Context, id string) (obs.TraceDoc, error) {
 	var doc obs.TraceDoc
-	err := m.get("/v1/assays/"+url.PathEscape(id)+"/trace", &doc)
+	err := m.get(ctx, "/v1/assays/"+url.PathEscape(id)+"/trace", &doc)
 	return doc, err
 }
 
 // Metrics scrapes the member's /v1/metrics exposition. A member
 // running without observability (404) yields no families and no error
 // — the member is up, it just has nothing to report.
-func (m *Member) Metrics() ([]obs.MetricFamily, error) {
+func (m *Member) Metrics(ctx context.Context) ([]obs.MetricFamily, error) {
 	var fams []obs.MetricFamily
-	if err := m.get("/v1/metrics", &fams); err != nil && !errors.Is(err, ErrUnknownJob) {
+	if err := m.get(ctx, "/v1/metrics", &fams); err != nil && !errors.Is(err, ErrUnknownJob) {
 		return nil, err
 	}
 	return fams, nil
@@ -207,21 +208,21 @@ func (m *Member) Metrics() ([]obs.MetricFamily, error) {
 
 // Health fetches the member's /v1/healthz. The body decodes on both
 // 200 and 503 (a draining member still reports itself).
-func (m *Member) Health() (service.Health, error) {
+func (m *Member) Health(ctx context.Context) (service.Health, error) {
 	var h service.Health
-	err := m.get("/v1/healthz", &h)
+	err := m.get(ctx, "/v1/healthz", &h)
 	return h, err
 }
 
-// get GETs path from the member within rpcTimeout and decodes the
-// reply into v: Prometheus text into a *[]obs.MetricFamily, JSON into
-// anything else. A 200 decodes, as does a 503 into a *service.Health.
+// get GETs path from the member within ctx and rpcTimeout and decodes
+// the reply into v: Prometheus text into a *[]obs.MetricFamily, JSON
+// into anything else. A 200 decodes, as does a 503 into a *service.Health.
 // A 404 is ErrUnknownJob: the only 404s a worker serves are unknown
 // jobs (and traces) and, on /v1/metrics, disabled observability.
 // Transport failures, other statuses and undecodable bodies wrap
 // ErrUnreachable.
-func (m *Member) get(path string, v any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+func (m *Member) get(ctx context.Context, path string, v any) error {
+	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.Addr+path, nil)
 	if err != nil {

@@ -3,9 +3,10 @@ package federation
 // Gateway observability: the metric set, member scrape re-export and
 // cross-hop trace stitching. The registry behind the metric set is the
 // gateway's only counter store: Stats reads the very counters
-// /v1/metrics renders. With Config.Obs nil the gateway counts into a
-// private registry that backs /v1/stats alone, and records no traces.
-// As on a worker, everything here is out-of-band telemetry — routing
+// /v1/metrics renders. Every stage stamps and observes its metrics
+// either way; with Config.Obs nil they go to a private registry that
+// backs /v1/stats alone, and routed jobs get no trace, so their span
+// calls are inert. As on a worker, everything here is out-of-band telemetry — routing
 // decisions, reports and event streams are bit-identical with
 // observability on or off (docs/observability.md).
 //
@@ -72,7 +73,7 @@ func (g *Gateway) Metrics() ([]obs.MetricFamily, bool) {
 		wg.Add(1)
 		go func(i int, m *Member) {
 			defer wg.Done()
-			fams, err := m.Metrics()
+			fams, err := m.Metrics(g.ctx)
 			if err != nil {
 				g.met.memberUp.With(m.Name).Set(0)
 				return
@@ -91,7 +92,7 @@ func (g *Gateway) Metrics() ([]obs.MetricFamily, bool) {
 
 // Trace returns the stitched span tree of a routed job: the gateway's
 // own spans plus the member's, fetched live and rewritten into the
-// gateway namespace. False for unknown jobs and with tracing disabled.
+// gateway namespace. False for unknown jobs and without Config.Obs.
 func (g *Gateway) Trace(id string) (obs.TraceDoc, bool) {
 	g.mu.Lock()
 	j, ok := g.jobs[id]
@@ -106,7 +107,7 @@ func (g *Gateway) Trace(id string) (obs.TraceDoc, bool) {
 	if m == nil {
 		return doc, true
 	}
-	mdoc, err := m.Trace(remoteID)
+	mdoc, err := m.Trace(g.ctx, remoteID)
 	if err != nil {
 		return doc, true
 	}

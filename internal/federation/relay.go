@@ -97,7 +97,7 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 			// along. A failed fetch, or a record not yet terminal, ends
 			// the connection with the frame unfed, so the reconnect
 			// resumes just before it and fetches again.
-			rj, err := j.member.Job(j.remoteID)
+			rj, err := j.member.Job(ctx, j.remoteID)
 			if err != nil || (rj.Status != service.StatusDone && rj.Status != service.StatusFailed) {
 				return false, err
 			}

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -208,7 +209,7 @@ func TestMemberConnectionReuse(t *testing.T) {
 		call  func(t *testing.T, g *Gateway, m *Member)
 	}{
 		{"Job", 1, func(t *testing.T, _ *Gateway, m *Member) {
-			if j, err := m.Job("j-000001"); err != nil || !bytes.Equal(j.Report, report) {
+			if j, err := m.Job(context.Background(), "j-000001"); err != nil || !bytes.Equal(j.Report, report) {
 				t.Fatalf("Job: %v (report %d bytes)", err, len(j.Report))
 			}
 		}},
@@ -274,7 +275,7 @@ func TestMemberPoolHoldsConcurrentCalls(t *testing.T) {
 		errs := make(chan error, memberIdleConns)
 		for i := 0; i < memberIdleConns; i++ {
 			go func() {
-				_, err := m.Job("j-000001")
+				_, err := m.Job(context.Background(), "j-000001")
 				errs <- err
 			}()
 		}
@@ -371,6 +372,47 @@ func TestGatewayCloseWithoutDrain(t *testing.T) {
 	case <-closed:
 	case <-time.After(3 * time.Second):
 		t.Fatal("Close did not return while the member held the job")
+	}
+}
+
+// TestGatewayCloseCancelsMemberCalls pins that Close cancels the member
+// calls in flight: with a member whose /v1/stats never answers and a
+// 10 ms poll, Close returns within a second instead of waiting out the
+// poller's call.
+func TestGatewayCloseCancelsMemberCalls(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer ts.Close()
+	defer close(release) // a Close that failed must not leave the handler held
+	g, err := New(Config{Members: []MemberSpec{{Name: "w0", Addr: ts.URL, Profiles: die40()}},
+		PollInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the poller never called the member")
+	}
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return while a member call hung")
 	}
 }
 

@@ -381,3 +381,43 @@ func TestGatewayRecoveryMemberRemoved(t *testing.T) {
 			again.ID, j.Status, j.Member, terminal, err, j.Error)
 	}
 }
+
+// TestGatewayListSevenDigitIDs pins gateway job IDs past a-999999: a
+// route log running a-999998 to a-1000001 lists in sequence order, the
+// newest-first page of one is a-1000001, and the next job is
+// a-1000002. The logged jobs' member left the members spec, so they
+// restore as failed without a member call.
+func TestGatewayListSevenDigitIDs(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ids := []string{"a-999998", "a-999999", "a-1000000", "a-1000001"}
+	for i, id := range ids {
+		if err := st.LogRoute(store.RouteRecord{ID: id, Member: "gone", RemoteID: service.JobID(i + 1), Seed: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stub := newStubMember(t, service.Stats{}, accept)
+	defer stub.holdJobs()()
+	g, err := New(Config{Members: []MemberSpec{{Name: "w0", Addr: stub.ts.URL, Profiles: die40()}},
+		Store: st, PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var listed []string
+	for _, j := range g.List(service.ListFilter{}).Jobs {
+		listed = append(listed, j.ID)
+	}
+	if !reflect.DeepEqual(listed, ids) {
+		t.Errorf("listing %v, want %v", listed, ids)
+	}
+	if page := g.List(service.ListFilter{Newest: true, Limit: 1}); len(page.Jobs) != 1 || page.Jobs[0].ID != "a-1000001" {
+		t.Errorf("newest job listed: %+v, want a-1000001", page.Jobs)
+	}
+	if res, err := g.Submit(service.SubmitRequest{Seed: 9, Program: testProgram(4)}); err != nil || res.ID != "a-1000002" {
+		t.Errorf("next submission: %+v %v, want a-1000002", res, err)
+	}
+}

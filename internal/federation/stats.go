@@ -178,7 +178,7 @@ func (g *Gateway) MemberStatsSnapshot() []MemberStats {
 		go func(i int, m *Member) {
 			defer wg.Done()
 			ms := MemberStats{Member: m.Name, Addr: m.Addr}
-			st, err := m.Stats()
+			st, err := m.Stats(g.ctx)
 			if err != nil {
 				ms.Error = err.Error()
 			} else {
@@ -268,7 +268,7 @@ func (g *Gateway) AggregateHealth() Health {
 		go func(i int, m *Member) {
 			defer wg.Done()
 			row := MemberHealth{Member: m.Name, Addr: m.Addr}
-			h, err := m.Health()
+			h, err := m.Health(g.ctx)
 			if err != nil {
 				row.Error = err.Error()
 			} else {

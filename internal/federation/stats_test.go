@@ -484,4 +484,37 @@ func TestGatewayStatsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCacheBytesAreReportBytes pins what the cache block's bytes
+// count: after N distinct cacheable jobs through a gateway over an
+// in-memory worker, both roles' cache bytes are the sum of the jobs'
+// report bytes.
+func TestCacheBytesAreReportBytes(t *testing.T) {
+	const n = 4
+	svc, ts := startWorker(t, die40())
+	g, err := New(Config{Members: []MemberSpec{{Name: "w0", Addr: ts.URL, Profiles: die40()}},
+		PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var sum int64
+	for i := 0; i < n; i++ {
+		res, err := g.Submit(service.SubmitRequest{Seed: 6000 + uint64(i), Program: testProgram(4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second)
+		if err != nil || !terminal || j.Status != service.StatusDone {
+			t.Fatalf("job %s: %s %v", res.ID, j.Status, err)
+		}
+		sum += int64(len(j.Report))
+	}
+	if c := g.Stats().Gateway.Cache; c == nil || c.Entries != n || c.Bytes != sum {
+		t.Errorf("gateway cache %+v, want %d entries of %d report bytes", c, n, sum)
+	}
+	if c := svc.Stats().Cache; c == nil || c.Entries != n || c.Bytes != sum {
+		t.Errorf("worker cache %+v, want %d entries of %d report bytes", c, n, sum)
+	}
+}
+
 func intp(n int) *int { return &n }

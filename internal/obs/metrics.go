@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -204,18 +203,12 @@ func (h *Histogram) Observe(v float64) {
 	h.ch.mu.Unlock()
 }
 
-// WriteProm renders the registry in Prometheus text exposition format
-// (version 0.0.4). Families are emitted in name order and series in
-// label-value order, so consecutive scrapes of an idle daemon are
-// byte-identical — the property the golden example and the promlint CI
-// check rely on.
-func (r *Registry) WriteProm(w io.Writer) error {
-	return WriteExposition(w, r.Gather())
-}
-
 // Gather snapshots the registry into the parsed-exposition shape shared
 // with ParseExposition — the form the gateway merges member scrapes
-// into.
+// into, and WriteExposition renders. Families come in name order and
+// series in label-value order, so consecutive scrapes of an idle daemon
+// are byte-identical — the property the golden example and the
+// promlint CI check rely on.
 func (r *Registry) Gather() []MetricFamily {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))

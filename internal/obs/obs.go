@@ -4,10 +4,11 @@
 // /v1/healthz.
 //
 // The registry is also each daemon's only counter store: the worker
-// and the gateway always build one, and their JSON /v1/stats read its
-// counters. Turning observability off (assayd -no-obs) only stops the
-// daemon serving the registry and recording traces; a nil *Trace is
-// inert, so tracing sites need no branch.
+// and the gateway always build one and record every counter, histogram
+// and gauge into it, and their JSON /v1/stats read its counters.
+// Turning observability off (assayd -no-obs) only stops the daemon
+// serving the registry and recording traces; a nil *Trace is inert, so
+// span sites need no branch.
 //
 // Everything in this package is strictly out-of-band telemetry — the
 // same carve-out docs/determinism.md grants Event.Wall and PlanSeconds.

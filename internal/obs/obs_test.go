@@ -18,7 +18,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	h.With("die40").Observe(5)
 
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := WriteExposition(&b, r.Gather()); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
@@ -64,7 +64,7 @@ func TestExpositionDeterministic(t *testing.T) {
 	}
 	render := func() string {
 		var b strings.Builder
-		if err := r.WriteProm(&b); err != nil {
+		if err := WriteExposition(&b, r.Gather()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -123,7 +123,7 @@ func TestLintExposition(t *testing.T) {
 func TestTraceDerivedIDs(t *testing.T) {
 	build := func() TraceDoc {
 		tr := NewTrace("a-000001", "gw-1:3")
-		root := tr.Start("job", tr.Parent())
+		root := tr.Start("job", "gw-1:3")
 		place := tr.Add("place", root.ID(), 1, 2, Attr{K: "profile", V: "die40"})
 		q := tr.Start("queue", root.ID())
 		q.End()
@@ -156,7 +156,6 @@ func TestTraceDerivedIDs(t *testing.T) {
 	var nilTrace *Trace
 	ref := nilTrace.Start("x", "")
 	ref.End()
-	ref.Annotate(Attr{K: "k", V: "v"})
 	if doc := nilTrace.Snapshot(); len(doc.Spans) != 0 {
 		t.Fatal("nil trace must be inert")
 	}

@@ -113,30 +113,6 @@ func (s SpanRef) End() {
 	}
 }
 
-// Annotate appends attributes to an open or closed span.
-func (s SpanRef) Annotate(attrs ...Attr) {
-	if s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	for i := range s.t.spans {
-		if s.t.spans[i].ID == s.id {
-			s.t.spans[i].Attrs = append(s.t.spans[i].Attrs, attrs...)
-			return
-		}
-	}
-}
-
-// Parent returns the trace's foreign parent span ID ("" when the job
-// was submitted directly).
-func (t *Trace) Parent() string {
-	if t == nil {
-		return ""
-	}
-	return t.parent
-}
-
 // Snapshot copies the trace into its wire form. A nil trace snapshots
 // to an empty document.
 func (t *Trace) Snapshot() TraceDoc {

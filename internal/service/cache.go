@@ -106,20 +106,13 @@ type SubmitResult struct {
 // trace.
 func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 	pr, seed, traceParent := req.Program, req.Seed, req.Trace
-	var subAt, placeAt, placeEnd obs.Stamp
-	if s.tracing {
-		subAt = obs.Now()
-	}
+	subAt := obs.Now()
 	if err := pr.CheckOps(); err != nil {
 		return SubmitResult{}, err
 	}
-	if s.tracing {
-		placeAt = obs.Now()
-	}
+	placeAt := obs.Now()
 	eligible, reasons := s.place(pr)
-	if s.tracing {
-		placeEnd = obs.Now()
-	}
+	placeEnd := obs.Now()
 	if len(eligible) == 0 {
 		return SubmitResult{}, &IncompatibleError{Program: pr.Name,
 			Requirements: pr.EffectiveRequirements(), Reasons: reasons}
@@ -169,7 +162,7 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 	if !legal {
 		return SubmitResult{}, fmt.Errorf("service: assignment to ineligible shard %d", target)
 	}
-	id := fmt.Sprintf("a-%06d", s.seq+1)
+	id := JobID(s.seq + 1)
 	if s.store != nil {
 		// WAL before ack: the submission must exist on stable storage
 		// before the client hears about the job, so a crash after
@@ -183,11 +176,9 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 		s.met.miss.Inc()
 	}
 	j := s.enqueueLocked(id, pr, seed, target, eligible, false, key, traceParent)
-	if s.tracing {
-		j.trace.Add("submit", j.spanRoot.ID(), subAt, obs.Now())
-		j.trace.Add("place", j.spanRoot.ID(), placeAt, placeEnd,
-			obs.Attr{K: "class", V: j.class})
-	}
+	j.trace.Add("submit", j.spanRoot.ID(), subAt, obs.Now())
+	j.trace.Add("place", j.spanRoot.ID(), placeAt, placeEnd,
+		obs.Attr{K: "class", V: j.class})
 	return SubmitResult{ID: j.ID, Eligible: j.Eligible}, nil
 }
 
@@ -230,7 +221,7 @@ func (s *Service) cachedRootLocked(key cache.Key) *Job {
 		if id, ok := s.store.FinishByKey(key.String()); ok {
 			if root := s.jobs[id]; root != nil && root.Status == StatusDone {
 				s.met.diskHit.Inc()
-				s.cacheReleaseLocked(s.lru.Add(key, cache.Entry{ID: id, Bytes: int64(len(root.Report))}))
+				s.cacheInsertLocked(root)
 				return root
 			}
 		}
@@ -251,7 +242,7 @@ func (s *Service) cachedRootLocked(key cache.Key) *Job {
 // persisted — finish() and recovery only insert persisted roots — so
 // the alias's DedupOf reference is always resolvable after a restart.
 func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal json.RawMessage, traceParent string) (SubmitResult, error) {
-	id := fmt.Sprintf("a-%06d", s.seq+1)
+	id := JobID(s.seq + 1)
 	if s.store != nil {
 		if err := s.store.LogSubmit(store.SubmitRecord{ID: id, Seed: seed, Program: wal}); err != nil {
 			s.met.persistErrors.Inc()
@@ -275,12 +266,9 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 		done:     closedDone,
 		ring:     root.ring,
 	}
-	if s.tracing {
-		j.trace = obs.NewTrace(id, traceParent)
-		j.spanRoot = j.trace.Start("job", traceParent, obs.Attr{K: "program", V: pr.Name})
-		j.trace.Start("cache.hit", j.spanRoot.ID(), obs.Attr{K: "dedup_of", V: root.ID}).End()
-		j.spanRoot.End()
-	}
+	s.startTrace(j, traceParent)
+	j.trace.Start("cache.hit", j.spanRoot.ID(), obs.Attr{K: "dedup_of", V: root.ID}).End()
+	j.spanRoot.End()
 	s.jobs[id] = j
 	s.met.done.Inc()
 	if s.store != nil {
@@ -303,17 +291,11 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 	return SubmitResult{ID: id, Eligible: j.Eligible, Cache: "hit", DedupOf: root.ID}, nil
 }
 
-// cacheInsertLocked registers a freshly finished root job in the LRU
-// tier and releases whatever the insertion evicted. Caller holds s.mu
-// and guarantees the job is done and (on a durable service) persisted.
+// cacheInsertLocked registers a finished root job in the LRU tier,
+// sized by its report, and releases whatever the insertion evicted.
+// Caller holds s.mu; the job is done and (if durable) persisted.
 func (s *Service) cacheInsertLocked(j *Job) {
-	bytes := int64(len(j.Report))
-	if s.store == nil {
-		if raw, err := json.Marshal(j.ring.Events()); err == nil {
-			bytes += int64(len(raw))
-		}
-	}
-	s.cacheReleaseLocked(s.lru.Add(j.key, cache.Entry{ID: j.ID, Bytes: bytes}))
+	s.cacheReleaseLocked(s.lru.Add(j.key, cache.Entry{ID: j.ID, Bytes: int64(len(j.Report))}))
 }
 
 // cacheReleaseLocked unpins the rings of evicted LRU roots. On a

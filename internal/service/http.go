@@ -18,6 +18,11 @@ import (
 // clients' guess without tracking per-job runtimes.
 const retryAfterSeconds = 1
 
+// maxSubmitBytes bounds a POST /v1/assays body; a longer one gets 413.
+// Programs are small (docs/examples/isolate.json is 316 bytes), so the
+// bound only stops a client making the daemon buffer without limit.
+const maxSubmitBytes = 1 << 20
+
 // Long-poll bounds for GET /v1/assays/{id}?wait=1: the server holds the
 // request until the job finishes or the timeout elapses, whichever is
 // first. Clients may lower/raise the default with ?timeout=SECONDS up
@@ -82,8 +87,9 @@ type handler struct {
 //
 // A full queue maps to 429 with a Retry-After header, a program no
 // profile can run to 422, an unknown job to 404, a draining, closed or
-// unavailable backend to 503 (draining adds Retry-After) and a
-// malformed program to 400. sse is the gauge of open event streams.
+// unavailable backend to 503 (draining adds Retry-After), a malformed
+// program to 400 and a submission body over 1 MiB to 413. sse is the
+// gauge of open event streams.
 func NewHandler(b Backend, sse *obs.GaugeVec) http.Handler {
 	h := &handler{b: b, sse: sse}
 	mux := http.NewServeMux()
@@ -100,8 +106,13 @@ func NewHandler(b Backend, sse *obs.GaugeVec) http.Handler {
 
 func (h *handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, ErrorBody{Error: err.Error()})
 		return
 	}
 	// A forwarding gateway stitches its span tree to ours through the

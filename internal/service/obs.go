@@ -4,13 +4,14 @@ package service
 // traces, and what the /v1/metrics and /v1/assays/{id}/trace endpoints
 // serve. The registry behind the metric set is the service's only
 // counter store: Stats reads the very counters /v1/metrics renders.
-// With Config.Obs nil the service counts into a private registry that
-// backs /v1/stats alone, and records no traces. Everything here is
-// out-of-band telemetry — the determinism contract requires (and CI
-// verifies) that reports and event streams are bit-identical with
-// observability on or off. The obspurity detlint rule statically keeps
-// obs values out of reports, event payloads and cache keys; see
-// docs/observability.md.
+// Every stage stamps and observes its metrics either way; with
+// Config.Obs nil they go to a private registry that backs /v1/stats
+// alone, and jobs get no trace, so their span calls are inert.
+// Everything here is out-of-band telemetry — the determinism contract
+// requires (and CI verifies) that reports and event streams are
+// bit-identical with observability on or off. The obspurity detlint
+// rule statically keeps obs values out of reports, event payloads and
+// cache keys; see docs/observability.md.
 
 import "biochip/internal/obs"
 
@@ -52,6 +53,17 @@ func newSvcMetrics(reg *obs.Registry) svcMetrics {
 		persist:       reg.Histogram("assayd_persist_seconds", "Finish-record persistence wall latency.", nil),
 		sse:           reg.Gauge("assayd_sse_subscribers", "Open SSE event subscriptions."),
 	}
+}
+
+// startTrace gives the job a span trace with its root span open when
+// Config.Obs is set; otherwise the job has no trace and its span calls
+// are no-ops. parent is the traceParent of enqueueLocked.
+func (s *Service) startTrace(j *Job, parent string) {
+	if s.cfg.Obs == nil {
+		return
+	}
+	j.trace = obs.NewTrace(j.ID, parent)
+	j.spanRoot = j.trace.Start("job", parent, obs.Attr{K: "program", V: j.Program})
 }
 
 // Metrics gathers the worker's metric families for /v1/metrics; false

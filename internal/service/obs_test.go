@@ -179,3 +179,89 @@ func TestObsEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestObsSpansPerPath pins what each worker path records. On a durable
+// worker serving a registry, every executed job's trace holds job,
+// submit, place, queue, execute, finish and persist, with persist under
+// finish and the rest under job; a cache hit's trace is job and
+// cache.hit; and the queue-wait, execute and persist histograms each
+// count one observation per executed job. Without a registry no job
+// has a trace.
+func TestObsSpansPerPath(t *testing.T) {
+	const n = 3
+	run := func(reg *obs.Registry) (*Service, []string) {
+		d := openTestStore(t, t.TempDir())
+		t.Cleanup(func() { d.Close() })
+		svc, err := New(Config{Shards: 2, Chip: testChip(), Store: d, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Close)
+		var ids []string
+		for i := 0; i < n; i++ {
+			id, err := submit(svc, testProgram(6), 100+uint64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+				t.Fatalf("job %s: %v %v", id, j.Status, err)
+			}
+			ids = append(ids, id)
+		}
+		res, err := svc.Submit(SubmitRequest{Seed: 100, Program: testProgram(6)})
+		if err != nil || res.Cache != "hit" {
+			t.Fatalf("resubmission: %+v %v, want a cache hit", res, err)
+		}
+		return svc, append(ids, res.ID)
+	}
+
+	reg := obs.NewRegistry()
+	svc, ids := run(reg)
+	for _, id := range ids[:n] {
+		doc, ok := svc.Trace(id)
+		if !ok {
+			t.Fatalf("job %s: no trace", id)
+		}
+		spans := make(map[string]obs.Span)
+		for _, sp := range doc.Spans {
+			spans[sp.Name] = sp
+		}
+		if len(doc.Spans) != 7 || len(spans) != 7 {
+			t.Errorf("job %s: %d spans, want 7 distinct: %+v", id, len(doc.Spans), doc.Spans)
+		}
+		root := spans["job"]
+		for _, name := range []string{"submit", "place", "queue", "execute", "finish"} {
+			if sp, ok := spans[name]; !ok || sp.Parent != root.ID || root.ID == "" {
+				t.Errorf("job %s: span %q missing or not under job: %+v", id, name, doc.Spans)
+			}
+		}
+		if sp, ok := spans["persist"]; !ok || sp.Parent != spans["finish"].ID {
+			t.Errorf("job %s: persist span missing or not under finish: %+v", id, doc.Spans)
+		}
+	}
+	hit, ok := svc.Trace(ids[n])
+	if !ok || len(hit.Spans) != 2 || hit.Spans[0].Name != "job" ||
+		hit.Spans[1].Name != "cache.hit" || hit.Spans[1].Parent != hit.Spans[0].ID {
+		t.Errorf("cache hit %s: trace %+v (%v), want job and cache.hit under it", ids[n], hit.Spans, ok)
+	}
+	for _, name := range []string{"assayd_queue_wait_seconds", "assayd_execute_seconds", "assayd_persist_seconds"} {
+		var count float64
+		for _, f := range reg.Gather() {
+			for _, s := range f.Samples {
+				if s.Name == name+"_count" {
+					count += s.Value
+				}
+			}
+		}
+		if count != n {
+			t.Errorf("%s counts %v observations, want %d", name, count, n)
+		}
+	}
+
+	off, ids := run(nil)
+	for _, id := range ids {
+		if doc, ok := off.Trace(id); ok {
+			t.Errorf("job %s without a registry: trace %+v", id, doc)
+		}
+	}
+}

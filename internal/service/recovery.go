@@ -67,8 +67,8 @@ func (s *Service) recover() error {
 	defer s.mu.Unlock()
 	for _, id := range order {
 		h := byID[id]
-		var seq int
-		if n, err := fmt.Sscanf(id, "a-%06d", &seq); n != 1 || err != nil || seq < 1 {
+		seq, ok := ParseJobID(id)
+		if !ok {
 			return fmt.Errorf("service: recovery: malformed job id %q", id)
 		}
 		if seq <= s.seq {
@@ -172,7 +172,7 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 		var key cache.Key
 		if n, err := hex.Decode(key[:], []byte(fin.Key)); err == nil && n == len(key) {
 			j.key = key
-			s.cacheReleaseLocked(s.lru.Add(key, cache.Entry{ID: id, Bytes: int64(len(fin.Report))}))
+			s.cacheInsertLocked(j)
 		}
 	}
 	s.jobs[id] = j

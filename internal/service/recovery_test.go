@@ -380,3 +380,67 @@ func TestRecoveryIncompatibleFleet(t *testing.T) {
 		t.Fatalf("third open: %v %s", ok, j3.Status)
 	}
 }
+
+// TestRecoverySevenDigitJobIDs pins job IDs past a-999999: a log whose
+// submit records run a-999999, a-1000000 recovers both, the next
+// submission is a-1000001, and it heads the newest-first listing.
+func TestRecoverySevenDigitJobIDs(t *testing.T) {
+	dir := t.TempDir()
+	d := openTestStore(t, dir)
+	raw, err := json.Marshal(testProgram(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"a-999999", "a-1000000"}
+	for i, id := range ids {
+		if err := d.LogSubmit(store.SubmitRecord{ID: id, Seed: 70 + uint64(i), Program: raw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = openTestStore(t, dir)
+	defer d.Close()
+	svc, err := New(Config{Shards: 1, Chip: testChip(), Store: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, id := range ids {
+		if j, err := svc.Wait(id); err != nil || j.Status != StatusDone || !j.Recovered {
+			t.Fatalf("job %s: %+v %v, want recovered and done", id, j, err)
+		}
+	}
+	if id, err := submit(svc, testProgram(4), 72); err != nil || id != "a-1000001" {
+		t.Fatalf("next submission: %q %v, want a-1000001", id, err)
+	}
+	if page := svc.List(ListFilter{Newest: true, Limit: 1}); len(page.Jobs) != 1 || page.Jobs[0].ID != "a-1000001" {
+		t.Errorf("newest job listed: %+v, want a-1000001", page.Jobs)
+	}
+}
+
+// TestParseJobID pins the strict job-ID grammar recovery relies on —
+// "a-" and decimal digits naming a positive number, nothing after — and
+// that JobID's IDs parse back.
+func TestParseJobID(t *testing.T) {
+	for id, want := range map[string]int{
+		"a-000001": 1, "a-1000000": 1000000, "a-7": 7,
+		// Malformed: no sequence number.
+		"a-": 0, "a-000000": 0, "a-12x": 0, "a-+12": 0, "a--12": 0, "b-000001": 0,
+		" a-000001": 0, "a-99999999999999999999": 0,
+	} {
+		seq, ok := ParseJobID(id)
+		if !ok {
+			seq = 0
+		}
+		if seq != want || ok != (want > 0) {
+			t.Errorf("ParseJobID(%q) = %d, %v; want %d", id, seq, ok, want)
+		}
+	}
+	for _, seq := range []int{1, 999999, 1000000} {
+		if got, ok := ParseJobID(JobID(seq)); !ok || got != seq {
+			t.Errorf("ParseJobID(JobID(%d)) = %d, %v", seq, got, ok)
+		}
+	}
+}

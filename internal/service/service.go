@@ -35,6 +35,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -177,14 +178,14 @@ type Config struct {
 	// Cache configures the content-addressed result cache (enabled by
 	// default; see CacheConfig and docs/caching.md).
 	Cache CacheConfig
-	// Obs enables the observability layer: metric families registered in
-	// this registry (served at GET /v1/metrics) and a span trace per job
-	// (GET /v1/assays/{id}/trace). Nil disables both, and the service
-	// counts into a private registry that backs /v1/stats alone. The
-	// registry is the service's only counter store, so it must serve one
-	// backend: two sharing one would merge their /v1/stats counters.
-	// Observability is out-of-band telemetry: reports and event streams
-	// are bit-identical with it on or off (docs/observability.md).
+	// Obs is the registry served at GET /v1/metrics; setting it also
+	// records a span trace per job (GET /v1/assays/{id}/trace). Nil
+	// serves neither, and the service records the same metrics into a
+	// private registry that backs /v1/stats alone. The registry is the
+	// service's only counter store, so it must serve one backend: two
+	// sharing one would merge their /v1/stats counters. Observability is
+	// out-of-band telemetry: reports and event streams are bit-identical
+	// with it on or off (docs/observability.md).
 	Obs *obs.Registry
 }
 
@@ -257,15 +258,47 @@ type Job struct {
 	// persisted reports that the finish record reached the durable log.
 	key       cache.Key
 	persisted bool
-	// Observability state (nil/zero when Config.Obs is nil): the span
-	// ring, the live stage spans, the class label for queue metrics and
-	// the telemetry stamps behind the wait/execute histograms. None of
-	// it may flow into the report, the event stream or the cache key
-	// (enforced by detlint's obspurity rule).
+	// Observability state: the span ring (nil without Config.Obs, which
+	// makes its spans inert), the live stage spans, the class label for
+	// queue metrics and the telemetry stamps behind the wait/execute
+	// histograms. None of it may flow into the report, the event stream
+	// or the cache key (enforced by detlint's obspurity rule).
 	trace               *obs.Trace
 	spanRoot, spanQueue obs.SpanRef
 	class               string
 	enqAt, execAt       obs.Stamp
+}
+
+// JobID is the ID of a daemon's seq-th job: "a-" and the sequence
+// number, zero-padded to six digits. Workers and gateways both mint
+// their IDs with it.
+func JobID(seq int) string { return fmt.Sprintf("a-%06d", seq) }
+
+// ParseJobID returns the sequence number of a job ID, which is "a-"
+// followed by decimal digits and nothing else, naming a positive
+// number.
+func ParseJobID(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "a-")
+	if !ok || strings.TrimLeft(digits, "0123456789") != "" {
+		return 0, false
+	}
+	seq, err := strconv.Atoi(digits)
+	return seq, err == nil && seq > 0
+}
+
+// CompareJobIDs orders job IDs by sequence number, where a string
+// comparison puts "a-1000000" before "a-999999". JobID pads to six
+// digits, so a minted ID with more digits is a later job, and IDs with
+// as many digits order as strings. Any other string, such as a stale
+// listing cursor, takes the same rule on the digits after its "a-".
+func CompareJobIDs(a, b string) int {
+	return cmp.Or(cmp.Compare(seqDigits(a), seqDigits(b)), strings.Compare(a, b))
+}
+
+// seqDigits counts the digits that follow an ID's "a-".
+func seqDigits(id string) int {
+	s := strings.TrimPrefix(id, "a-")
+	return len(s) - len(strings.TrimLeft(s, "0123456789"))
 }
 
 // profile is one die class and its shards.
@@ -343,11 +376,8 @@ type Service struct {
 
 	wg sync.WaitGroup
 
-	// met is the metric set, and with it every counter Stats reports;
-	// tracing reports whether per-job span rings are recorded
-	// (Config.Obs set).
-	met     svcMetrics
-	tracing bool
+	// met is the metric set, and with it every counter Stats reports.
+	met svcMetrics
 
 	// assign picks the target shard for the n-th submission among the
 	// eligible shard ids (round-robin by default); tests override it to
@@ -391,7 +421,6 @@ func New(cfg Config) (*Service, error) {
 		reg = obs.NewRegistry()
 	}
 	s.met = newSvcMetrics(reg)
-	s.tracing = cfg.Obs != nil
 	s.store = cfg.Store
 	seen := make(map[string]bool, len(specs))
 	for i, spec := range specs {
@@ -528,9 +557,9 @@ func shardIDsOf(shards []*shard, eligible []*profile) []int {
 // when durable) ID, attaches its event ring — pinned on a durable
 // service or for a cacheable job — publishes the placement event,
 // registers cacheable jobs in the singleflight table and queues the
-// job. The ID must be fmt("a-%06d", s.seq+1); enqueueLocked advances
-// s.seq. traceParent is the foreign parent span from an X-Assay-Trace
-// header ("" for local and recovered submissions). Caller holds s.mu.
+// job. The ID must be JobID(s.seq+1); enqueueLocked advances s.seq.
+// traceParent is the foreign parent span from an X-Assay-Trace header
+// ("" for local and recovered submissions). Caller holds s.mu.
 func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target int, eligible []*profile, recovered bool, key cache.Key, traceParent string) *Job {
 	cls := s.classFor(eligible)
 	j := &Job{
@@ -547,12 +576,9 @@ func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target
 		ring:      stream.NewRing(s.cfg.EventBuffer),
 		key:       key,
 		class:     cls.label,
+		enqAt:     obs.Now(),
 	}
-	if s.tracing {
-		j.trace = obs.NewTrace(id, traceParent)
-		j.spanRoot = j.trace.Start("job", traceParent, obs.Attr{K: "program", V: pr.Name})
-		j.enqAt = obs.Now()
-	}
+	s.startTrace(j, traceParent)
 	if s.store != nil || !key.Zero() {
 		// Pin the ring: the bounded window alone cannot feed the finish
 		// record, and a pinned ring never shows a subscriber a gap for
@@ -577,10 +603,8 @@ func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target
 	s.jobs[j.ID] = j
 	cls.queue = append(cls.queue, j)
 	s.queued++
-	if s.tracing {
-		j.spanQueue = j.trace.Start("queue", j.spanRoot.ID(), obs.Attr{K: "class", V: cls.label})
-		s.met.queueDepth.With(cls.label).Set(float64(len(cls.queue)))
-	}
+	j.spanQueue = j.trace.Start("queue", j.spanRoot.ID(), obs.Attr{K: "class", V: cls.label})
+	s.met.queueDepth.With(cls.label).Set(float64(len(cls.queue)))
 	s.cond.Broadcast()
 	return j
 }
@@ -759,11 +783,9 @@ func (s *Service) markRunning(sh *shard, j *Job) {
 	j.Profile = sh.profile.Name
 	j.Stolen = sh.id != j.Assigned
 	s.running++
-	if s.tracing {
-		j.spanQueue.End()
-		s.met.queueWait.With(j.class).Observe(obs.Since(j.enqAt))
-		j.execAt = obs.Now()
-	}
+	j.spanQueue.End()
+	s.met.queueWait.With(j.class).Observe(obs.Since(j.enqAt))
+	j.execAt = obs.Now()
 	// Event 2: a shard claimed the job. The payload names the profile
 	// (part of the determinism contract — it fixes the die config) but
 	// never the shard: which die of a profile runs a job is a
@@ -790,13 +812,10 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 		sh.stolen.Inc()
 	}
 	s.running--
-	var finSpan obs.SpanRef
-	if s.tracing {
-		s.met.execute.With(sh.profile.Name).Observe(obs.Since(j.execAt))
-		j.trace.Add("execute", j.spanRoot.ID(), j.execAt, obs.Now(),
-			obs.Attr{K: "profile", V: sh.profile.Name})
-		finSpan = j.trace.Start("finish", j.spanRoot.ID())
-	}
+	s.met.execute.With(sh.profile.Name).Observe(obs.Since(j.execAt))
+	j.trace.Add("execute", j.spanRoot.ID(), j.execAt, obs.Now(),
+		obs.Attr{K: "profile", V: sh.profile.Name})
+	finSpan := j.trace.Start("finish", j.spanRoot.ID())
 	if err != nil {
 		j.Status = StatusFailed
 		j.Error = err.Error()
@@ -814,13 +833,11 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 			}})
 	}
 	j.ring.Close()
-	if s.tracing && s.store != nil {
+	if s.store != nil {
 		pAt := obs.Now()
 		s.persistFinishLocked(j)
 		s.met.persist.With().Observe(obs.Since(pAt))
 		j.trace.Add("persist", finSpan.ID(), pAt, obs.Now())
-	} else {
-		s.persistFinishLocked(j)
 	}
 	if !j.key.Zero() {
 		if s.inflight[j.key] == j {

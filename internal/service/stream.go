@@ -2,7 +2,6 @@ package service
 
 import (
 	"slices"
-	"sort"
 
 	"biochip/internal/stream"
 )
@@ -95,9 +94,7 @@ func (s *Service) List(f ListFilter) ListPage {
 			ids = append(ids, id)
 		}
 	}
-	// Job IDs are zero-padded sequence numbers, so the string order is
-	// the submission order.
-	sort.Strings(ids)
+	slices.SortFunc(ids, CompareJobIDs)
 	ids, next := PageIDs(ids, f)
 	page := ListPage{Jobs: make([]Job, len(ids)), Next: next}
 	for i, id := range ids {
@@ -108,11 +105,11 @@ func (s *Service) List(f ListFilter) ListPage {
 }
 
 // PageIDs cuts one listing page out of the IDs of the jobs matching
-// f.Status, sorted ascending — job IDs are zero-padded sequence
-// numbers, so that is submission order. It applies the order, the
-// exclusive After cursor and the limit, and returns the page's IDs plus
-// the Next cursor (empty on the last page). Workers and gateways both
-// page through it, so listings behave identically on either role.
+// f.Status, sorted by CompareJobIDs — submission order. It applies the
+// exclusive After cursor (placed by CompareJobIDs too), the order and
+// the limit, and returns the page's IDs plus the Next cursor (empty on
+// the last page). Workers and gateways both page through it, so
+// listings behave identically on either role.
 func PageIDs(ids []string, f ListFilter) (page []string, next string) {
 	limit := f.Limit
 	if limit <= 0 {
@@ -121,28 +118,24 @@ func PageIDs(ids []string, f ListFilter) (page []string, next string) {
 	if limit > MaxListLimit {
 		limit = MaxListLimit
 	}
+	if f.After != "" {
+		// Keep the IDs past the cursor in listing order, so unknown
+		// cursors still page deterministically.
+		i, found := slices.BinarySearchFunc(ids, f.After, CompareJobIDs)
+		switch {
+		case f.Newest:
+			ids = ids[:i]
+		case found:
+			ids = ids[i+1:]
+		default:
+			ids = ids[i:]
+		}
+	}
 	if f.Newest {
 		slices.Reverse(ids)
 	}
-	start := 0
-	if f.After != "" {
-		for i, id := range ids {
-			if id == f.After {
-				start = i + 1
-				break
-			}
-			// Unknown cursors still page deterministically: start at the
-			// first ID past the cursor in listing order.
-			if (!f.Newest && id > f.After) || (f.Newest && id < f.After) {
-				start = i
-				break
-			}
-			start = i + 1
-		}
-	}
-	end := min(start+limit, len(ids))
-	page = ids[start:end]
-	if len(page) > 0 && end < len(ids) {
+	page = ids[:min(limit, len(ids))]
+	if len(page) < len(ids) {
 		next = page[len(page)-1]
 	}
 	return page, next

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -703,5 +704,31 @@ func TestListEndpoint(t *testing.T) {
 	}
 	if page := getPage("?status=done"); len(page.Jobs) != 5 {
 		t.Errorf("done filter returned %d jobs", len(page.Jobs))
+	}
+}
+
+// TestPageIDsSevenDigitIDs pins listing pages across a-999999 over IDs
+// in sequence order: ascending, newest-first (the page `assayctl watch
+// latest` asks for) and After cursors on either side of the boundary,
+// among them a-999999, which this listing lacks (a status filter left
+// its job out).
+func TestPageIDsSevenDigitIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    ListFilter
+		want []string
+		next string
+	}{
+		{"ascending", ListFilter{}, []string{"a-999998", "a-1000000", "a-1000001"}, ""},
+		{"newest first", ListFilter{Newest: true, Limit: 1}, []string{"a-1000001"}, "a-1000001"},
+		{"after a-999998", ListFilter{After: "a-999998", Limit: 1}, []string{"a-1000000"}, "a-1000000"},
+		{"after unlisted a-999999", ListFilter{After: "a-999999"}, []string{"a-1000000", "a-1000001"}, ""},
+		{"newest after a-1000000", ListFilter{Newest: true, After: "a-1000000"}, []string{"a-999998"}, ""},
+		{"newest after unlisted a-999999", ListFilter{Newest: true, After: "a-999999"}, []string{"a-999998"}, ""},
+	} {
+		ids := []string{"a-999998", "a-1000000", "a-1000001"}
+		if page, next := PageIDs(ids, tc.f); !slices.Equal(page, tc.want) || next != tc.next {
+			t.Errorf("%s: page %v next %q, want %v next %q", tc.name, page, next, tc.want, tc.next)
+		}
 	}
 }
