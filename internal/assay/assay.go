@@ -170,10 +170,32 @@ type Program struct {
 	Requirements *Requirements
 }
 
+// MaxOps bounds a program's operation count. A running job holds its
+// whole event stream in memory until it finishes — on a durable service
+// until its finish record is written — and every operation adds two
+// events to that stream, a scan one more per stream.ChunkRows sites,
+// so the op count bounds it. The largest program in the examples, the
+// docs and the evaluation suite, E14's "stream-overhead" at full
+// scale, has 12.
+const MaxOps = 256
+
+// OpCountError is returned by CheckOps and Check for a program with
+// more than MaxOps operations.
+type OpCountError struct {
+	// Ops is the program's operation count.
+	Ops int
+}
+
+// Error implements error.
+func (e *OpCountError) Error() string {
+	return fmt.Sprintf("assay: %d ops exceed the limit of %d", e.Ops, MaxOps)
+}
+
 // CheckOps validates everything about the program that does not depend
-// on a die configuration: operation ordering (capture before
-// gather/scan/release), positive loads and valid particle kinds, known
-// planner names, and move-goal uniqueness/separation. A program that
+// on a die configuration: the op count (MaxOps), operation ordering
+// (capture before gather/scan/release), positive loads and valid
+// particle kinds, known planner names, and move-goal
+// uniqueness/separation. A program that
 // fails CheckOps is malformed on every die; one that passes may still
 // fail Check against a particular (too small) configuration — the
 // distinction the heterogeneous service uses to tell "bad program"
@@ -193,6 +215,9 @@ func (pr Program) Check(cfg chip.Config) error {
 func (pr Program) check(cfg *chip.Config) error {
 	if len(pr.Ops) == 0 {
 		return errors.New("assay: empty program")
+	}
+	if len(pr.Ops) > MaxOps {
+		return &OpCountError{Ops: len(pr.Ops)}
 	}
 	capacity := 0
 	if cfg != nil {

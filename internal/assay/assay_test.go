@@ -1,6 +1,7 @@
 package assay
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -55,6 +56,30 @@ func TestProgramCheckOrdering(t *testing.T) {
 	for _, c := range cases {
 		if err := (Program{Name: c.name, Ops: c.ops}).Check(cfg); err == nil {
 			t.Errorf("%s should fail Check", c.name)
+		}
+	}
+}
+
+// TestProgramCheckOpCount: a program of MaxOps operations passes both
+// checks, and one more operation fails both with *OpCountError.
+func TestProgramCheckOpCount(t *testing.T) {
+	cfg := testConfig()
+	ops := []Op{Load{Kind: particle.ViableCell(), Count: 1}, Capture{}}
+	for len(ops) < MaxOps {
+		ops = append(ops, Scan{Averaging: 1})
+	}
+	at := Program{Name: "at-limit", Ops: ops}
+	if err := at.CheckOps(); err != nil {
+		t.Fatalf("CheckOps at %d ops: %v", MaxOps, err)
+	}
+	if err := at.Check(cfg); err != nil {
+		t.Fatalf("Check at %d ops: %v", MaxOps, err)
+	}
+	over := Program{Name: "over-limit", Ops: append(ops, ReleaseAll{})}
+	for name, err := range map[string]error{"CheckOps": over.CheckOps(), "Check": over.Check(cfg)} {
+		var oc *OpCountError
+		if !errors.As(err, &oc) || oc.Ops != MaxOps+1 {
+			t.Errorf("%s at %d ops: %v, want *OpCountError{Ops: %d}", name, MaxOps+1, err, MaxOps+1)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"biochip/internal/assay"
 	"biochip/internal/service"
 )
 
@@ -146,6 +147,8 @@ func TestHTTPConformance(t *testing.T) {
 				{"metrics with obs disabled", http.MethodGet, "/v1/metrics", "", http.StatusNotFound},
 				{"oversized body", http.MethodPost, "/v1/assays", `{"seed":1,"program":{"name":"` + strings.Repeat("x", 1<<20) +
 					`","ops":[{"op":"load","kind":"viable-cell","count":1}]}}`, http.StatusRequestEntityTooLarge},
+				{"too many ops", http.MethodPost, "/v1/assays", `{"seed":1,"program":{"name":"x","ops":[{"op":"load","kind":"viable-cell","count":1},{"op":"capture"}` +
+					strings.Repeat(`,{"op":"scan","averaging":1}`, assay.MaxOps-1) + `]}}`, http.StatusBadRequest},
 			} {
 				resp, body := do(t, tc.method, base+tc.path, tc.body)
 				if resp.StatusCode != tc.want {
@@ -238,6 +241,36 @@ func TestHTTPConformance(t *testing.T) {
 			t.Errorf("body %s does not name %v", body, ErrNoMembers)
 		}
 	})
+}
+
+// TestGatewayReencodedBodyTooLarge: a 307,285-byte submission whose
+// program name is 300 KiB of '<' is under the 1 MiB body bound, so a
+// worker accepts it, but a gateway forwards the program re-encoded, and
+// json.Marshal writes each '<' as a six-byte escape: the member refuses
+// the forward with 413, and the gateway answers 413 with the error
+// envelope, as for a body over its own bound.
+func TestGatewayReencodedBodyTooLarge(t *testing.T) {
+	body := `{"seed":1,"program":{"name":"` + strings.Repeat("<", 300<<10) +
+		`","ops":[{"op":"load","kind":"viable-cell","count":1}]}}`
+	if len(body) != 307285 {
+		t.Fatalf("body is %d bytes", len(body))
+	}
+	for _, r := range roles() {
+		base, _ := r.start(t)
+		resp, got := do(t, http.MethodPost, base+"/v1/assays", body)
+		want := http.StatusAccepted
+		if r.member != "" {
+			want = http.StatusRequestEntityTooLarge
+		}
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d (%.200s)", r.name, resp.StatusCode, want, got)
+			continue
+		}
+		var eb service.ErrorBody
+		if want != http.StatusAccepted && (json.Unmarshal(got, &eb) != nil || !strings.Contains(eb.Error, "too large")) {
+			t.Errorf("%s: body %.200q is not the error envelope naming the bound", r.name, got)
+		}
+	}
 }
 
 // checkJobBody checks one job record: 200, "id" first and "status"

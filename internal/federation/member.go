@@ -114,7 +114,10 @@ func (m *Member) Eligible(pr assay.Program) ([]int, map[string]string) {
 // Submit forwards one submission to the member, reconstructing the
 // worker's typed errors from its wire envelope: 422 →
 // *service.IncompatibleError, 429 → *service.QueueFullError (backlog
-// included), 503 → service.ErrDraining, 500 → service.ErrPersist.
+// included), 503 → service.ErrDraining, 500 → service.ErrPersist, 413
+// → service.ErrTooLarge. The program is re-encoded (json.Marshal, which
+// writes <, > and & as six-byte escapes), so a body the gateway
+// accepted can exceed the member's body bound.
 // Transport failures wrap ErrUnreachable. A req.Trace travels in the
 // X-Assay-Trace header; the member records it as its root span's
 // parent, stitching the federation hop (docs/observability.md).
@@ -166,6 +169,8 @@ func (m *Member) Submit(ctx context.Context, req service.SubmitRequest) (service
 		return service.SubmitResult{}, fmt.Errorf("%w: member %s: %s", service.ErrDraining, m.Name, eb.Error)
 	case http.StatusInternalServerError:
 		return service.SubmitResult{}, fmt.Errorf("%w: member %s: %s", service.ErrPersist, m.Name, eb.Error)
+	case http.StatusRequestEntityTooLarge:
+		return service.SubmitResult{}, fmt.Errorf("%w: member %s: %s", service.ErrTooLarge, m.Name, eb.Error)
 	default:
 		return service.SubmitResult{}, fmt.Errorf("federation: member %s: %s", m.Name, eb.Error)
 	}

@@ -150,6 +150,8 @@ func (h *handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The WAL append failed: the submission was refused before any
 		// ack, so the client may safely retry once the store recovers.
 		writeJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error()})
+	case errors.Is(err, ErrTooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{Error: err.Error()})
 	case err != nil:
 		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error()})
 	default:

@@ -1,0 +1,157 @@
+package service
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+
+	"biochip/internal/store"
+	"biochip/internal/stream"
+)
+
+// finishCapture is a durable store that keeps every finish record the
+// service appends — its events as they left the job's ring — and
+// refuses them while fail is set.
+type finishCapture struct {
+	store.Store
+	mu   sync.Mutex
+	fail bool
+	fins map[string]store.FinishRecord
+}
+
+func (c *finishCapture) LogFinish(rec store.FinishRecord) error {
+	c.mu.Lock()
+	c.fins[rec.ID] = rec
+	fail := c.fail
+	c.mu.Unlock()
+	if fail {
+		return errors.New("injected finish append failure")
+	}
+	return c.Store.LogFinish(rec)
+}
+
+func (c *finishCapture) finish(id string) store.FinishRecord {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fins[id]
+}
+
+// sseBody reads a job's event stream after the cursor from the HTTP
+// handler, to its end.
+func sseBody(t *testing.T, base, id string, after int) string {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/assays/%s/events?after=%d", base, id, after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("events of %s: status %d, %v", id, resp.StatusCode, err)
+	}
+	return string(body)
+}
+
+// renderSSE frames events as the handler writes them.
+func renderSSE(evs []stream.Event) string {
+	var b strings.Builder
+	for _, ev := range evs {
+		stream.WriteSSE(&b, ev)
+	}
+	return b.String()
+}
+
+// ringEvents returns the events a job's ring holds in memory.
+func ringEvents(svc *Service, id string) []stream.Event {
+	svc.mu.Lock()
+	j := svc.jobs[id]
+	svc.mu.Unlock()
+	return j.ring.Events()
+}
+
+// startCapture builds a durable service over a finishCapture and serves
+// its handler.
+func startCapture(t *testing.T) (*Service, *finishCapture, *store.Disk, string) {
+	t.Helper()
+	d := openTestStore(t, t.TempDir())
+	t.Cleanup(func() { d.Close() })
+	c := &finishCapture{Store: d, fins: make(map[string]store.FinishRecord)}
+	svc, err := New(Config{Shards: 1, EventBuffer: 4, Chip: testChip(), Store: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	return svc, c, d, ts.URL
+}
+
+// TestDurableRingOffload: once a durable job's finish record is written
+// its ring holds no events, and its stream — read from the start, from
+// a mid-stream cursor, and by a cache hit sharing the ring — is the log
+// serving the very bytes the ring published.
+func TestDurableRingOffload(t *testing.T) {
+	svc, c, _, base := startCapture(t)
+	id, err := submit(svc, testProgram(10), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+		t.Fatalf("job: %v %v", j.Status, err)
+	}
+	if n := len(ringEvents(svc, id)); n != 0 {
+		t.Fatalf("the ring of a persisted job holds %d events, want 0", n)
+	}
+	live := c.finish(id).Events
+	if len(live) < 10 {
+		t.Fatalf("finish record holds %d events", len(live))
+	}
+	for _, after := range []int{0, len(live) / 2} {
+		if got, want := sseBody(t, base, id, after), renderSSE(live[after:]); got != want {
+			t.Errorf("SSE after %d differs from the published bytes:\n got %q\nwant %q", after, got, want)
+		}
+	}
+	hit, err := svc.Submit(SubmitRequest{Seed: 7, Program: testProgram(10)})
+	if err != nil || hit.Cache != "hit" {
+		t.Fatalf("resubmission: %+v %v, want a cache hit", hit, err)
+	}
+	if got, want := sseBody(t, base, hit.ID, 0), renderSSE(live); got != want {
+		t.Errorf("cache hit replays %q, want %q", got, want)
+	}
+}
+
+// TestDurableRingPinnedOnFailedPersist: when the finish record cannot be
+// appended the ring stays pinned, so the job's whole stream is still
+// served from memory, with the bytes the ring published.
+func TestDurableRingPinnedOnFailedPersist(t *testing.T) {
+	svc, c, d, base := startCapture(t)
+	c.fail = true
+	id, err := submit(svc, testProgram(10), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+		t.Fatalf("job: %v %v", j.Status, err)
+	}
+	if st := svc.Stats(); st.PersistErrors != 1 {
+		t.Fatalf("persist errors %d, want 1", st.PersistErrors)
+	}
+	if _, err := d.Events(id); !errors.Is(err, store.ErrUnknownJob) {
+		t.Fatalf("the log has the refused record: %v", err)
+	}
+	live := c.finish(id).Events
+	held := ringEvents(svc, id)
+	if len(held) != len(live) || len(held) < 10 {
+		t.Fatalf("ring holds %d events, the refused record %d", len(held), len(live))
+	}
+	for _, after := range []int{0, len(live) / 2} {
+		if got, want := sseBody(t, base, id, after), renderSSE(live[after:]); got != want {
+			t.Errorf("SSE after %d differs from the published bytes:\n got %q\nwant %q", after, got, want)
+		}
+	}
+}

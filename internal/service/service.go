@@ -79,6 +79,12 @@ var ErrDraining = errors.New("service: draining, not admitting new assays")
 // Retry-After).
 var ErrUnavailable = errors.New("service: unavailable")
 
+// ErrTooLarge marks a submission whose body exceeds a bound: a
+// daemon's own on the body it reads, or — through a gateway — the
+// member's on the program the gateway forwards, which re-encoding can
+// lengthen past the bound the client's body met (HTTP maps it to 413).
+var ErrTooLarge = errors.New("service: submission too large")
+
 // ErrPersist wraps a durable-store append failure during Submit: the
 // write-ahead record could not be made durable, so the submission is
 // refused rather than acked (HTTP maps it to 500). Jobs already
@@ -163,7 +169,9 @@ type Config struct {
 	// GET /v1/assays/{id}/events); 0 means stream.DefaultCapacity.
 	// Subscribers that fall further behind than this see a gap event,
 	// unless the ring is pinned (a durable or cacheable job's, while it
-	// runs or is cached) or a durable log backfills the range.
+	// runs or is cached) or a durable log backfills the range. On a
+	// durable service a job whose finish record is written keeps no
+	// events in memory at all: the log serves its whole stream.
 	EventBuffer int
 	// Chip is the per-die platform configuration of the homogeneous
 	// pool when Profiles is empty.
@@ -250,9 +258,10 @@ type Job struct {
 	// job record, so subscribers can replay a finished job's events.
 	// Cache-hit aliases share their root's ring. The ring of a durable
 	// or cacheable job is pinned while it runs (the window is bounded,
-	// the finish record is not); finish unpins it once the log takes
-	// over as the backfill source, or — non-durable cacheable jobs —
-	// leaves it pinned until LRU eviction so cache hits replay in full.
+	// the finish record is not); once the finish record is durable the
+	// ring is offloaded to the log, which serves the whole stream from
+	// then on, and a non-durable cacheable job's stays pinned until LRU
+	// eviction so cache hits replay in full.
 	ring *stream.Ring
 	// key is the content address of a cacheable job (zero otherwise);
 	// persisted reports that the finish record reached the durable log.
@@ -860,12 +869,13 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 }
 
 // persistFinishLocked appends the job's terminal record — status,
-// report and the complete event stream off the pinned ring — to the
-// durable log, then makes the log the ring's backfill and unpins the
-// ring. On append failure the ring stays pinned (subscribers can still
-// replay from memory) and the error is counted; the job itself
-// completes regardless. Caller holds s.mu. No-op on an in-memory
-// service.
+// report and the complete event stream off the pinned ring, as the
+// bytes Publish encoded — to the durable log, then offloads the ring to
+// the log: it keeps no events, and every subscriber reads the stream
+// from the log as after a restart (restoreFinishedLocked). On append
+// failure the ring stays pinned (subscribers can still replay from
+// memory) and the error is counted; the job itself completes
+// regardless. Caller holds s.mu. No-op on an in-memory service.
 func (s *Service) persistFinishLocked(j *Job) {
 	if s.store == nil {
 		return
@@ -889,14 +899,15 @@ func (s *Service) persistFinishLocked(j *Job) {
 		return
 	}
 	j.persisted = true
-	j.ring.SetBackfill(s.storeBackfill(j.ID))
-	j.ring.Unpin()
+	j.ring.Offload(s.storeBackfill(j.ID))
 }
 
 // storeBackfill returns a ring backfill reading the job's persisted
 // event stream back from the durable log on demand, so finished-job
-// history costs no memory. Events are stored 1..n in order, making the
-// range a simple slice.
+// history costs no memory: each call is one read of the finish record
+// (store.Disk.Events), and each event comes back as its sequence
+// number, its type and its bytes, not decoded. Events are stored 1..n
+// in order, making the range a simple slice.
 func (s *Service) storeBackfill(id string) func(from, to uint64) []stream.Event {
 	return func(from, to uint64) []stream.Event {
 		evs, err := s.store.Events(id)

@@ -451,7 +451,7 @@ func TestUnencodableReportFailsJob(t *testing.T) {
 						i, j.Status, j.Error, len(j.Report), err, want)
 				}
 				evs := collectJobEvents(t, svc, res.ID, 0)
-				if last := evs[len(evs)-1]; last.Type != stream.JobFailed || last.Err != want {
+				if last := decodeData(t, evs[len(evs)-1]); last.Type != stream.JobFailed || last.Err != want {
 					t.Fatalf("submission %d: stream ends %s %q, want %s %q",
 						i, last.Type, last.Err, stream.JobFailed, want)
 				}

@@ -10,8 +10,13 @@ import (
 // resuming after the given sequence number (0 replays from the start of
 // the retained window). The second result is false for unknown jobs.
 // The ring lives as long as the job record, so a finished job's stream
-// replays in full (up to the configured EventBuffer window); callers
-// must Cancel the subscription when done.
+// replays in full (up to the configured EventBuffer window, or wholly
+// from the log on a durable service); callers must Cancel the
+// subscription when done. Every event carries its encoding (Data). A
+// finished durable job's events come from the log as a gateway's
+// relayed events come from its member: sequence number, type and
+// bytes, with no payload block decoded; a reader that needs one
+// decodes Data.
 func (s *Service) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

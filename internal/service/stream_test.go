@@ -38,12 +38,16 @@ func collectJobEvents(t *testing.T, svc *Service, id string, after uint64) []str
 	}
 }
 
-// canonicalJSON renders events one per line with the wall-clock stamp
-// (the one field excluded from the determinism contract) zeroed.
+// canonicalJSON renders events one per line, each the event its bytes
+// (Data) encode, with the wall-clock stamp (the one field excluded from
+// the determinism contract) zeroed. A finished durable job's events
+// come from the log as their bytes alone, so the bytes are what is
+// compared.
 func canonicalJSON(t *testing.T, evs []stream.Event) string {
 	t.Helper()
 	var b strings.Builder
 	for _, ev := range evs {
+		ev = decodeData(t, ev)
 		ev.Wall = 0
 		raw, err := json.Marshal(ev)
 		if err != nil {
@@ -53,6 +57,21 @@ func canonicalJSON(t *testing.T, evs []stream.Event) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// decodeData returns the event its bytes (Data) encode, every payload
+// block decoded.
+func decodeData(t *testing.T, ev stream.Event) stream.Event {
+	t.Helper()
+	data, err := ev.Data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full stream.Event
+	if err := json.Unmarshal(data, &full); err != nil {
+		t.Fatalf("event %d (%s): %v", ev.Seq, ev.Type, err)
+	}
+	return full
 }
 
 // runStreamedJob submits one seeded job on a fresh service built from

@@ -87,7 +87,7 @@ func TestDiskShortWriteRollsBack(t *testing.T) {
 	if err := d.LogFinish(fin2); err != nil {
 		t.Fatal(err)
 	}
-	if evs, err := d.Events("a-000002"); err != nil || !reflect.DeepEqual(evs, fin2.Events) {
+	if evs, err := d.Events("a-000002"); err != nil || !reflect.DeepEqual(frames(t, evs), frames(t, fin2.Events)) {
 		t.Fatalf("Events of the next acked job: %d events, %v; want its own %d", len(evs), err, len(fin2.Events))
 	}
 	checkReopen(t, d, opts,
@@ -120,7 +120,7 @@ func TestDiskFailedSyncRollsBack(t *testing.T) {
 	if err := d.LogFinish(fin2); err != nil {
 		t.Fatal(err)
 	}
-	if evs, err := d.Events("a-000002"); err != nil || !reflect.DeepEqual(evs, fin2.Events) {
+	if evs, err := d.Events("a-000002"); err != nil || !reflect.DeepEqual(frames(t, evs), frames(t, fin2.Events)) {
 		t.Fatalf("Events of the next finished job: %d events, %v; want its own %d", len(evs), err, len(fin2.Events))
 	}
 	if _, err := d.Events("a-000001"); err != ErrUnknownJob {

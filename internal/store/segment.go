@@ -44,10 +44,11 @@ type Options struct {
 
 // Disk is the append-only segment-log store: records framed with a
 // length + CRC-32C header in numbered segment files under one
-// directory, an in-memory index from job ID to the offset of its
-// finish record, and torn-tail recovery at open time (the log is
-// truncated to its longest valid prefix, so a crash mid-append never
-// resurrects a half-written record).
+// directory, an in-memory index from job ID to its finish record —
+// where the frame is, and where each event of the stream sits in it —
+// and torn-tail recovery at open time (the log is truncated to its
+// longest valid prefix, so a crash mid-append never resurrects a
+// half-written record).
 type Disk struct {
 	dir  string
 	opts Options
@@ -60,7 +61,7 @@ type Disk struct {
 	records   uint64
 	bytes     int64 // total log bytes across segments
 	truncated int64 // corrupt tail bytes discarded at open
-	index     map[string]recordPos
+	index     map[string]finishEntry
 	keyIndex  map[string]string // content-address hex → root job ID
 	closed    bool
 	// broken is set when a failed append could not be cut back off the
@@ -79,15 +80,21 @@ type segmentFile interface {
 	Close() error
 }
 
-// recordPos locates one finish record: segment number and byte offset
-// of its frame.
-type recordPos struct {
-	seg int
-	off int64
+// finishEntry is the index entry of one finish record: the segment
+// number, byte offset and length of its frame, and the span of each
+// event of its stream in the frame's payload. A cache-hit alias holds
+// no events and names its root in dedupOf.
+type finishEntry struct {
+	seg     int
+	off     int64
+	size    int
+	dedupOf string
+	events  []eventSpan
 }
 
 // Open opens (creating if needed) the segment log in dir. It scans
-// every segment, rebuilding the finish-record index, and truncates the
+// every segment, rebuilding the finish-record index — event spans
+// included, as an append records them — and truncates the
 // last segment to its longest valid prefix — the recovery step that
 // makes a crash mid-append invisible. Corruption anywhere but the tail
 // of the last segment is a hard error: it means lost history, not a
@@ -102,7 +109,7 @@ func Open(dir string, opts Options) (*Disk, error) {
 	d := &Disk{
 		dir:      dir,
 		opts:     opts,
-		index:    make(map[string]recordPos),
+		index:    make(map[string]finishEntry),
 		keyIndex: make(map[string]string),
 	}
 	segs, err := listSegments(dir)
@@ -172,8 +179,9 @@ func listSegments(dir string) ([]int, error) {
 // scan walks the frames of one segment, indexing finish records and
 // counting, and returns the byte length of the longest valid prefix: it
 // stops at the first frame with a short header, an implausible length,
-// a CRC mismatch or an undecodable payload. When fn is non-nil it is
-// invoked with each decoded record (the Replay path).
+// a CRC mismatch, an undecodable payload or, when indexing, a finish
+// record whose events it cannot locate (locateEvents). When fn is
+// non-nil it is invoked with each decoded record (the Replay path).
 func (d *Disk) scan(seg int, data []byte, fn func(rec *Record) error) int64 {
 	off := int64(0)
 	for {
@@ -186,10 +194,14 @@ func (d *Disk) scan(seg int, data []byte, fn func(rec *Record) error) int64 {
 				return off
 			}
 		} else {
-			d.records++
 			if rec.Kind == KindFinish {
-				d.indexFinish(rec.Finish, recordPos{seg: seg, off: off})
+				spans, ok := locateEvents(data[off+frameHeader:next], rec.Finish.Events)
+				if !ok {
+					return off
+				}
+				d.indexFinish(rec.Finish, finishEntry{seg: seg, off: off, size: int(next - off), events: spans})
 			}
+			d.records++
 		}
 		off = next
 	}
@@ -236,36 +248,55 @@ func readFrame(data []byte, off int64) (*Record, int64, bool) {
 // frame encodes one record payload with its length + CRC header.
 func frame(payload []byte) []byte {
 	out := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(payload, castagnoli))
 	copy(out[frameHeader:], payload)
+	seal(out)
 	return out
+}
+
+// seal writes the length + CRC header of the frame f, whose payload
+// follows the frameHeader bytes it leaves for it.
+func seal(f []byte) {
+	payload := f[frameHeader:]
+	binary.LittleEndian.PutUint32(f, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(f[4:], crc32.Checksum(payload, castagnoli))
 }
 
 // LogSubmit implements Store.
 func (d *Disk) LogSubmit(rec SubmitRecord) error {
-	return d.append(&Record{Kind: KindSubmit, Submit: &rec})
+	return d.appendJSON(&Record{Kind: KindSubmit, Submit: &rec})
 }
 
-// LogFinish implements Store.
+// LogFinish implements Store. The record is spliced from the report's
+// bytes and the events' encodings (finishFrame), not marshalled, and
+// the index keeps where each event landed, so Events serves the stream
+// from the log without decoding it.
 func (d *Disk) LogFinish(rec FinishRecord) error {
-	return d.append(&Record{Kind: KindFinish, Finish: &rec})
+	buf, spans, err := finishFrame(&rec)
+	if err != nil {
+		return fmt.Errorf("store: finish record %s: %w", rec.ID, err)
+	}
+	return d.append(buf, &rec, spans)
 }
 
 // LogRoute implements Store.
 func (d *Disk) LogRoute(rec RouteRecord) error {
-	return d.append(&Record{Kind: KindRoute, Route: &rec})
+	return d.appendJSON(&Record{Kind: KindRoute, Route: &rec})
 }
 
-// append frames and durably writes one record, rolling the active
-// segment when it would overflow. The fsync before returning is the
-// durability point the service acks against.
-func (d *Disk) append(rec *Record) error {
+// appendJSON appends a record json.Marshal encodes.
+func (d *Disk) appendJSON(rec *Record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	buf := frame(payload)
+	return d.append(frame(payload), nil, nil)
+}
+
+// append durably writes one framed record, rolling the active segment
+// when it would overflow, and indexes fin, the finish record the frame
+// holds (nil for other kinds), with its event spans. The fsync before
+// returning is the durability point the service acks against.
+func (d *Disk) append(buf []byte, fin *FinishRecord, spans []eventSpan) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -280,7 +311,7 @@ func (d *Disk) append(rec *Record) error {
 		}
 	}
 	off := d.curSize
-	_, err = d.cur.Write(buf)
+	_, err := d.cur.Write(buf)
 	if err == nil && !d.opts.NoSync {
 		// fsync is the durability barrier of the WAL: the record must be
 		// on stable storage before the service acks the submission. It
@@ -295,8 +326,8 @@ func (d *Disk) append(rec *Record) error {
 	d.curSize += int64(len(buf))
 	d.bytes += int64(len(buf))
 	d.records++
-	if rec.Kind == KindFinish {
-		d.indexFinish(rec.Finish, recordPos{seg: d.curSeg, off: off})
+	if fin != nil {
+		d.indexFinish(fin, finishEntry{seg: d.curSeg, off: off, size: len(buf), events: spans})
 	}
 	return nil
 }
@@ -318,8 +349,11 @@ func (d *Disk) rollback(size int64) {
 // every record by job ID, and successful roots — done, keyed, not
 // themselves aliases — by content-address key. Caller holds d.mu (or is
 // the single-threaded open-time scan).
-func (d *Disk) indexFinish(fin *FinishRecord, pos recordPos) {
-	d.index[fin.ID] = pos
+func (d *Disk) indexFinish(fin *FinishRecord, e finishEntry) {
+	if len(e.events) == 0 {
+		e.dedupOf = fin.DedupOf
+	}
+	d.index[fin.ID] = e
 	if fin.Key != "" && fin.DedupOf == "" && fin.Status == "done" {
 		d.keyIndex[fin.Key] = fin.ID
 	}
@@ -370,43 +404,44 @@ func (d *Disk) Replay(fn func(rec *Record) error) error {
 	return nil
 }
 
-// Events implements Store: it reads a finished job's event stream back
-// from its indexed frame. Each call re-reads the record from disk, so
-// backfilling an old stream never holds job history in memory.
+// Events implements Store: it reads a finished job's frame back from
+// disk in one read, checks its CRC and returns each event of the stream
+// as its sequence number, its type and its encoding, a slice of that
+// read (stream.WithEncoding); nothing is decoded, and the call makes
+// the same few allocations however long the stream. Each call re-reads
+// the record, so serving an old stream never holds job history in
+// memory.
 func (d *Disk) Events(id string) ([]stream.Event, error) {
 	d.mu.Lock()
-	pos, ok := d.index[id]
+	e, ok := d.index[id]
+	if ok && e.dedupOf != "" {
+		// Cache-hit alias: the stream lives in the root's record, and
+		// roots are never aliases themselves.
+		e, ok = d.index[e.dedupOf]
+	}
 	d.mu.Unlock()
 	if !ok {
 		return nil, ErrUnknownJob
 	}
-	f, err := os.Open(d.segPath(pos.seg))
+	f, err := os.Open(d.segPath(e.seg))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	header := make([]byte, frameHeader)
-	if _, err := f.ReadAt(header, pos.off); err != nil {
+	buf := make([]byte, e.size)
+	if _, err := f.ReadAt(buf, e.off); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	n := int64(binary.LittleEndian.Uint32(header))
-	if n > maxRecordBytes {
+	payload := buf[frameHeader:]
+	if int(binary.LittleEndian.Uint32(buf)) != len(payload) ||
+		crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:]) {
 		return nil, fmt.Errorf("store: corrupt frame for job %s", id)
 	}
-	buf := make([]byte, frameHeader+n)
-	if _, err := f.ReadAt(buf, pos.off); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	evs := make([]stream.Event, len(e.events))
+	for i, sp := range e.events {
+		evs[i] = stream.WithEncoding(stream.Event{Seq: uint64(i + 1), Type: sp.typ}, payload[sp.start:sp.end:sp.end])
 	}
-	rec, _, ok := readFrame(buf, 0)
-	if !ok || rec.Kind != KindFinish {
-		return nil, fmt.Errorf("store: corrupt frame for job %s", id)
-	}
-	if rec.Finish.DedupOf != "" && len(rec.Finish.Events) == 0 {
-		// Cache-hit alias: the stream lives in the root's record. Roots
-		// are never aliases themselves, so this recurses at most once.
-		return d.Events(rec.Finish.DedupOf)
-	}
-	return rec.Finish.Events, nil
+	return evs, nil
 }
 
 // FinishByKey implements Store: an in-memory index lookup, no disk I/O.

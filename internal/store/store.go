@@ -100,10 +100,12 @@ type FinishRecord struct {
 	// finish record of the named root job and persists neither report
 	// nor events of its own — Events resolves through the root.
 	DedupOf string `json:"dedup_of,omitempty"`
-	// Report is the assay report JSON of done jobs, stored verbatim.
+	// Report is the assay report JSON of done jobs, stored verbatim: it
+	// must be compact, as json.Marshal writes it.
 	Report json.RawMessage `json:"report,omitempty"`
 	// Events is the job's full event stream (sequence numbers 1..n,
-	// wall stamps included — they are telemetry, not contract).
+	// wall stamps included — they are telemetry, not contract). Each
+	// event is stored as its encoding (stream.Event.Data).
 	Events []stream.Event `json:"events,omitempty"`
 }
 
@@ -168,9 +170,11 @@ type Store interface {
 	Replay(fn func(rec *Record) error) error
 	// Events returns the persisted full event stream of a finished job
 	// (ErrUnknownJob when the log has no finish record for the ID). It
-	// backs Last-Event-ID resume beyond the in-memory ring window.
-	// Cache-hit aliases (FinishRecord.DedupOf) resolve to their root's
-	// stream.
+	// serves a finished job's stream to subscribers and backs
+	// Last-Event-ID resume across restarts. Each event carries its
+	// sequence number, its type and its encoding (Data); its payload
+	// blocks are not decoded. Cache-hit aliases (FinishRecord.DedupOf)
+	// resolve to their root's stream.
 	Events(id string) ([]stream.Event, error)
 	// FinishByKey returns the job ID of the successful finish record
 	// with the given content-address key, if any — the durable tier of

@@ -2,6 +2,8 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,6 +27,22 @@ func testFinish(id string, n int) FinishRecord {
 		ID: id, Status: "done", Profile: "default", Eligible: []string{"default"},
 		Report: json.RawMessage(`{"program":"p"}`), Events: evs,
 	}
+}
+
+// frames renders each event as its sequence number, its type and its
+// encoding (Data): the form Events serves a stream in, and the bytes a
+// finish record holds.
+func frames(t *testing.T, evs []stream.Event) []string {
+	t.Helper()
+	out := make([]string, len(evs))
+	for i, ev := range evs {
+		data, err := ev.Data()
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		out[i] = fmt.Sprintf("%d %s %s", ev.Seq, ev.Type, data)
+	}
+	return out
 }
 
 // replayAll collects every record in the log.
@@ -82,8 +100,8 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(evs, fin.Events) {
-		t.Errorf("Events() = %+v, want %+v", evs, fin.Events)
+	if got, want := frames(t, evs), frames(t, fin.Events); !reflect.DeepEqual(got, want) {
+		t.Errorf("Events() = %q, want %q", got, want)
 	}
 	if _, err := d2.Events("a-000002"); err != ErrUnknownJob {
 		t.Errorf("Events on unfinished job: %v, want ErrUnknownJob", err)
@@ -200,7 +218,7 @@ func TestDiskSegmentRoll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(evs, fin.Events) {
+		if !reflect.DeepEqual(frames(t, evs), frames(t, fin.Events)) {
 			t.Errorf("job %s events differ after segment roll", fin.ID)
 		}
 	}
@@ -295,5 +313,50 @@ func TestDiskRouteRecords(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*recs[0].Route, r1) || !reflect.DeepEqual(*recs[2].Route, r2) {
 		t.Fatalf("route records did not round-trip: %+v / %+v", recs[0].Route, recs[2].Route)
+	}
+}
+
+// TestDiskEventsFixedAllocs: Events slices one read of the record and
+// decodes nothing, so serving a stream makes the same few allocations
+// however many events it holds — on a record appended by this process
+// and on one indexed by a reopen alike.
+func TestDiskEventsFixedAllocs(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, n := range map[string]int{"a-000001": 1, "a-000002": 25} {
+		if err := d.LogFinish(testFinish(id, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The least of three counts: a background allocation (seen under
+	// -race) can add one to a count, never take one away.
+	allocs := func(d *Disk, id string) float64 {
+		least := math.Inf(1)
+		for range 3 {
+			least = min(least, testing.AllocsPerRun(50, func() {
+				if _, err := d.Events(id); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
+	}
+	one, many := allocs(d, "a-000001"), allocs(d, "a-000002")
+	if many != one || many > 10 {
+		t.Errorf("Events makes %v allocations for 25 events and %v for 1, want the same few", many, one)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if got := allocs(d2, "a-000002"); got != many {
+		t.Errorf("after a reopen Events makes %v allocations, %v before", got, many)
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"math"
 	"sync"
 	"time"
@@ -58,9 +59,15 @@ func NewRing(capacity int) *Ring {
 }
 
 // Publish assigns the event its sequence number, stamps its wall clock,
-// stores it (overwriting the oldest when full) and wakes subscribers.
-// It never blocks and returns the assigned sequence number. Publishing
-// on a closed ring is a no-op returning 0.
+// encodes it, stores it (overwriting the oldest when full) and wakes
+// subscribers. It never blocks and returns the assigned sequence
+// number. Publishing on a closed ring is a no-op returning 0.
+//
+// The encoding is the event's from then on (Data): every SSE frame
+// copies it, and a durable log splices it into the job's finish
+// record, so an event is encoded once however many times it is served.
+// An event that cannot be encoded (a non-finite float) is stored
+// without one, and each use then fails as json.Marshal does.
 func (r *Ring) Publish(ev Event) uint64 {
 	r.mu.Lock()
 	if r.closed {
@@ -69,6 +76,7 @@ func (r *Ring) Publish(ev Event) uint64 {
 	}
 	ev.Seq = r.next
 	ev.Wall = r.now()
+	ev.enc, _ = json.Marshal(ev)
 	r.storeLocked(ev)
 	r.mu.Unlock()
 	return ev.Seq
@@ -204,7 +212,8 @@ func (r *Ring) Unpin() {
 }
 
 // Events returns a copy of the retained events in sequence order: a
-// pinned ring's whole stream, as subscribers saw it.
+// pinned ring's whole stream, as subscribers saw it, each event
+// carrying its encoding. An offloaded ring retains none.
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -213,6 +222,24 @@ func (r *Ring) Events() []Event {
 		out = append(out, r.buf[r.index(seq)])
 	}
 	return out
+}
+
+// Offload hands the whole stream to backfill: the ring closes, drops
+// every event it retains and from then on serves each one through
+// backfill — the state RecoveredRing builds for a job restored from a
+// durable log. Once a job's finish record is durable the service
+// offloads its ring, so the finished stream costs the heap nothing, and
+// a subscriber reads it exactly as after a restart. Resume semantics
+// are a live ring's: Subscribe(after) replays (Last-after) events.
+func (r *Ring) Offload(backfill func(from, to uint64) []Event) {
+	r.mu.Lock()
+	r.buf = nil
+	r.capacity = r.window
+	r.first = r.next
+	r.closed = true
+	r.backfill = backfill
+	r.notifyLocked()
+	r.mu.Unlock()
 }
 
 // SetBackfill installs (or, with nil, removes) the recovery source for
@@ -230,16 +257,13 @@ func (r *Ring) SetBackfill(fn func(from, to uint64) []Event) {
 }
 
 // RecoveredRing rebuilds the ring of a finished job restored from a
-// durable log: the stream is complete (closed) at sequence number last,
-// the in-memory window is empty, and every event a subscriber asks for
-// is served through the backfill. Resume semantics are identical to a
-// live ring's — Subscribe(after) replays (last-after) events — so SSE
-// Last-Event-ID reconnects work unchanged across a daemon restart.
+// durable log: an offloaded ring (Offload) whose stream ended at
+// sequence number last, so SSE Last-Event-ID reconnects work unchanged
+// across a daemon restart.
 func RecoveredRing(last uint64, backfill func(from, to uint64) []Event) *Ring {
 	r := NewRing(1)
-	r.first, r.next = last+1, last+1
-	r.closed = true
-	r.backfill = backfill
+	r.next = last + 1
+	r.Offload(backfill)
 	return r
 }
 

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -312,5 +314,77 @@ func TestRingWrapAfterGrowth(t *testing.T) {
 			}
 		}
 		sub.Cancel()
+	}
+}
+
+// TestRingPublishEncodesOnce: Publish encodes the stamped event, and
+// that encoding is the event's from then on — Data returns the same
+// bytes on every call and WriteSSE writes them — while the decoded
+// fields stay readable.
+func TestRingPublishEncodesOnce(t *testing.T) {
+	r := testRing(4)
+	r.now = func() float64 { return 12.5 }
+	r.Publish(Event{Type: ScanRows, T: 0.25, Scan: &ScanChunk{Batches: 1, Averaging: 4,
+		Rows: []Detection{{Col: 3, Row: 4, ID: 1, Occupied: true, SNR: 9.5}}}})
+	ev := r.Events()[0]
+	want := `{"seq":1,"type":"scan.rows","t":0.25,"wall":12.5,"scan":{"scan":0,"batch":0,"batches":1,"averaging":4,"rows":[{"col":3,"row":4,"id":1,"occupied":true,"detected":false,"snr":9.5}]}}`
+	data, err := ev.Data()
+	if err != nil || string(data) != want {
+		t.Fatalf("Data() = %s (%v), want %s", data, err, want)
+	}
+	if again, _ := ev.Data(); &again[0] != &data[0] {
+		t.Error("Data() encoded the published event again")
+	}
+	var b strings.Builder
+	WriteSSE(&b, ev)
+	if got := b.String(); got != "id: 1\nevent: scan.rows\ndata: "+want+"\n\n" {
+		t.Errorf("WriteSSE wrote %q", got)
+	}
+	if ev.Scan == nil || ev.Scan.Rows[0].SNR != 9.5 || ev.Wall != 12.5 {
+		t.Errorf("published event lost its fields: %+v", ev)
+	}
+}
+
+// TestRingOffload: offloading a pinned, closed ring drops every event
+// it holds and serves the whole stream through the backfill, as a
+// recovered ring does — replay from the start, from a mid-stream
+// cursor and for a subscriber that was already part-way through, with
+// no gap; Publish and Unpin then change nothing.
+func TestRingOffload(t *testing.T) {
+	r := testRing(4)
+	r.Pin()
+	publishN(r, 12)
+	r.Close()
+	evs := r.Events()
+	early := r.Subscribe(0)
+	if ev, ok := early.Next(nil); !ok || ev.Seq != 1 {
+		t.Fatalf("first event %+v", ev)
+	}
+	r.Offload(backfillFrom(evs))
+	if n := len(r.Events()); n != 0 || r.buf != nil {
+		t.Fatalf("offloaded ring retains %d events (%d slots)", n, len(r.buf))
+	}
+	if got := r.Last(); got != 12 {
+		t.Fatalf("Last() = %d, want 12", got)
+	}
+	if got := drain(r.Subscribe(0)); !reflect.DeepEqual(got, evs) {
+		t.Fatalf("replay from 0 differs:\n got %+v\nwant %+v", got, evs)
+	}
+	if got := drain(r.Subscribe(7)); !reflect.DeepEqual(got, evs[7:]) {
+		t.Fatalf("replay after 7 differs: %+v", got)
+	}
+	if got := drain(early); !reflect.DeepEqual(got, evs[1:]) {
+		t.Fatalf("a subscriber attached before the offload continues with %+v", got)
+	}
+	if seq := r.Publish(Event{Type: OpStarted}); seq != 0 || r.Last() != 12 {
+		t.Fatalf("Publish on an offloaded ring assigned %d", seq)
+	}
+	r.Unpin()
+	if n := len(r.Events()); n != 0 {
+		t.Fatalf("Unpin brought back %d events", n)
+	}
+	rec := RecoveredRing(12, backfillFrom(evs))
+	if got := drain(rec.Subscribe(0)); !reflect.DeepEqual(got, evs) {
+		t.Fatalf("a recovered ring replays %+v", got)
 	}
 }

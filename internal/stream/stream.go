@@ -86,16 +86,19 @@ type Event struct {
 	// Err carries the failure message of job.failed events.
 	Err string `json:"error,omitempty"`
 
-	// enc is the JSON encoding the event arrived with from an upstream
-	// daemon (WithEncoding); nil for events built in this process.
+	// enc is the event's JSON encoding: written once by Ring.Publish,
+	// or carried in from elsewhere (WithEncoding) — an upstream
+	// daemon's frame, a durable log's record. Nil for an event that
+	// went through neither, such as a Collector's.
 	enc []byte
 }
 
 // WithEncoding returns ev carrying data as its wire encoding, which
 // Data then returns verbatim. A relay uses it to forward an upstream
-// frame without re-encoding it: data must be the JSON encoding of the
-// event (a relay may decode only the fields it acts on, so ev's other
-// payload blocks may be nil), and any later change to ev must be
+// frame without re-encoding it, and a durable log to serve a persisted
+// stream without decoding it: data must be the JSON encoding of the
+// event (the carrier may decode only the fields it acts on, so ev's
+// other payload blocks may be nil), and any later change to ev must be
 // followed by a fresh WithEncoding.
 func WithEncoding(ev Event, data []byte) Event {
 	ev.enc = data
@@ -103,8 +106,10 @@ func WithEncoding(ev Event, data []byte) Event {
 }
 
 // Data returns the event's JSON wire encoding, the data: payload of an
-// SSE frame: the carried encoding when the event has one
-// (WithEncoding), otherwise json.Marshal of the event.
+// SSE frame and an element of a finish record's stream: the encoding
+// the event carries (Ring.Publish, WithEncoding), otherwise json.Marshal
+// of the event — for synthetic events, which no ring stores, and
+// events built outside a ring.
 func (ev Event) Data() ([]byte, error) {
 	if ev.enc != nil {
 		return ev.enc, nil
