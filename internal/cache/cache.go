@@ -99,8 +99,7 @@ type Entry struct {
 	// ID is the job whose terminal record holds the result.
 	ID string
 	// Bytes is the length of the job's report encoding. It is a figure
-	// for stats only: eviction goes by entry count, and a non-durable
-	// worker's pinned event ring is not counted.
+	// for stats only: eviction goes by entry count.
 	Bytes int64
 }
 
@@ -157,30 +156,25 @@ func (l *LRU) Get(key Key) (Entry, bool) {
 	return el.Value.(*lruItem).entry, true
 }
 
-// Add inserts (or refreshes) the entry for key as most recently used
-// and returns whatever entries were evicted to make room, so the caller
-// can release resources they pin (a service unpins the evicted jobs'
-// event rings).
-func (l *LRU) Add(key Key, entry Entry) []Entry {
+// Add inserts (or refreshes) the entry for key as most recently used,
+// evicting the least recently used entries past the capacity.
+func (l *LRU) Add(key Key, entry Entry) {
 	if el, ok := l.items[key]; ok {
 		it := el.Value.(*lruItem)
 		l.bytes += entry.Bytes - it.entry.Bytes
 		it.entry = entry
 		l.order.MoveToFront(el)
-		return nil
+		return
 	}
 	l.items[key] = l.order.PushFront(&lruItem{key: key, entry: entry})
 	l.bytes += entry.Bytes
-	var evicted []Entry
 	for len(l.items) > l.capacity {
 		el := l.order.Back()
 		it := el.Value.(*lruItem)
 		l.order.Remove(el)
 		delete(l.items, it.key)
 		l.bytes -= it.entry.Bytes
-		evicted = append(evicted, it.entry)
 	}
-	return evicted
 }
 
 // Remove drops the entry for key, if resident.

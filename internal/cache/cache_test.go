@@ -85,7 +85,7 @@ func TestKeyOfDiscrimination(t *testing.T) {
 
 // TestLRU pins the eviction policy: capacity bound, recency promotion
 // on Get, refresh-in-place on duplicate Add, byte accounting, and that
-// Add reports exactly the evicted entries.
+// Add evicts exactly the least recently used entry.
 func TestLRU(t *testing.T) {
 	k := func(b byte) Key { var key Key; key[0] = b; return key }
 
@@ -93,12 +93,8 @@ func TestLRU(t *testing.T) {
 	if l.Capacity() != 2 {
 		t.Fatalf("capacity = %d, want 2", l.Capacity())
 	}
-	if ev := l.Add(k(1), Entry{ID: "a-000001", Bytes: 10}); ev != nil {
-		t.Fatalf("unexpected eviction on first add: %+v", ev)
-	}
-	if ev := l.Add(k(2), Entry{ID: "a-000002", Bytes: 20}); ev != nil {
-		t.Fatalf("unexpected eviction on second add: %+v", ev)
-	}
+	l.Add(k(1), Entry{ID: "a-000001", Bytes: 10})
+	l.Add(k(2), Entry{ID: "a-000002", Bytes: 20})
 	if l.Len() != 2 || l.Bytes() != 30 {
 		t.Fatalf("len=%d bytes=%d, want 2/30", l.Len(), l.Bytes())
 	}
@@ -107,21 +103,21 @@ func TestLRU(t *testing.T) {
 	if e, ok := l.Get(k(1)); !ok || e.ID != "a-000001" {
 		t.Fatalf("Get(1) = %+v, %v", e, ok)
 	}
-	ev := l.Add(k(3), Entry{ID: "a-000003", Bytes: 5})
-	if len(ev) != 1 || ev[0].ID != "a-000002" {
-		t.Fatalf("evicted %+v, want the LRU entry a-000002", ev)
-	}
+	l.Add(k(3), Entry{ID: "a-000003", Bytes: 5})
 	if _, ok := l.Get(k(2)); ok {
-		t.Fatal("evicted key still resident")
+		t.Fatal("the LRU entry a-000002 is still resident")
+	}
+	for _, key := range []Key{k(1), k(3)} {
+		if _, ok := l.Get(key); !ok {
+			t.Fatalf("key %x evicted, want the LRU entry a-000002", key[0])
+		}
 	}
 	if l.Len() != 2 || l.Bytes() != 15 {
 		t.Fatalf("after eviction len=%d bytes=%d, want 2/15", l.Len(), l.Bytes())
 	}
 
 	// Refresh in place: no eviction, byte accounting follows the update.
-	if ev := l.Add(k(1), Entry{ID: "a-000001", Bytes: 30}); ev != nil {
-		t.Fatalf("refresh evicted %+v", ev)
-	}
+	l.Add(k(1), Entry{ID: "a-000001", Bytes: 30})
 	if l.Len() != 2 || l.Bytes() != 35 {
 		t.Fatalf("after refresh len=%d bytes=%d, want 2/35", l.Len(), l.Bytes())
 	}

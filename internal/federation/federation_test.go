@@ -49,6 +49,21 @@ func testProgram(cells int) assay.Program {
 	}
 }
 
+// maxOpsProgram is the longest program a member accepts: assay.MaxOps
+// operations, a load, settle and capture followed by single-sample
+// scans. On a die40 die its stream is maxOpsEvents events long.
+func maxOpsProgram() assay.Program {
+	ops := []assay.Op{assay.Load{Kind: particle.ViableCell(), Count: 10}, assay.Settle{}, assay.Capture{}}
+	for len(ops) < assay.MaxOps {
+		ops = append(ops, assay.Scan{Averaging: 1})
+	}
+	return assay.Program{Name: "max-ops", Ops: ops}
+}
+
+// maxOpsEvents is the length of maxOpsProgram's stream: three job.*
+// events, two per op and one scan.rows batch per scan.
+const maxOpsEvents = 3 + 2*assay.MaxOps + assay.MaxOps - 3
+
 func pinnedLargeProgram() assay.Program {
 	pr := testProgram(4)
 	pr.Name = "pinned-large"

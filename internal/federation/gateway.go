@@ -205,7 +205,7 @@ func (g *Gateway) recover() error {
 			seed:      r.Seed,
 			recovered: true,
 			done:      make(chan struct{}),
-			mirror:    stream.NewRing(0),
+			mirror:    stream.NewRing(),
 			snap: service.Job{
 				ID: r.ID, Status: service.StatusQueued, Seed: r.Seed,
 				Assigned: -1, Shard: -1, Recovered: true,
@@ -495,7 +495,7 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		prName:   pr.Name,
 		key:      key,
 		done:     make(chan struct{}),
-		mirror:   stream.NewRing(0),
+		mirror:   stream.NewRing(),
 		snap: service.Job{
 			ID: id, Status: service.StatusQueued, Program: pr.Name, Seed: seed,
 			Eligible: res.Eligible, Assigned: -1, Shard: -1, Member: m.Name,

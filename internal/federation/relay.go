@@ -160,11 +160,11 @@ func (g *Gateway) openEvents(ctx context.Context, j *gwJob, after uint64) (*http
 	}
 }
 
-// rangeFetch recovers events that left the mirror window — the
-// backfill behind deep Last-Event-ID resumes — with one bounded SSE
-// fetch from the member, which serves its own ring or durable log as
-// appropriate. Events are rewritten exactly as the live relay
-// rewrites them.
+// rangeFetch recovers events the mirror dropped — the range an
+// upstream gap or a skipped bad frame moved it past (stream.Ring.Feed)
+// — with one bounded SSE fetch from the member, which serves its own
+// ring or durable log as appropriate. Events are rewritten exactly as
+// the live relay rewrites them.
 func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 	ctx, cancel := context.WithTimeout(g.ctx, rpcTimeout)
 	defer cancel()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -214,7 +215,7 @@ func TestMemberConnectionReuse(t *testing.T) {
 			}
 		}},
 		{"relay", 2, func(t *testing.T, g *Gateway, m *Member) {
-			j := &gwJob{id: "a-000001", member: m, remoteID: "j-000001", mirror: stream.NewRing(0),
+			j := &gwJob{id: "a-000001", member: m, remoteID: "j-000001", mirror: stream.NewRing(),
 				done: make(chan struct{})}
 			if terminal, err := g.streamOnce(j); !terminal || err != nil {
 				t.Fatalf("relay: terminal %v, err %v", terminal, err)
@@ -313,7 +314,7 @@ func TestRelayLostJobEndsOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := &gwJob{id: "a-000001", member: g.members[0], remoteID: "j-000001",
-		done: make(chan struct{}), mirror: stream.NewRing(0),
+		done: make(chan struct{}), mirror: stream.NewRing(),
 		snap: service.Job{ID: "a-000001", Status: service.StatusQueued, Seed: 7, Member: "w0"}}
 	g.wg.Add(1)
 	go g.relay(j)
@@ -423,31 +424,8 @@ func TestGatewayCloseCancelsMemberCalls(t *testing.T) {
 // and each GET after the stream ended is the finished job.
 func TestGatewayFollowsJobOnce(t *testing.T) {
 	const n = 5
-	svc, err := service.New(service.FleetSpec{Profiles: die40()}.ServiceConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The member's requests, counted by route.
-	var mu sync.Mutex
-	routes := make(map[string]int)
-	h := svc.Handler()
-	ws := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := r.Method + " " + r.URL.Path
-		switch {
-		case strings.HasSuffix(r.URL.Path, "/events"):
-			route = "events"
-		case r.URL.Query().Has("wait"):
-			route = "long-poll"
-		case strings.HasPrefix(r.URL.Path, "/v1/assays/"):
-			route = "get"
-		}
-		mu.Lock()
-		routes[route]++
-		mu.Unlock()
-		h.ServeHTTP(w, r)
-	}))
-	defer func() { ws.Close(); svc.Close() }()
-	base := serveGateway(t, MemberSpec{Name: "w0", Addr: ws.URL, Profiles: die40()})
+	addr, routes := countedMember(t)
+	base := serveGateway(t, MemberSpec{Name: "w0", Addr: addr, Profiles: die40()})
 	for i := 0; i < n; i++ {
 		resp, body := do(t, http.MethodPost, base+"/v1/assays", submitBody(t, 100+uint64(i)))
 		var res service.SubmitResult
@@ -464,10 +442,79 @@ func TestGatewayFollowsJobOnce(t *testing.T) {
 			t.Errorf("GET %s after its stream ended: status %d: %.120s, want done", res.ID, resp.StatusCode, body)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	want := map[string]int{"POST /v1/assays": n, "events": n, "get": n}
-	if !reflect.DeepEqual(routes, want) {
-		t.Errorf("member requests by route %v, want %v", routes, want)
+	if got := routes(); !reflect.DeepEqual(got, want) {
+		t.Errorf("member requests by route %v, want %v", got, want)
+	}
+}
+
+// countedMember serves a die40 worker whose requests are counted by
+// route: the submission, "events" streams, "long-poll" waits and "get"
+// record fetches. routes returns a copy of the counts.
+func countedMember(t *testing.T) (addr string, routes func() map[string]int) {
+	t.Helper()
+	svc, err := service.New(service.FleetSpec{Profiles: die40()}.ServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	counts := make(map[string]int)
+	h := svc.Handler()
+	ws := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		route := r.Method + " " + r.URL.Path
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/events"):
+			route = "events"
+		case r.URL.Query().Has("wait"):
+			route = "long-poll"
+		case strings.HasPrefix(r.URL.Path, "/v1/assays/"):
+			route = "get"
+		}
+		mu.Lock()
+		counts[route]++
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { ws.Close(); svc.Close() })
+	return ws.URL, func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(counts)
+	}
+}
+
+// TestGatewayFollowsLongJobOnce: a mirror keeps every event it is fed,
+// so the longest stream a member serves — an assay.MaxOps-op program's
+// — reaches a client that subscribes from 0 only after ?wait=1 reports
+// the job done whole and gap-free, and the member sees one event
+// stream for the job, the relay's: nothing is fetched back.
+func TestGatewayFollowsLongJobOnce(t *testing.T) {
+	addr, routes := countedMember(t)
+	base := serveGateway(t, MemberSpec{Name: "w0", Addr: addr, Profiles: die40()})
+	raw, err := json.Marshal(service.SubmitRequest{Seed: 7, Program: maxOpsProgram()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := do(t, http.MethodPost, base+"/v1/assays", string(raw))
+	var res service.SubmitResult
+	if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &res) != nil {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	resp, body = do(t, http.MethodGet, base+"/v1/assays/"+res.ID+"?wait=1", "")
+	var j service.Job
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &j) != nil || j.Status != service.StatusDone {
+		t.Fatalf("wait: status %d: %.200s, want done", resp.StatusCode, body)
+	}
+	evs := readSSE(t, base, res.ID, 0, -1)
+	if len(evs) != maxOpsEvents {
+		t.Fatalf("replayed %d events, want %d", len(evs), maxOpsEvents)
+	}
+	for i, ev := range evs {
+		if ev.Type == stream.Gap || ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d is %s seq %d, want seq %d", i, ev.Type, ev.Seq, i+1)
+		}
+	}
+	if got := routes()["events"]; got != 1 {
+		t.Errorf("member served %d event streams for the job, want 1 (the relay's)", got)
 	}
 }

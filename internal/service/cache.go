@@ -32,9 +32,9 @@ import (
 // CacheConfig sizes the result cache.
 type CacheConfig struct {
 	// Entries bounds the in-memory LRU tier; 0 means
-	// cache.DefaultLRUEntries. On a non-durable service each entry pins
-	// its root job's event ring, holding the full stream, so the bound
-	// is also the replay-memory bound.
+	// cache.DefaultLRUEntries. An entry only names its root job, whose
+	// record — report and event ring — the service keeps whether the
+	// entry is resident or not.
 	Entries int
 	// Disable turns the result cache off entirely: every submission
 	// executes, exactly as before the cache existed.
@@ -292,23 +292,10 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 }
 
 // cacheInsertLocked registers a finished root job in the LRU tier,
-// sized by its report, and releases whatever the insertion evicted.
-// Caller holds s.mu; the job is done and (if durable) persisted.
+// sized by its report. Caller holds s.mu; the job is done and (if
+// durable) persisted.
 func (s *Service) cacheInsertLocked(j *Job) {
-	s.cacheReleaseLocked(s.lru.Add(j.key, cache.Entry{ID: j.ID, Bytes: int64(len(j.Report))}))
-}
-
-// cacheReleaseLocked unpins the rings of evicted LRU roots. On a
-// non-durable service the stream beyond the window is then gone,
-// exactly the pre-cache behavior; a durable service's roots were
-// unpinned when persisted, and the store keeps serving their streams.
-// Caller holds s.mu.
-func (s *Service) cacheReleaseLocked(evicted []cache.Entry) {
-	for _, e := range evicted {
-		if root := s.jobs[e.ID]; root != nil {
-			root.ring.Unpin()
-		}
-	}
+	s.lru.Add(j.key, cache.Entry{ID: j.ID, Bytes: int64(len(j.Report))})
 }
 
 // queueFullLocked snapshots the per-class backlog into a

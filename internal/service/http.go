@@ -315,11 +315,13 @@ func (h *handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 // number as the SSE id, the event type as the SSE event name and the
 // stream.Event JSON as data, so a reconnecting client that sends the
 // standard Last-Event-ID header (or ?after=SEQ) resumes exactly where
-// it stopped — no gaps, no duplicates — as long as the events are still
-// inside the job's ring window (a synthetic gap event reports anything
-// older). The stream ends after the job's terminal event; when the
-// backend drains for shutdown, open subscribers receive a final
-// shutdown event instead of a silent hangup.
+// it stopped — no gaps, no duplicates (a synthetic gap event reports a
+// range no backfill could recover). Frames are flushed once per burst:
+// only when the subscriber has nothing more to read without waiting, so
+// a replayed stream leaves in as few writes as its bytes fill and a
+// live frame leaves at once. The stream ends after the job's terminal
+// event; when the backend drains for shutdown, open subscribers receive
+// a final shutdown event instead of a silent hangup.
 func (h *handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 	after := uint64(0)
 	raw := r.Header.Get("Last-Event-ID")
@@ -371,13 +373,16 @@ func (h *handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		stream.WriteSSE(w, ev)
-		fl.Flush()
+		if !sub.Ready() {
+			fl.Flush()
+		}
 	}
 	// Terminal shutdown event: a stream that ends while the backend is
 	// draining tells the subscriber the server is going away instead of
 	// silently hanging up. The wait is bounded — a drain in progress
 	// always completes, since every admitted job runs to termination.
 	if h.b.Draining() && r.Context().Err() == nil {
+		fl.Flush()
 		select {
 		case <-drained:
 			stream.WriteSSE(w, stream.Event{Type: stream.Shutdown})

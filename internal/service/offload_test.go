@@ -81,7 +81,7 @@ func startCapture(t *testing.T) (*Service, *finishCapture, *store.Disk, string) 
 	d := openTestStore(t, t.TempDir())
 	t.Cleanup(func() { d.Close() })
 	c := &finishCapture{Store: d, fins: make(map[string]store.FinishRecord)}
-	svc, err := New(Config{Shards: 1, EventBuffer: 4, Chip: testChip(), Store: c})
+	svc, err := New(Config{Shards: 1, Chip: testChip(), Store: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,9 @@ func TestDurableRingOffload(t *testing.T) {
 }
 
 // TestDurableRingPinnedOnFailedPersist: when the finish record cannot be
-// appended the ring stays pinned, so the job's whole stream is still
-// served from memory, with the bytes the ring published.
+// appended the ring is not offloaded and keeps every event, so the
+// job's whole stream is still served from memory, with the bytes the
+// ring published.
 func TestDurableRingPinnedOnFailedPersist(t *testing.T) {
 	svc, c, d, base := startCapture(t)
 	c.fail = true

@@ -198,9 +198,8 @@ func (s *Service) failRecoveredLocked(id string, pr assay.Program, seed uint64) 
 		Error:     ierr.Error(),
 		pr:        pr,
 		done:      closedDone,
-		ring:      stream.NewRing(s.cfg.EventBuffer),
+		ring:      stream.NewRing(),
 	}
-	j.ring.Pin()
 	j.ring.Publish(stream.Event{Type: stream.JobPlaced, Job: &stream.JobInfo{
 		ID: id, Program: pr.Name, Seed: seed,
 	}})

@@ -285,16 +285,14 @@ func TestCloseWithoutDrainRecovery(t *testing.T) {
 }
 
 // TestDurableBackfillNoGap is the gap-semantics regression for durable
-// services: with an event window far smaller than the stream, a late
-// subscriber must still replay the complete stream — the log can
-// backfill everything the ring dropped, so a gap event would be lying.
-// (TestStreamGapWindow pins the opposite, still-correct behavior of the
-// non-durable default.)
+// services: once the ring is offloaded to the log, a late subscriber
+// must still replay the complete stream — the log backfills every event
+// the ring dropped, so a gap event would be lying.
 func TestDurableBackfillNoGap(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestStore(t, dir)
 	defer d.Close()
-	svc, err := New(Config{Shards: 1, EventBuffer: 4, Chip: testChip(), Store: d})
+	svc, err := New(Config{Shards: 1, Chip: testChip(), Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +314,7 @@ func TestDurableBackfillNoGap(t *testing.T) {
 		}
 	}
 	if len(evs) < 10 {
-		t.Fatalf("only %d events replayed through a 4-slot window", len(evs))
+		t.Fatalf("only %d events replayed from the log", len(evs))
 	}
 	if evs[len(evs)-1].Type != stream.JobDone {
 		t.Errorf("terminal event %q, want job.done", evs[len(evs)-1].Type)

@@ -165,14 +165,6 @@ type Config struct {
 	// QueueDepth bounds queued (not yet running) requests across the
 	// whole fleet; 0 means DefaultQueueDepth.
 	QueueDepth int
-	// EventBuffer bounds each job's event ring (the replay window of
-	// GET /v1/assays/{id}/events); 0 means stream.DefaultCapacity.
-	// Subscribers that fall further behind than this see a gap event,
-	// unless the ring is pinned (a durable or cacheable job's, while it
-	// runs or is cached) or a durable log backfills the range. On a
-	// durable service a job whose finish record is written keeps no
-	// events in memory at all: the log serves its whole stream.
-	EventBuffer int
 	// Chip is the per-die platform configuration of the homogeneous
 	// pool when Profiles is empty.
 	Chip chip.Config
@@ -254,14 +246,12 @@ type Job struct {
 
 	pr   assay.Program
 	done chan struct{}
-	// ring is the job's bounded event stream; it lives as long as the
-	// job record, so subscribers can replay a finished job's events.
-	// Cache-hit aliases share their root's ring. The ring of a durable
-	// or cacheable job is pinned while it runs (the window is bounded,
-	// the finish record is not); once the finish record is durable the
-	// ring is offloaded to the log, which serves the whole stream from
-	// then on, and a non-durable cacheable job's stays pinned until LRU
-	// eviction so cache hits replay in full.
+	// ring is the job's event stream; it lives as long as the job
+	// record and keeps every event, so subscribers can replay a
+	// finished job's stream in full. Cache-hit aliases share their
+	// root's ring. On a durable service, once the finish record is
+	// durable the ring is offloaded to the log, which serves the whole
+	// stream from then on.
 	ring *stream.Ring
 	// key is the content address of a cacheable job (zero otherwise);
 	// persisted reports that the finish record reached the durable log.
@@ -357,8 +347,8 @@ type Service struct {
 	shards   []*shard
 	start    time.Time
 	// store is Config.Store, nil on an in-memory service. Every WAL
-	// write, ring pin and backfill swap is behind a nil check, so the
-	// in-memory service behaves exactly as before persistence existed.
+	// write and ring offload is behind a nil check, so the in-memory
+	// service behaves exactly as before persistence existed.
 	store store.Store
 
 	mu        sync.Mutex
@@ -563,10 +553,9 @@ func shardIDsOf(shards []*shard, eligible []*profile) []int {
 }
 
 // enqueueLocked creates the job record under the given (already WAL'd
-// when durable) ID, attaches its event ring — pinned on a durable
-// service or for a cacheable job — publishes the placement event,
-// registers cacheable jobs in the singleflight table and queues the
-// job. The ID must be JobID(s.seq+1); enqueueLocked advances s.seq.
+// when durable) ID, attaches its event ring, publishes the placement
+// event, registers cacheable jobs in the singleflight table and queues
+// the job. The ID must be JobID(s.seq+1); enqueueLocked advances s.seq.
 // traceParent is the foreign parent span from an X-Assay-Trace header
 // ("" for local and recovered submissions). Caller holds s.mu.
 func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target int, eligible []*profile, recovered bool, key cache.Key, traceParent string) *Job {
@@ -582,20 +571,12 @@ func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target
 		Recovered: recovered,
 		pr:        pr,
 		done:      make(chan struct{}),
-		ring:      stream.NewRing(s.cfg.EventBuffer),
+		ring:      stream.NewRing(),
 		key:       key,
 		class:     cls.label,
 		enqAt:     obs.Now(),
 	}
 	s.startTrace(j, traceParent)
-	if s.store != nil || !key.Zero() {
-		// Pin the ring: the bounded window alone cannot feed the finish
-		// record, and a pinned ring never shows a subscriber a gap for
-		// events the service still holds. Cacheable jobs pin even
-		// without a store, so a later cache hit can replay the whole
-		// stream.
-		j.ring.Pin()
-	}
 	if !key.Zero() {
 		if _, dup := s.inflight[key]; !dup {
 			// First writer wins: recovery can legally re-enqueue two
@@ -852,13 +833,10 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 		if s.inflight[j.key] == j {
 			delete(s.inflight, j.key)
 		}
+		// A failed job caches nothing: failures are often
+		// environmental (close, drain), and a retry should execute.
 		if j.Status == StatusDone && (s.store == nil || j.persisted) {
 			s.cacheInsertLocked(j)
-		} else if s.store == nil {
-			// A failed cacheable job on a non-durable service caches
-			// nothing — unpin its ring (failures are often
-			// environmental: close, drain; a retry should execute).
-			j.ring.Unpin()
 		}
 	}
 	finSpan.End()
@@ -869,13 +847,13 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 }
 
 // persistFinishLocked appends the job's terminal record — status,
-// report and the complete event stream off the pinned ring, as the
-// bytes Publish encoded — to the durable log, then offloads the ring to
-// the log: it keeps no events, and every subscriber reads the stream
-// from the log as after a restart (restoreFinishedLocked). On append
-// failure the ring stays pinned (subscribers can still replay from
-// memory) and the error is counted; the job itself completes
-// regardless. Caller holds s.mu. No-op on an in-memory service.
+// report and the complete event stream off the ring, as the bytes
+// Publish encoded — to the durable log, then offloads the ring to the
+// log: it keeps no events, and every subscriber reads the stream from
+// the log as after a restart (restoreFinishedLocked). On append failure
+// the ring keeps its events (subscribers still replay from memory) and
+// the error is counted; the job itself completes regardless. Caller
+// holds s.mu. No-op on an in-memory service.
 func (s *Service) persistFinishLocked(j *Job) {
 	if s.store == nil {
 		return

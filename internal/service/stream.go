@@ -8,10 +8,10 @@ import (
 
 // SubscribeEvents attaches a subscriber to a job's event stream,
 // resuming after the given sequence number (0 replays from the start of
-// the retained window). The second result is false for unknown jobs.
-// The ring lives as long as the job record, so a finished job's stream
-// replays in full (up to the configured EventBuffer window, or wholly
-// from the log on a durable service); callers must Cancel the
+// the stream). The second result is false for unknown jobs. The ring
+// lives as long as the job record and keeps every event, so a finished
+// job's stream replays in full (from the log on a durable service once
+// its finish record is written); callers must Cancel the
 // subscription when done. Every event carries its encoding (Data). A
 // finished durable job's events come from the log as a gateway's
 // relayed events come from its member: sequence number, type and

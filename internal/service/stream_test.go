@@ -2,7 +2,9 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -13,6 +15,7 @@ import (
 
 	"biochip/internal/assay"
 	"biochip/internal/chip"
+	"biochip/internal/particle"
 	"biochip/internal/store"
 	"biochip/internal/stream"
 )
@@ -188,39 +191,49 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamGapWindow shrinks the per-job ring far below the stream
-// length: a subscriber arriving after completion must get one gap event
-// naming the lost prefix, then the retained tail — bounded memory with
-// explicit truncation, never an unbounded buffer.
-func TestStreamGapWindow(t *testing.T) {
-	// Cache off: a cacheable job's ring is pinned and keeps its full
-	// stream, which would hide exactly the truncation this test pins.
-	svc, err := New(Config{Shards: 1, EventBuffer: 4, Chip: testChip(),
-		Cache: CacheConfig{Disable: true}})
+// maxOpsProgram is the longest program a service accepts: assay.MaxOps
+// operations, a load, settle and capture followed by single-sample
+// scans. On testChip() its stream is maxOpsEvents events long.
+func maxOpsProgram() assay.Program {
+	ops := []assay.Op{assay.Load{Kind: particle.ViableCell(), Count: 10}, assay.Settle{}, assay.Capture{}}
+	for len(ops) < assay.MaxOps {
+		ops = append(ops, assay.Scan{Averaging: 1})
+	}
+	return assay.Program{Name: "max-ops", Ops: ops}
+}
+
+// maxOpsEvents is the length of maxOpsProgram's stream: three job.*
+// events, two per op and one scan.rows batch per scan.
+const maxOpsEvents = 3 + 2*assay.MaxOps + assay.MaxOps - 3
+
+// TestStreamLongJobReplaysWhole: a job's ring keeps every event, so on
+// an in-memory service with the cache off — nothing but the ring holds
+// the stream — the longest stream a service accepts replays in full
+// after the job is done: seq 1..maxOpsEvents, no gap.
+func TestStreamLongJobReplaysWhole(t *testing.T) {
+	svc, err := New(Config{Shards: 1, Chip: testChip(), Cache: CacheConfig{Disable: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	id, err := submit(svc, testProgram(10), 7)
+	id, err := submit(svc, maxOpsProgram(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
-		t.Fatalf("job: %v %v", j.Status, err)
+		t.Fatalf("job: %v %v (%s)", j.Status, err, j.Error)
 	}
 	evs := collectJobEvents(t, svc, id, 0)
-	if len(evs) != 5 {
-		t.Fatalf("got %d events, want gap + 4 retained", len(evs))
+	if len(evs) != maxOpsEvents {
+		t.Fatalf("replayed %d events, want %d", len(evs), maxOpsEvents)
 	}
-	if evs[0].Type != stream.Gap || evs[0].Gap == nil {
-		t.Fatalf("first event %q, want gap", evs[0].Type)
-	}
-	lastSeq := evs[len(evs)-1].Seq
-	if evs[0].Gap.From != 1 || evs[0].Gap.To != lastSeq-4 {
-		t.Errorf("gap [%d,%d], want [1,%d]", evs[0].Gap.From, evs[0].Gap.To, lastSeq-4)
+	for i, ev := range evs {
+		if ev.Type == stream.Gap || ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d is %s seq %d, want seq %d", i, ev.Type, ev.Seq, i+1)
+		}
 	}
 	if evs[len(evs)-1].Type != stream.JobDone {
-		t.Errorf("terminal retained event %q, want job.done", evs[len(evs)-1].Type)
+		t.Errorf("terminal event %q, want job.done", evs[len(evs)-1].Type)
 	}
 }
 
@@ -275,6 +288,112 @@ func decodeFrames(t *testing.T, frames []sseFrame) []stream.Event {
 		}
 	}
 	return out
+}
+
+// flushCounter records a handler's response and counts its Flush calls.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestSSEReplayFlushesOnce: the SSE writer flushes only when its
+// subscriber has nothing more to read without waiting, so a finished
+// job's replay — from memory, and from the log on a durable service —
+// flushes once, for the headers, however many frames it writes, and
+// the body is still every frame of the stream.
+func TestSSEReplayFlushesOnce(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		cfg := Config{Shards: 1, Chip: testChip()}
+		if durable {
+			d := openTestStore(t, t.TempDir())
+			defer d.Close()
+			cfg.Store = d
+		}
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		id, err := submit(svc, testProgram(10), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+			t.Fatalf("job: %v %v", j.Status, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		req := httptest.NewRequest(http.MethodGet, "/v1/assays/"+id+"/events", nil).WithContext(ctx)
+		svc.Handler().ServeHTTP(rec, req)
+		evs := collectJobEvents(t, svc, id, 0)
+		if got, want := rec.Body.String(), renderSSE(evs); got != want || len(evs) < 10 {
+			t.Fatalf("durable %v: body of %d events differs from the stream:\n got %q\nwant %q", durable, len(evs), got, want)
+		}
+		if rec.flushes != 1 {
+			t.Errorf("durable %v: %d flushes for %d frames, want 1 (the headers)", durable, rec.flushes, len(evs))
+		}
+	}
+}
+
+// TestSSELiveFrameLeavesAtOnce: a live frame is flushed as soon as the
+// writer has caught up. The job publishes one event at a time and waits
+// until the client has read that frame before it publishes the next, so
+// a writer that held a frame back for a burst would stall the job.
+func TestSSELiveFrameLeavesAtOnce(t *testing.T) {
+	const n = 8
+	read := make(chan int, n)
+	svc := newFakeService(t, 1, 0, nil)
+	defer svc.Close()
+	svc.run = func(sh *shard, j *Job) (*assay.Report, error) {
+		for i := 0; i < n; i++ {
+			j.ring.Publish(stream.Event{Type: stream.OpStarted, Op: &stream.OpInfo{Index: i, Kind: "scan"}})
+			select {
+			case got := <-read:
+				if got != i {
+					return nil, fmt.Errorf("client read op %d, want %d", got, i)
+				}
+			case <-time.After(10 * time.Second):
+				return nil, fmt.Errorf("client never read op %d", i)
+			}
+		}
+		return &assay.Report{Program: j.Program}, nil
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	id, err := submit(svc, testProgram(4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/assays/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	ops := 0
+	for {
+		frames, ended := readSSEFrames(br, 1)
+		if ended {
+			break
+		}
+		ev := decodeFrames(t, frames)[0]
+		if ev.Type == stream.OpStarted {
+			read <- ev.Op.Index
+			ops++
+		}
+	}
+	if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+		t.Fatalf("job: %v %v (%s)", j.Status, err, j.Error)
+	}
+	if ops != n {
+		t.Errorf("client read %d op frames, want %d", ops, n)
+	}
 }
 
 // TestSSEReconnectResume is the reconnect acceptance test (run in CI
@@ -384,9 +503,9 @@ func TestSSEReconnectResume(t *testing.T) {
 // (run in CI under -race -count=2): a client consumes part of a live
 // SSE stream, the daemon restarts — new service, new store handle, same
 // data directory — and a reconnect with the standard Last-Event-ID
-// header must resume exactly where it stopped, even though the resume
-// point left the (tiny) in-memory ring window long ago: the persisted
-// log backfills it. The concatenated head+tail sequence is gapless,
+// header must resume exactly where it stopped, although the restarted
+// ring holds no events: the persisted log backfills them. The
+// concatenated head+tail sequence is gapless,
 // duplicate-free and byte-identical to the uninterrupted stream.
 func TestSSEResumeAcrossRestart(t *testing.T) {
 	const preCut, total = 6, 30
@@ -397,7 +516,7 @@ func TestSSEResumeAcrossRestart(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	reached := make(chan struct{})
-	svc, err := New(Config{Shards: 1, EventBuffer: 4, Chip: testChip(), Store: d})
+	svc, err := New(Config{Shards: 1, Chip: testChip(), Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,14 +574,14 @@ func TestSSEResumeAcrossRestart(t *testing.T) {
 	}
 
 	// Restart over the same directory. The job is served from disk; its
-	// ring window is empty, so the resume below lives entirely off the
+	// ring holds no events, so the resume below lives entirely off the
 	// persisted log.
 	d2, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	svc2, err := New(Config{Shards: 1, EventBuffer: 4, Chip: testChip(), Store: d2})
+	svc2, err := New(Config{Shards: 1, Chip: testChip(), Store: d2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +629,7 @@ func TestSSEResumeAcrossRestart(t *testing.T) {
 		t.Fatalf("implausible cut point %q over %d events", lastID, len(joined))
 	}
 	// The cut is deep in the backfilled region: the restarted ring
-	// retains nothing, so none of the tail came from a live window.
+	// retains nothing, so none of the tail came from memory.
 	if first := tail[0]; first.id == "" {
 		t.Fatalf("tail starts with a synthetic frame: %+v", first)
 	}

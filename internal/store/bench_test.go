@@ -11,13 +11,12 @@ import (
 // scanStreamRecord builds the finish record of a job shaped like
 // assaybench's scan-stream jobs: placed, started, six ops bracketed by
 // op events, two scans of 200 sites streamed as 64-row scan.rows events
-// (about 400 detection rows in 8 events), done — 22 events — and a
-// report carrying both detection tables. The events come off a pinned
-// ring, as the service's do.
+// (about 400 detection rows in 8 events), done — 23 events — and a
+// report carrying both detection tables. The events come off a ring,
+// as the service's do.
 func scanStreamRecord(b testing.TB, id string) FinishRecord {
 	b.Helper()
-	r := stream.NewRing(0)
-	r.Pin()
+	r := stream.NewRing()
 	r.Publish(stream.Event{Type: stream.JobPlaced, Job: &stream.JobInfo{ID: id, Program: "scan-200",
 		Seed: 5, Eligible: []string{"default"}}})
 	r.Publish(stream.Event{Type: stream.JobStarted, Job: &stream.JobInfo{ID: id, Profile: "default"}})

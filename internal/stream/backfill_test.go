@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -18,24 +19,19 @@ func backfillFrom(evs []Event) func(from, to uint64) []Event {
 }
 
 // TestTapeBackfillNoGap is the log-backed-ring regression test (named
-// for the tape that pinning replaced): a pinned ring keeps the stream
-// past its window, so a subscriber attaching after the window would
-// have overwritten the head replays the complete stream — no gap
-// event, every sequence number — although the ring's capacity is 4.
-// After Unpin, with the ring's Events as backfill, replay stays
-// complete.
+// for the tape the ring's own storage replaced): a subscriber attaching
+// after the job finished replays the complete stream — no gap event,
+// every sequence number — from the ring's events, and again after the
+// ring is offloaded with those events as its backfill.
 func TestTapeBackfillNoGap(t *testing.T) {
-	r := NewRing(4)
-	r.now = func() float64 { return 0 }
-	r.Pin()
+	r := testRing()
 	publishN(r, 20)
 	r.Close()
 
 	evs := r.Events()
-	for _, phase := range []string{"pinned", "unpinned with backfill"} {
-		if phase != "pinned" {
-			r.SetBackfill(backfillFrom(evs))
-			r.Unpin()
+	for _, phase := range []string{"retained", "offloaded"} {
+		if phase == "offloaded" {
+			r.Offload(backfillFrom(evs))
 		}
 		got := drain(r.Subscribe(0))
 		if len(got) != 20 {
@@ -61,45 +57,40 @@ func TestTapeBackfillNoGap(t *testing.T) {
 }
 
 // TestTeeObservesStampedEvents pins what the finish record persists
-// (named for the tee that Events replaced): a pinned ring's Events are
-// the events after sequencing and stamping, exactly what subscribers
-// saw and what a durable log should persist. Unpinning a closed ring is
-// safe and keeps the newest capacity events.
+// (named for the tee that Events replaced): a ring's Events are every
+// event after sequencing and stamping, each with its encoding — exactly
+// what subscribers saw and what a durable log should persist.
 func TestTeeObservesStampedEvents(t *testing.T) {
-	r := NewRing(2)
+	r := NewRing()
 	r.now = func() float64 { return 3.5 }
-	r.Pin()
-	publishN(r, 5)
+	publishN(r, 600)
 	r.Close()
 	evs := r.Events()
-	if len(evs) != 5 {
-		t.Fatalf("Events: %d events, want 5", len(evs))
+	if len(evs) != 600 {
+		t.Fatalf("Events: %d events, want 600", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) || ev.Wall != 3.5 {
-			t.Fatalf("Events: event %d has seq %d wall %v", i, ev.Seq, ev.Wall)
+		if ev.Seq != uint64(i+1) || ev.Wall != 3.5 || ev.Op.Index != i {
+			t.Fatalf("Events: event %d has seq %d wall %v op %+v", i, ev.Seq, ev.Wall, ev.Op)
 		}
-	}
-	r.Unpin()
-	if got := r.Events(); !reflect.DeepEqual(got, evs[3:]) {
-		t.Fatalf("Events after Unpin: got %+v, want %+v", got, evs[3:])
+		want := fmt.Sprintf(`{"seq":%d,"type":"op.started","t":0,"wall":3.5,"op":{"index":%d,"kind":"load"}}`, i+1, i)
+		if data, err := ev.Data(); err != nil || string(data) != want {
+			t.Fatalf("Events: event %d encodes as %s (%v), want %s", i, data, err, want)
+		}
 	}
 }
 
 // TestPartialBackfillGapOnlyUnrecoverable pins the consistency fix: a
-// backfill that lost its own head (here: only seqs >= 5 survive) must
-// produce a gap naming exactly the unrecoverable range, then the
-// recovered run, then the ring window — never a gap spanning data the
-// log still holds.
+// ring offloaded to a backfill that lost its own head (here: only seqs
+// >= 5 survive) must produce a gap naming exactly the unrecoverable
+// range, then the recovered run — never a gap spanning data the log
+// still holds.
 func TestPartialBackfillGapOnlyUnrecoverable(t *testing.T) {
-	r := NewRing(4)
-	r.now = func() float64 { return 0 }
-	r.Pin()
+	r := testRing()
 	publishN(r, 20)
 	r.Close()
 	all := backfillFrom(r.Events())
-	r.Unpin()
-	r.SetBackfill(func(from, to uint64) []Event {
+	r.Offload(func(from, to uint64) []Event {
 		return all(max(from, 5), to)
 	})
 
@@ -117,28 +108,42 @@ func TestPartialBackfillGapOnlyUnrecoverable(t *testing.T) {
 	}
 }
 
-// TestNoBackfillKeepsGapSemantics pins the pre-persistence behavior the
-// default (non-durable) service still runs on: without a backfill the
-// whole lost range is one gap, exactly as before.
+// TestNoBackfillKeepsGapSemantics: without a backfill, what a ring no
+// longer retains is one gap for the whole range — the range an upstream
+// jump moved a fed ring past, and the whole stream of a ring offloaded
+// with no backfill.
 func TestNoBackfillKeepsGapSemantics(t *testing.T) {
-	r := NewRing(4)
-	r.now = func() float64 { return 0 }
-	publishN(r, 20)
-	r.Close()
-	evs := drain(r.Subscribe(0))
+	m := NewRing()
+	feedN(m, 1, 4)
+	feedN(m, 17, 20) // the upstream jumped past 5..16
+	m.Close()
+	evs := drain(m.Subscribe(0))
 	if len(evs) != 5 {
 		t.Fatalf("got %d events, want gap + 4 retained", len(evs))
 	}
 	if evs[0].Type != Gap || evs[0].Gap.From != 1 || evs[0].Gap.To != 16 {
 		t.Fatalf("gap %+v, want [1,16]", evs[0])
 	}
+	for i, ev := range evs[1:] {
+		if ev.Seq != uint64(17+i) {
+			t.Fatalf("retained event %d has seq %d, want %d", i, ev.Seq, 17+i)
+		}
+	}
+
+	r := testRing()
+	publishN(r, 20)
+	r.Offload(nil)
+	evs = drain(r.Subscribe(0))
+	if len(evs) != 1 || evs[0].Type != Gap || evs[0].Gap.From != 1 || evs[0].Gap.To != 20 {
+		t.Fatalf("offloaded with no backfill: %+v, want one gap [1,20]", evs)
+	}
 }
 
 // TestRecoveredRing rebuilds a finished job's ring from a fake log: the
-// window is empty, the stream is closed, and subscribers replay wholly
+// ring holds no events, the stream is closed, and subscribers replay wholly
 // through the backfill with live-identical resume semantics.
 func TestRecoveredRing(t *testing.T) {
-	src := NewRing(64)
+	src := NewRing()
 	src.now = func() float64 { return 42 }
 	publishN(src, 9)
 	src.Close()

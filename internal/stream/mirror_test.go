@@ -33,7 +33,7 @@ func mirrorDrain(sub *Sub, max int) []Event {
 // keep their upstream sequence numbers AND wall stamps, unlike Publish
 // which re-assigns both.
 func TestMirrorVerbatimIngest(t *testing.T) {
-	m := NewRing(8)
+	m := NewRing()
 	feedN(m, 1, 3)
 	m.Close()
 	evs := mirrorDrain(m.Subscribe(0), 10)
@@ -55,7 +55,7 @@ func TestMirrorVerbatimIngest(t *testing.T) {
 // resumes with an overlap: already-mirrored sequence numbers must be
 // dropped so subscribers never see a duplicate.
 func TestMirrorDropsReplayedDuplicates(t *testing.T) {
-	m := NewRing(8)
+	m := NewRing()
 	feedN(m, 1, 4)
 	feedN(m, 2, 6) // overlapping replay after a reconnect
 	m.Close()
@@ -71,11 +71,11 @@ func TestMirrorDropsReplayedDuplicates(t *testing.T) {
 }
 
 // TestMirrorUpstreamGapAdvancesWindow pins the gap pass-through rule:
-// an upstream gap event advances the mirror window, and a subscriber
+// an upstream gap event moves the mirror past the gap, and a subscriber
 // positioned before it sees one locally synthesized gap covering
 // exactly the upstream-reported range — never a relay-invented one.
 func TestMirrorUpstreamGapAdvancesWindow(t *testing.T) {
-	m := NewRing(8)
+	m := NewRing()
 	feedN(m, 1, 2)
 	m.Feed(Event{Type: Gap, Gap: &GapInfo{From: 3, To: 5}})
 	feedN(m, 6, 7)
@@ -96,12 +96,12 @@ func TestMirrorUpstreamGapAdvancesWindow(t *testing.T) {
 
 // TestMirrorImplicitJumpIsAGap: an upstream that skips ahead without an
 // explicit gap frame (the gap frame itself was lost) is treated as the
-// gap it implies. Advancing pushes the pre-gap events out of the window
-// into the backfill tier — with the relay's upstream re-fetch installed,
+// gap it implies. The jump drops the pre-gap events, leaving them to the
+// backfill tier — with the relay's upstream re-fetch installed,
 // a late subscriber recovers them and the residual gap names exactly
 // the range the upstream lost.
 func TestMirrorImplicitJumpIsAGap(t *testing.T) {
-	m := NewRing(8)
+	m := NewRing()
 	feedN(m, 1, 2)
 	m.Feed(Event{Seq: 5, Type: OpStarted, T: 5})
 	m.SetBackfill(func(from, to uint64) []Event {
@@ -127,16 +127,23 @@ func TestMirrorImplicitJumpIsAGap(t *testing.T) {
 	}
 }
 
-// TestMirrorBackfillOnOverflow: events pushed out of the mirror window
-// are recovered through the backfill hook (a relay's bounded upstream
-// re-fetch), so a late subscriber replays in full without a gap.
+// TestMirrorBackfillOnOverflow: events a mirror dropped when it moved
+// past a range — here the frame of seq 4, skipped as a relay skips a bad
+// frame — are recovered through the backfill hook (a relay's bounded
+// upstream re-fetch), so a late subscriber replays in full without a
+// gap.
 func TestMirrorBackfillOnOverflow(t *testing.T) {
-	m := NewRing(4)
+	m := NewRing()
 	var all []Event
 	for seq := uint64(1); seq <= 10; seq++ {
 		ev := Event{Seq: seq, Type: OpStarted, T: float64(seq)}
 		all = append(all, ev)
-		m.Feed(ev)
+		if seq != 4 {
+			m.Feed(ev)
+		}
+	}
+	if n := len(m.Events()); n != 6 {
+		t.Fatalf("mirror retains %d events after the jump, want 6 (5..10)", n)
 	}
 	m.SetBackfill(func(from, to uint64) []Event {
 		var out []Event
@@ -161,7 +168,7 @@ func TestMirrorBackfillOnOverflow(t *testing.T) {
 
 // TestMirrorFeedAfterClose is a no-op, matching Publish-after-Close.
 func TestMirrorFeedAfterClose(t *testing.T) {
-	m := NewRing(4)
+	m := NewRing()
 	feedN(m, 1, 2)
 	m.Close()
 	feedN(m, 3, 3)
@@ -170,18 +177,17 @@ func TestMirrorFeedAfterClose(t *testing.T) {
 	}
 }
 
-// TestMirrorJumpPastGrownLength feeds a forward jump that stores past
-// the slots a mirror has grown so far, then past the capacity wrap:
-// subscribers must read each stored event from its own slot and see a
-// gap for exactly the ranges the upstream skipped.
+// TestMirrorJumpPastGrownLength feeds forward jumps, each far past the
+// slots the mirror has grown: a jump drops the events retained before
+// it, and subscribers read each stored event in order and see a gap for
+// exactly the ranges the upstream skipped.
 func TestMirrorJumpPastGrownLength(t *testing.T) {
-	m := NewRing(16)
+	m := NewRing()
 	feedN(m, 1, 3)
-	if n := len(m.buf); n != 3 {
-		t.Fatalf("%d slots after 3 events, want 3", n)
-	}
-	// Seq 12 lands in slot 11: past the grown length (and capacity).
 	feedN(m, 12, 14)
+	if evs := m.Events(); len(evs) != 3 || evs[0].Seq != 12 {
+		t.Fatalf("after the jump the mirror retains %+v, want 12..14", evs)
+	}
 	evs := mirrorDrain(m.Subscribe(0), 10)
 	want := []uint64{0, 12, 13, 14} // gap [1,11], then the stored tail
 	if len(evs) != len(want) || evs[0].Gap == nil || evs[0].Gap.From != 1 || evs[0].Gap.To != 11 {
@@ -192,22 +198,21 @@ func TestMirrorJumpPastGrownLength(t *testing.T) {
 			t.Fatalf("after the jump: event %d = %+v, want seq %d", i+1, ev, want[i+1])
 		}
 	}
-	// Seq 40 wraps to slot 7; 41..60 fill and reuse every slot.
 	feedN(m, 40, 60)
 	m.Close()
 	evs = mirrorDrain(m.Subscribe(0), 40)
-	if len(evs) != 17 || evs[0].Gap == nil || evs[0].Gap.From != 1 || evs[0].Gap.To != 44 {
-		t.Fatalf("after the wrap: %d events starting %+v, want gap [1,44] then 45..60", len(evs), evs[0])
+	if len(evs) != 22 || evs[0].Gap == nil || evs[0].Gap.From != 1 || evs[0].Gap.To != 39 {
+		t.Fatalf("after the second jump: %d events starting %+v, want gap [1,39] then 40..60", len(evs), evs[0])
 	}
 	for i, ev := range evs[1:] {
-		if want := uint64(45 + i); ev.Seq != want || ev.T != float64(want) || ev.Wall != 100+float64(want) {
-			t.Fatalf("after the wrap: event %d = %+v, want seq %d", i+1, ev, want)
+		if want := uint64(40 + i); ev.Seq != want || ev.T != float64(want) || ev.Wall != 100+float64(want) {
+			t.Fatalf("after the second jump: event %d = %+v, want seq %d", i+1, ev, want)
 		}
 	}
-	// A subscriber parked before the jump resumes across it.
+	// A subscriber parked before the second jump resumes across it.
 	evs = mirrorDrain(m.Subscribe(13), 40)
-	if len(evs) != 17 || evs[0].Gap == nil || evs[0].Gap.From != 14 || evs[0].Gap.To != 44 {
-		t.Fatalf("resume after 13: %d events starting %+v, want gap [14,44] then 45..60", len(evs), evs[0])
+	if len(evs) != 22 || evs[0].Gap == nil || evs[0].Gap.From != 14 || evs[0].Gap.To != 39 {
+		t.Fatalf("resume after 13: %d events starting %+v, want gap [14,39] then 40..60", len(evs), evs[0])
 	}
 }
 
@@ -215,7 +220,7 @@ func TestMirrorJumpPastGrownLength(t *testing.T) {
 // with an encoding is served with exactly those bytes, while events
 // built in-process encode themselves.
 func TestMirrorServesCarriedEncoding(t *testing.T) {
-	m := NewRing(8)
+	m := NewRing()
 	upstream := []byte(`{"seq":1,"type":"op.started","t":0.5,"op":{"index":0,"kind":"load"},"future":true}`)
 	m.Feed(WithEncoding(Event{Seq: 1, Type: OpStarted}, upstream))
 	m.Feed(Event{Seq: 2, Type: OpFinished, T: 1})

@@ -2,31 +2,23 @@ package stream
 
 import (
 	"encoding/json"
-	"math"
 	"sync"
 	"time"
 )
 
-// DefaultCapacity bounds a ring built with NewRing(0).
-const DefaultCapacity = 512
-
-// Ring is the bounded, replayable event buffer of one job. Publish
-// assigns monotonic sequence numbers and never blocks: when the ring is
-// full the oldest event is overwritten, and a subscriber that had not
-// read it yet receives a synthetic gap event instead of stalling the
-// publisher. Subscribers attach at any time (Subscribe) and replay the
-// retained window from any resume point — the engine behind SSE
-// Last-Event-ID reconnects. A relay fills a ring with Feed, not Publish.
+// Ring is the replayable event buffer of one job. Publish assigns
+// monotonic sequence numbers and never blocks, and the ring keeps every
+// event it is given until Offload hands the stream to a backfill, so a
+// subscriber, however slow, reads every event. Subscribers attach at
+// any time (Subscribe) and replay the stream from any resume point —
+// the engine behind SSE Last-Event-ID reconnects. A relay fills a ring
+// with Feed, not Publish.
 type Ring struct {
 	mu sync.Mutex
-	// buf is circular storage indexed by (seq-1) % capacity. It grows
-	// on demand (slot) up to capacity, so a ring holds slots for the
-	// events it has stored, not its capacity up front — a short job's
-	// ring stays small although every job record keeps its ring.
+	// buf holds the retained events first..next-1 in order: buf[i] is
+	// event first+i. It grows by append from 8 slots, so a ring holds at
+	// most max(2n, 8) slots for the n events it stored.
 	buf []Event
-	// capacity bounds the window. It is window, the bound the ring was
-	// built with, except while pinned, when it is unbounded (Pin).
-	capacity, window int
 	// first is the oldest retained sequence number; next is the next
 	// to assign. Both start at 1 (empty ring: first == next).
 	first, next uint64
@@ -34,34 +26,28 @@ type Ring struct {
 	subs        map[*Sub]struct{}
 	// now stamps Event.Wall; tests may zero-stamp by replacing it.
 	now func() float64
-	// backfill, when set, recovers events that have left the window:
+	// backfill, when set, recovers events the ring no longer retains:
 	// it returns the retained subsequence of [from, to] in ascending
 	// seq order. Subscribers only see a gap for sequence numbers the
 	// backfill cannot produce — data that is truly unrecoverable.
 	backfill func(from, to uint64) []Event
 }
 
-// NewRing builds a ring retaining at most capacity events (0 or
-// negative selects DefaultCapacity).
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = DefaultCapacity
-	}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
 	return &Ring{
-		capacity: capacity,
-		window:   capacity,
-		first:    1,
-		next:     1,
-		subs:     make(map[*Sub]struct{}),
+		first: 1,
+		next:  1,
+		subs:  make(map[*Sub]struct{}),
 		//detlint:allow walltime — THE sanctioned wall stamp: Event.Wall is telemetry, explicitly excluded from the determinism contract (tests zero it)
 		now: func() float64 { return float64(time.Now().UnixNano()) / 1e9 },
 	}
 }
 
 // Publish assigns the event its sequence number, stamps its wall clock,
-// encodes it, stores it (overwriting the oldest when full) and wakes
-// subscribers. It never blocks and returns the assigned sequence
-// number. Publishing on a closed ring is a no-op returning 0.
+// encodes it, stores it and wakes subscribers. It never blocks and
+// returns the assigned sequence number. Publishing on a closed ring is
+// a no-op returning 0.
 //
 // The encoding is the event's from then on (Data): every SSE frame
 // copies it, and a durable log splices it into the job's finish
@@ -88,10 +74,10 @@ func (r *Ring) Publish(ev Event) uint64 {
 // Events at the next expected sequence number are stored; already-seen
 // sequence numbers (an overlapping resume replay) are dropped; an
 // upstream gap event — or an implicit jump past the expected number —
-// advances the window so subscribers positioned before it receive a
-// locally synthesized gap for exactly the upstream-reported range, per
-// the proxying rule that a relay never invents gaps of its own.
-// Synthetic upstream events other than gaps (shutdown, Seq 0) are
+// moves the ring past the gap, so subscribers positioned before it
+// receive a locally synthesized gap for exactly the upstream-reported
+// range, per the proxying rule that a relay never invents gaps of its
+// own. Synthetic upstream events other than gaps (shutdown, Seq 0) are
 // ignored: they describe the upstream connection, not the job. Feeding
 // a closed ring is a no-op.
 //
@@ -122,105 +108,42 @@ func (r *Ring) Feed(ev Event) {
 	r.storeLocked(ev)
 }
 
-// storeLocked stores ev, whose sequence number is the next one, slides
-// the window past the oldest event when the ring is full, and wakes
-// subscribers. Caller holds r.mu.
+// storeLocked appends ev, whose sequence number is the next one, and
+// wakes subscribers. Caller holds r.mu.
 func (r *Ring) storeLocked(ev Event) {
-	r.buf[r.slot(ev.Seq)] = ev
-	r.next = ev.Seq + 1
-	if r.next-r.first > uint64(r.capacity) {
-		r.first = r.next - uint64(r.capacity)
+	if r.buf == nil {
+		r.buf = make([]Event, 0, 8)
 	}
+	r.buf = append(r.buf, ev)
+	r.next = ev.Seq + 1
 	r.notifyLocked()
 }
 
-// advanceLocked moves the window start and the next expected sequence
-// number forward to seq without storing anything. Retained events
-// before seq leave the window (the backfill tier recovers them, as on
-// any overflow), so subscribers whose cursor lies before seq observe a
-// gap event for exactly the subrange of [cursor+1, seq-1] that no
-// backfill can produce. Caller holds r.mu.
+// advanceLocked moves the ring forward to seq without storing anything.
+// The retained events before seq are dropped (a backfill recovers
+// them), so subscribers whose cursor lies before seq observe a gap
+// event for exactly the subrange of [cursor+1, seq-1] that no backfill
+// can produce. Caller holds r.mu.
 func (r *Ring) advanceLocked(seq uint64) {
 	if seq <= r.next {
 		return
 	}
-	r.next = seq
-	if r.first < seq {
-		r.first = seq
-	}
+	r.buf = nil
+	r.first, r.next = seq, seq
 	r.notifyLocked()
-}
-
-// index returns the storage index of seq. Caller holds r.mu.
-func (r *Ring) index(seq uint64) int { return int((seq - 1) % uint64(r.capacity)) }
-
-// slot returns the storage index of seq, growing buf to cover it. The
-// index is (seq-1) % capacity, never len(buf): Feed's forward jump can
-// store past the grown length, and growth pads the slots between.
-// Growth doubles from 8 slots, so a ring that stored n events holds at
-// most max(2n, 8) slots, and never more than capacity. Caller holds
-// r.mu.
-func (r *Ring) slot(seq uint64) int {
-	i := r.index(seq)
-	if i < len(r.buf) {
-		return i
-	}
-	if i < cap(r.buf) {
-		r.buf = r.buf[:i+1]
-		return i
-	}
-	buf := make([]Event, i+1, min(max(2*cap(r.buf), i+1, 8), r.capacity))
-	copy(buf, r.buf)
-	r.buf = buf
-	return i
 }
 
 // Sink returns a Sink publishing into the ring.
 func (r *Ring) Sink() Sink { return func(ev Event) { r.Publish(ev) } }
 
-// Pin lifts the ring's bound until Unpin, so it keeps every event: for a
-// job whose stream must outlive the window, one a finish record
-// persists or a cache hit replays. Slots are then indexed by seq-1, so
-// call Pin before the first Publish.
-func (r *Ring) Pin() {
-	r.mu.Lock()
-	r.capacity = math.MaxInt
-	r.mu.Unlock()
-}
-
-// Unpin ends a pin: the ring keeps the newest events as its window, as
-// if it had never been pinned, and releases the rest to the backfill,
-// or to a gap. Unpinning an unpinned ring is a no-op.
-func (r *Ring) Unpin() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.capacity == r.window {
-		return
-	}
-	r.capacity = r.window
-	if r.next-r.first > uint64(r.capacity) {
-		r.first = r.next - uint64(r.capacity)
-	}
-	if cap(r.buf) > r.capacity {
-		// Seq s sat at s-1; the window puts it at (s-1) % capacity.
-		pinned := r.buf
-		r.buf = make([]Event, min(len(pinned), r.capacity))
-		for seq := r.first; seq < r.next; seq++ {
-			r.buf[r.index(seq)] = pinned[seq-1]
-		}
-	}
-}
-
-// Events returns a copy of the retained events in sequence order: a
-// pinned ring's whole stream, as subscribers saw it, each event
-// carrying its encoding. An offloaded ring retains none.
+// Events returns a copy of the retained events in sequence order, each
+// carrying its encoding: a published ring's whole stream, as
+// subscribers saw it. An offloaded ring retains none.
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, r.next-r.first)
-	for seq := r.first; seq < r.next; seq++ {
-		out = append(out, r.buf[r.index(seq)])
-	}
+	out := make([]Event, len(r.buf))
+	copy(out, r.buf)
 	return out
 }
 
@@ -234,7 +157,6 @@ func (r *Ring) Events() []Event {
 func (r *Ring) Offload(backfill func(from, to uint64) []Event) {
 	r.mu.Lock()
 	r.buf = nil
-	r.capacity = r.window
 	r.first = r.next
 	r.closed = true
 	r.backfill = backfill
@@ -243,13 +165,14 @@ func (r *Ring) Offload(backfill func(from, to uint64) []Event) {
 }
 
 // SetBackfill installs (or, with nil, removes) the recovery source for
-// events that have been overwritten out of the ring window. fn is
-// called under the ring lock with an inclusive [from, to] range and
-// must return whatever contiguous suffix of that range it still holds,
-// in ascending sequence order; subscribers then see a gap only for the
-// prefix nothing can recover. Installing a backfill retroactively
-// upgrades already-attached subscribers — their next out-of-window read
-// consults it.
+// events the ring no longer retains: the range an upstream gap or jump
+// moved a fed ring past (Feed). fn is called under the ring lock with
+// an inclusive [from, to] range and must return whatever contiguous
+// suffix of that range it still holds, in ascending sequence order;
+// subscribers then see a gap only for the prefix nothing can recover.
+// Installing a backfill retroactively upgrades already-attached
+// subscribers — their next read before the retained events consults
+// it.
 func (r *Ring) SetBackfill(fn func(from, to uint64) []Event) {
 	r.mu.Lock()
 	r.backfill = fn
@@ -261,7 +184,7 @@ func (r *Ring) SetBackfill(fn func(from, to uint64) []Event) {
 // sequence number last, so SSE Last-Event-ID reconnects work unchanged
 // across a daemon restart.
 func RecoveredRing(last uint64, backfill func(from, to uint64) []Event) *Ring {
-	r := NewRing(1)
+	r := NewRing()
 	r.next = last + 1
 	r.Offload(backfill)
 	return r
@@ -296,8 +219,8 @@ func (r *Ring) notifyLocked() {
 }
 
 // Subscribe attaches a subscriber that resumes after the given sequence
-// number (0 replays from the beginning of the retained window). Cancel
-// the subscription when done.
+// number (0 replays from the beginning of the stream). Cancel the
+// subscription when done.
 func (r *Ring) Subscribe(after uint64) *Sub {
 	sub := &Sub{ring: r, cursor: after, sig: make(chan struct{}, 1)}
 	r.mu.Lock()
@@ -318,11 +241,11 @@ type Sub struct {
 
 // Next returns the subscriber's next event, blocking until one is
 // available, the ring closes (all retained events delivered → ok
-// false), or stop fires (ok false). When the ring overwrote events the
-// subscriber had not read, Next first consults the ring's backfill (a
-// durable log can usually recover them); only the range no backfill can
-// produce comes back as a synthetic gap event, after which delivery
-// resumes at the oldest recoverable event.
+// false), or stop fires (ok false). For events the ring no longer
+// retains — an offloaded stream, or the range a fed ring moved past —
+// Next consults the ring's backfill (a durable log, a relay's upstream);
+// only the range no backfill can produce comes back as a synthetic gap
+// event, after which delivery resumes at the oldest recoverable event.
 func (s *Sub) Next(stop <-chan struct{}) (Event, bool) {
 	if len(s.pending) > 0 {
 		ev := s.pending[0]
@@ -344,7 +267,7 @@ func (s *Sub) Next(stop <-chan struct{}) (Event, bool) {
 			s.ring.mu.Unlock()
 			return gap, true
 		case want < s.ring.next:
-			ev := s.ring.buf[s.ring.index(want)]
+			ev := s.ring.buf[want-s.ring.first]
 			s.cursor = want
 			s.ring.mu.Unlock()
 			return ev, true
@@ -361,8 +284,8 @@ func (s *Sub) Next(stop <-chan struct{}) (Event, bool) {
 	}
 }
 
-// refillLocked asks the ring's backfill for the out-of-window range
-// [want, first-1] and queues whatever it recovers. It returns the first
+// refillLocked asks the ring's backfill for the range [want, first-1]
+// the ring no longer retains and queues whatever it recovers. It returns the first
 // event to deliver: a recovered event when the backfill covers want
 // itself, or a gap naming exactly the unrecoverable prefix when it only
 // covers a suffix. ok is false when nothing was recovered at all (the
@@ -398,6 +321,20 @@ func (s *Sub) refillLocked(want uint64) (Event, bool) {
 	s.pending = run[1:]
 	s.cursor = run[0].Seq
 	return run[0], true
+}
+
+// Ready reports whether Next would return without waiting: a
+// backfilled event is pending, the next event (or a gap) is already in
+// the ring, or the ring is closed. An SSE writer flushes only when it
+// is false, so a burst of frames leaves in as few writes as its bytes
+// fill while a live frame still leaves at once.
+func (s *Sub) Ready() bool {
+	if len(s.pending) > 0 {
+		return true
+	}
+	s.ring.mu.Lock()
+	defer s.ring.mu.Unlock()
+	return s.cursor+1 < s.ring.next || s.ring.closed
 }
 
 // Cursor returns the last sequence number delivered to this subscriber.

@@ -11,8 +11,8 @@ import (
 
 // testRing builds a ring with a deterministic wall stamp so tests can
 // assert full events.
-func testRing(capacity int) *Ring {
-	r := NewRing(capacity)
+func testRing() *Ring {
+	r := NewRing()
 	r.now = func() float64 { return 0 }
 	return r
 }
@@ -41,7 +41,7 @@ func drain(sub *Sub) []Event {
 // numbers from 1, full replay for a late subscriber, and duplicate-free
 // resume from any cursor.
 func TestRingReplayAndResume(t *testing.T) {
-	r := testRing(16)
+	r := testRing()
 	publishN(r, 5)
 	r.Close()
 
@@ -65,44 +65,18 @@ func TestRingReplayAndResume(t *testing.T) {
 	}
 }
 
-// TestRingGapOnTruncation overwhelms a tiny ring: the slow subscriber
-// must receive a single gap event naming exactly the lost range, then
-// the retained tail — and the publisher must never have blocked.
-func TestRingGapOnTruncation(t *testing.T) {
-	r := testRing(4)
-	sub := r.Subscribe(0)
-	publishN(r, 10) // events 1..6 overwritten, 7..10 retained
-	r.Close()
-
-	got := drain(sub)
-	if len(got) != 5 {
-		t.Fatalf("got %d events, want gap + 4: %+v", len(got), got)
-	}
-	if got[0].Type != Gap || got[0].Gap == nil {
-		t.Fatalf("first event is %q, want gap", got[0].Type)
-	}
-	if got[0].Gap.From != 1 || got[0].Gap.To != 6 {
-		t.Errorf("gap range [%d,%d], want [1,6]", got[0].Gap.From, got[0].Gap.To)
-	}
-	if got[0].Seq != 0 {
-		t.Errorf("gap event carries seq %d, want 0", got[0].Seq)
-	}
-	for i, ev := range got[1:] {
-		if ev.Seq != uint64(7+i) {
-			t.Errorf("post-gap event %d has seq %d, want %d", i, ev.Seq, 7+i)
-		}
-	}
-}
-
-// TestRingPublisherNeverBlocks parks a subscriber that never reads and
-// publishes far past capacity; Publish must stay prompt.
+// TestRingPublisherNeverBlocks parks a subscriber that never reads
+// while 10,000 events are published; Publish must stay prompt, and the
+// subscriber, once it reads, must get every event with no gap.
 func TestRingPublisherNeverBlocks(t *testing.T) {
-	r := testRing(8)
+	const n = 10000
+	r := testRing()
 	sub := r.Subscribe(0)
 	defer sub.Cancel()
 	done := make(chan struct{})
 	go func() {
-		publishN(r, 10000)
+		publishN(r, n)
+		r.Close()
 		close(done)
 	}()
 	select {
@@ -110,12 +84,21 @@ func TestRingPublisherNeverBlocks(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("publisher blocked on an unread subscriber")
 	}
+	got := drain(sub)
+	if len(got) != n {
+		t.Fatalf("the unread subscriber then read %d events, want %d", len(got), n)
+	}
+	for i, ev := range got {
+		if ev.Type == Gap || ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d is %s seq %d, want seq %d", i, ev.Type, ev.Seq, i+1)
+		}
+	}
 }
 
 // TestRingBlocksUntilPublish verifies the live path: Next parks until
 // an event arrives, and returns promptly when one does.
 func TestRingBlocksUntilPublish(t *testing.T) {
-	r := testRing(8)
+	r := testRing()
 	sub := r.Subscribe(0)
 	defer sub.Cancel()
 	got := make(chan Event, 1)
@@ -140,7 +123,7 @@ func TestRingBlocksUntilPublish(t *testing.T) {
 
 // TestRingStopCancelsNext verifies stop wins over an idle stream.
 func TestRingStopCancelsNext(t *testing.T) {
-	r := testRing(8)
+	r := testRing()
 	sub := r.Subscribe(0)
 	defer sub.Cancel()
 	stop := make(chan struct{})
@@ -161,18 +144,14 @@ func TestRingStopCancelsNext(t *testing.T) {
 }
 
 // TestRingConcurrentFanOut races one publisher against many readers
-// (run under -race): every fast-enough subscriber sees the identical
-// gap-free sequence — on a ring big enough that nobody gaps, and on a
-// small pinned one that unpins to a backfill as readers drain it, as a
-// durable job's ring does once its finish record persists.
+// (run under -race): every subscriber sees the identical gap-free
+// sequence — on a ring that keeps its events, and on one offloaded to a
+// backfill as readers drain it, as a durable job's ring is once its
+// finish record persists.
 func TestRingConcurrentFanOut(t *testing.T) {
 	const events, readers = 200, 8
-	for _, pinned := range []bool{false, true} {
-		r := testRing(events) // big enough that nobody gaps
-		if pinned {
-			r = testRing(8)
-			r.Pin()
-		}
+	for _, offloaded := range []bool{false, true} {
+		r := testRing()
 		var wg sync.WaitGroup
 		streams := make([][]Event, readers)
 		for i := 0; i < readers; i++ {
@@ -192,18 +171,17 @@ func TestRingConcurrentFanOut(t *testing.T) {
 		}
 		publishN(r, events)
 		r.Close()
-		if pinned {
-			r.SetBackfill(backfillFrom(r.Events()))
-			r.Unpin()
+		if offloaded {
+			r.Offload(backfillFrom(r.Events()))
 		}
 		wg.Wait()
 		want := fmt.Sprintf("%+v", streams[0])
 		for i, got := range streams {
 			if len(got) != events {
-				t.Fatalf("pinned %v: reader %d saw %d events, want %d", pinned, i, len(got), events)
+				t.Fatalf("offloaded %v: reader %d saw %d events, want %d", offloaded, i, len(got), events)
 			}
 			if fmt.Sprintf("%+v", got) != want {
-				t.Errorf("pinned %v: reader %d diverged from reader 0", pinned, i)
+				t.Errorf("offloaded %v: reader %d diverged from reader 0", offloaded, i)
 			}
 		}
 	}
@@ -212,7 +190,7 @@ func TestRingConcurrentFanOut(t *testing.T) {
 // TestRingPublishAfterClose pins the terminal contract: a closed ring
 // rejects publications.
 func TestRingPublishAfterClose(t *testing.T) {
-	r := testRing(8)
+	r := testRing()
 	publishN(r, 2)
 	r.Close()
 	if seq := r.Publish(Event{Type: JobDone}); seq != 0 {
@@ -247,73 +225,26 @@ func TestCollectorMatchesRingNumbering(t *testing.T) {
 	}
 }
 
-// TestRingGrowsWithPublishedEvents pins the ring's memory: a ring of
-// the default capacity holds only as many slots as it has published
-// events (at most double, at least 8), never the full capacity up
-// front, and stops growing at the capacity. A pinned ring grows past
-// the capacity and replays every event with no gap; after Unpin it
-// holds at most the capacity and keeps the newest events, as a ring
-// that was never pinned does.
+// TestRingGrowsWithPublishedEvents pins the ring's memory: a ring that
+// stored n events holds at most max(2n, 8) slots, never more up front,
+// and replays all n of them with no gap, however long the stream.
 func TestRingGrowsWithPublishedEvents(t *testing.T) {
-	// check verifies that r holds at most limit slots and replays the
-	// newest kept of n events, after a gap for the older ones.
-	check := func(t *testing.T, r *Ring, n, limit, kept int) {
-		t.Helper()
-		if got := cap(r.buf); got > limit {
+	for _, n := range []int{0, 1, 8, 9, 20, 100, 300, 512, 513, 2000} {
+		r := testRing()
+		publishN(r, n)
+		r.Close()
+		if got, limit := cap(r.buf), max(2*n, 8); got > limit {
 			t.Errorf("after %d events: %d slots, want at most %d", n, got, limit)
 		}
 		got := drain(r.Subscribe(0))
-		want := kept
-		if n > kept {
-			want++ // the gap event for the overwritten prefix
+		if len(got) != n {
+			t.Fatalf("after %d events: replayed %d", n, len(got))
 		}
-		if len(got) != want {
-			t.Fatalf("after %d events: replayed %d, want %d", n, len(got), want)
-		}
-		for _, ev := range got {
-			if ev.Type != Gap && ev.Op.Index != int(ev.Seq-1) {
-				t.Fatalf("after %d events: seq %d holds op %d", n, ev.Seq, ev.Op.Index)
+		for i, ev := range got {
+			if ev.Seq != uint64(i+1) || ev.Op.Index != i {
+				t.Fatalf("after %d events: event %d is seq %d op %+v", n, i, ev.Seq, ev.Op)
 			}
 		}
-		if n > 0 && got[len(got)-1].Seq != uint64(n) {
-			t.Fatalf("after %d events: last replayed seq %d", n, got[len(got)-1].Seq)
-		}
-	}
-	for _, pinned := range []bool{false, true} {
-		for _, n := range []int{0, 1, 8, 9, 20, 100, 300, 512, 2000} {
-			r := testRing(DefaultCapacity)
-			if pinned {
-				r.Pin()
-			}
-			publishN(r, n)
-			r.Close()
-			if pinned {
-				check(t, r, n, max(2*n, 8), n)
-				r.Unpin()
-			}
-			check(t, r, n, min(max(2*n, 8), DefaultCapacity), min(n, DefaultCapacity))
-		}
-	}
-}
-
-// TestRingWrapAfterGrowth publishes well past a small capacity: once
-// the slot slice has grown to the capacity, slots are reused by
-// (seq-1) % capacity and every subscriber cursor reads the right event.
-func TestRingWrapAfterGrowth(t *testing.T) {
-	r := testRing(12)
-	publishN(r, 30) // 1..18 overwritten, 19..30 retained
-	if len(r.buf) != 12 {
-		t.Fatalf("%d slots after wrapping, want the capacity 12", len(r.buf))
-	}
-	for after := uint64(18); after <= 30; after++ {
-		sub := r.Subscribe(after)
-		for want := after + 1; want <= 30; want++ {
-			ev, ok := sub.Next(nil)
-			if !ok || ev.Seq != want || ev.Op.Index != int(want-1) {
-				t.Fatalf("after %d: got %+v, want seq %d", after, ev, want)
-			}
-		}
-		sub.Cancel()
 	}
 }
 
@@ -322,7 +253,7 @@ func TestRingWrapAfterGrowth(t *testing.T) {
 // bytes on every call and WriteSSE writes them — while the decoded
 // fields stay readable.
 func TestRingPublishEncodesOnce(t *testing.T) {
-	r := testRing(4)
+	r := testRing()
 	r.now = func() float64 { return 12.5 }
 	r.Publish(Event{Type: ScanRows, T: 0.25, Scan: &ScanChunk{Batches: 1, Averaging: 4,
 		Rows: []Detection{{Col: 3, Row: 4, ID: 1, Occupied: true, SNR: 9.5}}}})
@@ -345,14 +276,13 @@ func TestRingPublishEncodesOnce(t *testing.T) {
 	}
 }
 
-// TestRingOffload: offloading a pinned, closed ring drops every event
-// it holds and serves the whole stream through the backfill, as a
-// recovered ring does — replay from the start, from a mid-stream
-// cursor and for a subscriber that was already part-way through, with
-// no gap; Publish and Unpin then change nothing.
+// TestRingOffload: offloading a closed ring drops every event it holds
+// and serves the whole stream through the backfill, as a recovered ring
+// does — replay from the start, from a mid-stream cursor and for a
+// subscriber that was already part-way through, with no gap; Publish
+// then changes nothing.
 func TestRingOffload(t *testing.T) {
-	r := testRing(4)
-	r.Pin()
+	r := testRing()
 	publishN(r, 12)
 	r.Close()
 	evs := r.Events()
@@ -376,12 +306,8 @@ func TestRingOffload(t *testing.T) {
 	if got := drain(early); !reflect.DeepEqual(got, evs[1:]) {
 		t.Fatalf("a subscriber attached before the offload continues with %+v", got)
 	}
-	if seq := r.Publish(Event{Type: OpStarted}); seq != 0 || r.Last() != 12 {
+	if seq := r.Publish(Event{Type: OpStarted}); seq != 0 || r.Last() != 12 || len(r.Events()) != 0 {
 		t.Fatalf("Publish on an offloaded ring assigned %d", seq)
-	}
-	r.Unpin()
-	if n := len(r.Events()); n != 0 {
-		t.Fatalf("Unpin brought back %d events", n)
 	}
 	rec := RecoveredRing(12, backfillFrom(evs))
 	if got := drain(rec.Subscribe(0)); !reflect.DeepEqual(got, evs) {

@@ -34,8 +34,8 @@ func WriteSSE(w io.Writer, ev Event) {
 // after a field's colon is optional. Each frame's data: payload is kept
 // as its bytes, the event's encoding (WithEncoding), and decoded only
 // as far as a relay acts on it: job.* frames in full (a relay rewrites
-// their job ID), gap frames in full (Ring.Feed advances the window by
-// them), and so are frames without an id: line, such as shutdown.
+// their job ID), gap frames in full (Ring.Feed moves a ring past the
+// range they name), and so are frames without an id: line, such as shutdown.
 // Every other frame decodes only its seq and type, which must match its
 // id: and event: lines; a reader that needs the payload decodes the
 // event's Data. A frame whose payload is not valid JSON, disagrees with

@@ -1,8 +1,8 @@
 // Package stream is the live event surface of an executing assay: a
 // small deterministic event vocabulary (job placement, per-operation
 // progress, scan-table row batches, routing provenance, completion)
-// plus a bounded, replayable, per-job ring buffer that fans events out
-// to any number of subscribers without ever blocking the producer.
+// plus a replayable per-job ring that keeps the stream and fans events
+// out to any number of subscribers without ever blocking the producer.
 //
 // The package sits below every layer that emits or serves events: the
 // chip simulator and the assay executor publish through a Sink, the
@@ -44,8 +44,9 @@ const (
 	// right after).
 	JobDone   = "job.done"
 	JobFailed = "job.failed"
-	// Gap tells a slow subscriber that the bounded ring overwrote
-	// events it had not read yet; Event.Gap holds the lost range. Gap
+	// Gap tells a subscriber that a range of the stream is lost — an
+	// upstream reported it lost, or a relay skipped its frame — and no
+	// backfill could recover it; Event.Gap holds the lost range. Gap
 	// events have no sequence number of their own.
 	Gap = "gap"
 	// Shutdown tells a subscriber the service has drained and is about
@@ -180,8 +181,7 @@ type PlanInfo struct {
 	Moves    int `json:"moves"`
 }
 
-// GapInfo is the inclusive sequence range a slow subscriber lost to
-// ring truncation.
+// GapInfo is the inclusive sequence range a gap event reports lost.
 type GapInfo struct {
 	From uint64 `json:"from"`
 	To   uint64 `json:"to"`
