@@ -432,8 +432,8 @@ func renderGatewayStats(st federation.Stats) []string {
 			s.Kind, s.Dir, s.Records, s.Segments, s.Bytes))
 	}
 	if c := gw.Cache; c != nil {
-		lines = append(lines, fmt.Sprintf("gateway  cache %d/%d entries, hits %d, misses %d, coalesced %d",
-			c.Entries, c.Capacity, c.Hits, c.Misses, c.Coalesced))
+		lines = append(lines, fmt.Sprintf("gateway  cache %d entries, hits %d, misses %d, coalesced %d",
+			c.Entries, c.Hits, c.Misses, c.Coalesced))
 	}
 	for _, m := range st.Members {
 		state := "reachable"
@@ -463,9 +463,9 @@ func renderFleetStats(st service.Stats) error {
 			st.Store.Kind, st.Store.Dir, st.Store.Records, st.Store.Segments, st.Store.Bytes)
 	}
 	if c := st.Cache; c != nil {
-		served := c.Hits + c.DiskHits + c.Coalesced
-		line := fmt.Sprintf("cache    %d/%d entries (%d bytes), hits %d (%d from disk), misses %d, coalesced %d",
-			c.Entries, c.Capacity, c.Bytes, c.Hits+c.DiskHits, c.DiskHits, c.Misses, c.Coalesced)
+		served := c.Hits + c.Coalesced
+		line := fmt.Sprintf("cache    %d entries, hits %d, misses %d, coalesced %d",
+			c.Entries, c.Hits, c.Misses, c.Coalesced)
 		if total := served + c.Misses; total > 0 {
 			line += fmt.Sprintf(", hit rate %.1f%%", 100*float64(served)/float64(total))
 		}
@@ -804,7 +804,7 @@ func renderEvent(ev stream.Event) string {
 	case stream.JobFailed:
 		return prefix + "FAILED: " + ev.Err
 	case stream.Gap:
-		return prefix + fmt.Sprintf("GAP: events %d–%d lost to ring truncation", ev.Gap.From, ev.Gap.To)
+		return prefix + fmt.Sprintf("GAP: events %d–%d lost upstream or skipped by a relay, and not recovered", ev.Gap.From, ev.Gap.To)
 	case stream.Shutdown:
 		return prefix + "server draining: stream closed"
 	default:

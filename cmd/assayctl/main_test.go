@@ -152,15 +152,53 @@ func TestRenderGatewayStats(t *testing.T) {
 	st.Gateway.PersistErrors = 2
 	st.Gateway.Draining = true
 	st.Gateway.Store = &store.Stats{Kind: "disk", Dir: "/data", Segments: 1, Bytes: 4096, Records: 9}
-	st.Gateway.Cache = &service.CacheStats{Entries: 3, Capacity: 256, Hits: 1, Misses: 4, Coalesced: 2}
+	st.Gateway.Cache = &service.CacheStats{Entries: 3, Hits: 1, Misses: 4, Coalesced: 2}
 	full := append([]string{
 		"gateway  2 members, 5 jobs routed (forwarded 4, done 3, failed 1, recovered 2, 2 route appends FAILED)",
 		"gateway  draining: admitting nothing, finishing routed jobs",
 		"gateway  route log disk /data: 9 records in 1 segments, 4096 bytes",
-		"gateway  cache 3/256 entries, hits 1, misses 4, coalesced 2",
+		"gateway  cache 3 entries, hits 1, misses 4, coalesced 2",
 	}, members...)
 	if got := renderGatewayStats(st); strings.Join(got, "\n") != strings.Join(full, "\n") {
 		t.Errorf("full gateway lines:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(full, "\n"))
+	}
+}
+
+// TestRenderEvent pins watch's line for every event type, the
+// synthetic gap and shutdown frames and an unknown type included.
+func TestRenderEvent(t *testing.T) {
+	for _, tc := range []struct {
+		ev   stream.Event
+		want string
+	}{
+		{stream.Event{Seq: 1, Type: stream.JobPlaced, Job: &stream.JobInfo{
+			ID: "a-000001", Program: "capture-scan", Seed: 7, Eligible: []string{"small", "large"}}},
+			"#1         0.00s  placed a-000001 (capture-scan, seed 7) on profiles small, large"},
+		{stream.Event{Seq: 2, Type: stream.JobStarted, Job: &stream.JobInfo{Profile: "small"}},
+			"#2         0.00s  started on profile small"},
+		{stream.Event{Seq: 3, Type: stream.OpStarted, T: 1.5, Op: &stream.OpInfo{Kind: "load", Detail: "load 10 cells"}},
+			"#3         1.50s  op 0 load: load 10 cells"},
+		{stream.Event{Seq: 4, Type: stream.OpFinished, T: 2.25, Op: &stream.OpInfo{Kind: "load", Detail: "10 loaded"}},
+			"#4         2.25s  op 0 load done: 10 loaded"},
+		{stream.Event{Seq: 5, Type: stream.ScanRows, T: 12.5, Scan: &stream.ScanChunk{Scan: 1, Batches: 2,
+			Rows: []stream.Detection{{Detected: true}, {}, {Detected: true}}}},
+			"#5        12.50s  scan 1 rows 1/2: 3 sites, 2 detected"},
+		{stream.Event{Seq: 6, Type: stream.PlanExecuted, T: 20, Plan: &stream.PlanInfo{Planner: "greedy", Makespan: 12, Moves: 40}},
+			"#6        20.00s  plan executed (greedy): makespan 12, 40 moves"},
+		{stream.Event{Seq: 7, Type: stream.JobDone, T: 30, Job: &stream.JobInfo{Duration: 30, Trapped: 9, Steps: 12, ScanErrors: 1}},
+			"#7        30.00s  done: 30.00s simulated, 9 trapped, 12 steps, 1 scan errors"},
+		{stream.Event{Seq: 7, Type: stream.JobFailed, T: 3, Err: "injected"},
+			"#7         3.00s  FAILED: injected"},
+		{stream.Event{Type: stream.Gap, Gap: &stream.GapInfo{From: 3, To: 6}},
+			"#0         0.00s  GAP: events 3–6 lost upstream or skipped by a relay, and not recovered"},
+		{stream.Event{Type: stream.Shutdown},
+			"#0         0.00s  server draining: stream closed"},
+		{stream.Event{Seq: 8, Type: "future.kind"},
+			"#8         0.00s  future.kind"},
+	} {
+		if got := renderEvent(tc.ev); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.ev.Type, got, tc.want)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@
 //
 // Usage:
 //
-//	assayd [-addr :8547] [-shards N] [-queue N] [-cols N] [-rows N] [-p N] [-data DIR] [-cache-entries N] [-no-cache] [-no-obs] [-pprof ADDR]
+//	assayd [-addr :8547] [-shards N] [-queue N] [-cols N] [-rows N] [-p N] [-data DIR] [-no-cache] [-no-obs] [-pprof ADDR]
 //	assayd [-addr :8547] -fleet fleet.json [-data DIR]
 //
 // A fleet spec file (see docs/examples/fleet.json and docs/cli.md)
@@ -51,8 +51,9 @@
 // Duplicate submissions are answered from a content-addressed result
 // cache (docs/caching.md): an identical (program, seed) resubmission
 // returns a finished alias job instantly, and identical concurrent
-// submissions coalesce onto one execution. -no-cache disables this;
-// -cache-entries sizes the in-memory tier.
+// submissions coalesce onto one execution. -no-cache disables this.
+// The cache's index keeps every key for the daemon's lifetime: one map
+// entry per cacheable job, beside a job record the daemon keeps anyway.
 //
 // With -gateway -members members.json the daemon runs as a federation
 // gateway instead (docs/federation.md): it owns no dies, but fronts
@@ -97,7 +98,6 @@ func main() {
 	rows := flag.Int("rows", 96, "electrode rows per die")
 	par := flag.Int("p", 1, "intra-die parallelism (workers per simulator; 0 = GOMAXPROCS)")
 	data := flag.String("data", "", "durable data directory: submissions, reports and event streams survive restarts (empty = in-memory only)")
-	cacheEntries := flag.Int("cache-entries", 0, "result-cache LRU size in entries (0 = default)")
 	noCache := flag.Bool("no-cache", false, "disable the content-addressed result cache: every submission executes")
 	gateway := flag.Bool("gateway", false, "run as a federation gateway over the -members fleet instead of owning dies (docs/federation.md)")
 	members := flag.String("members", "", "members spec file (JSON) listing the worker daemons behind a -gateway")
@@ -122,9 +122,6 @@ func main() {
 			fatal(err)
 		}
 		cfg := federation.Config{Members: spec.Members, Cache: spec.Cache, Obs: reg}
-		if *cacheEntries != 0 {
-			cfg.Cache.Entries = *cacheEntries
-		}
 		if *noCache {
 			cfg.Cache.Disable = true
 		}
@@ -172,11 +169,8 @@ func main() {
 		cfg.Parallelism = *par
 		svcCfg = service.Config{Shards: *shards, QueueDepth: *queue, Chip: cfg}
 	}
-	// Flags win over the fleet spec's cache block so an operator can turn
-	// the cache off without editing the spec.
-	if *cacheEntries != 0 {
-		svcCfg.Cache.Entries = *cacheEntries
-	}
+	// The flag wins over the fleet spec's cache block so an operator can
+	// turn the cache off without editing the spec.
 	if *noCache {
 		svcCfg.Cache.Disable = true
 	}

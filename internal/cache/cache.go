@@ -1,8 +1,7 @@
 // Package cache is the content-addressing layer of the assay service's
 // result cache: a stable cryptographic key over the (program, seed,
 // profile configuration) triple that fully determines an assay's report
-// and event stream, plus a bounded LRU index over previously computed
-// results.
+// and event stream.
 //
 // The determinism contract (docs/determinism.md) makes whole-assay
 // memoization sound: a job is a pure function of its canonical program
@@ -13,14 +12,12 @@
 // canonical-key-order JSON (struct-tag order, the doclint convention)
 // and the concatenated material is hashed with SHA-256.
 //
-// The package deliberately knows nothing about jobs, stores or rings —
-// it maps keys to small caller-owned values. internal/service owns the
-// two-tier composition: an LRU from this package in front of the keyed
-// finish index of internal/store.
+// The package deliberately knows nothing about jobs, stores or rings:
+// it only derives keys. Each daemon indexes its own jobs by key, beside
+// its job table (internal/service, internal/federation).
 package cache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -91,100 +88,4 @@ func KeyOf(pr assay.Program, seed uint64, profiles []ProfileMaterial) (Key, erro
 		return Key{}, fmt.Errorf("cache: encoding key material: %w", err)
 	}
 	return sha256.Sum256(raw), nil
-}
-
-// Entry is one cached result reference: the ID of the job that computed
-// the result plus the size of its report.
-type Entry struct {
-	// ID is the job whose terminal record holds the result.
-	ID string
-	// Bytes is the length of the job's report encoding. It is a figure
-	// for stats only: eviction goes by entry count.
-	Bytes int64
-}
-
-// LRU is the bounded in-memory tier of the result cache: a key → Entry
-// map with least-recently-used eviction by entry count. It is NOT
-// self-synchronizing — the owning service serializes every call under
-// its own lock, which keeps lock ordering trivial (the LRU can never
-// call back out while holding anything).
-type LRU struct {
-	capacity int
-	bytes    int64
-	order    *list.List // front = most recently used; values are *lruItem
-	items    map[Key]*list.Element
-}
-
-// lruItem is one resident entry and its key (needed on eviction).
-type lruItem struct {
-	key   Key
-	entry Entry
-}
-
-// DefaultLRUEntries bounds an LRU built with NewLRU(0).
-const DefaultLRUEntries = 1024
-
-// NewLRU builds an LRU holding at most capacity entries (0 or negative
-// selects DefaultLRUEntries).
-func NewLRU(capacity int) *LRU {
-	if capacity < 1 {
-		capacity = DefaultLRUEntries
-	}
-	return &LRU{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[Key]*list.Element),
-	}
-}
-
-// Capacity returns the entry bound.
-func (l *LRU) Capacity() int { return l.capacity }
-
-// Len returns the resident entry count.
-func (l *LRU) Len() int { return len(l.items) }
-
-// Bytes returns the summed report bytes of the resident entries.
-func (l *LRU) Bytes() int64 { return l.bytes }
-
-// Get returns the entry for key, promoting it to most recently used.
-func (l *LRU) Get(key Key) (Entry, bool) {
-	el, ok := l.items[key]
-	if !ok {
-		return Entry{}, false
-	}
-	l.order.MoveToFront(el)
-	return el.Value.(*lruItem).entry, true
-}
-
-// Add inserts (or refreshes) the entry for key as most recently used,
-// evicting the least recently used entries past the capacity.
-func (l *LRU) Add(key Key, entry Entry) {
-	if el, ok := l.items[key]; ok {
-		it := el.Value.(*lruItem)
-		l.bytes += entry.Bytes - it.entry.Bytes
-		it.entry = entry
-		l.order.MoveToFront(el)
-		return
-	}
-	l.items[key] = l.order.PushFront(&lruItem{key: key, entry: entry})
-	l.bytes += entry.Bytes
-	for len(l.items) > l.capacity {
-		el := l.order.Back()
-		it := el.Value.(*lruItem)
-		l.order.Remove(el)
-		delete(l.items, it.key)
-		l.bytes -= it.entry.Bytes
-	}
-}
-
-// Remove drops the entry for key, if resident.
-func (l *LRU) Remove(key Key) {
-	el, ok := l.items[key]
-	if !ok {
-		return
-	}
-	it := el.Value.(*lruItem)
-	l.order.Remove(el)
-	delete(l.items, key)
-	l.bytes -= it.entry.Bytes
 }

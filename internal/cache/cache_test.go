@@ -82,53 +82,3 @@ func TestKeyOfDiscrimination(t *testing.T) {
 		t.Error("different eligible profile set produced the same key")
 	}
 }
-
-// TestLRU pins the eviction policy: capacity bound, recency promotion
-// on Get, refresh-in-place on duplicate Add, byte accounting, and that
-// Add evicts exactly the least recently used entry.
-func TestLRU(t *testing.T) {
-	k := func(b byte) Key { var key Key; key[0] = b; return key }
-
-	l := NewLRU(2)
-	if l.Capacity() != 2 {
-		t.Fatalf("capacity = %d, want 2", l.Capacity())
-	}
-	l.Add(k(1), Entry{ID: "a-000001", Bytes: 10})
-	l.Add(k(2), Entry{ID: "a-000002", Bytes: 20})
-	if l.Len() != 2 || l.Bytes() != 30 {
-		t.Fatalf("len=%d bytes=%d, want 2/30", l.Len(), l.Bytes())
-	}
-
-	// Touch key 1 so key 2 becomes the eviction victim.
-	if e, ok := l.Get(k(1)); !ok || e.ID != "a-000001" {
-		t.Fatalf("Get(1) = %+v, %v", e, ok)
-	}
-	l.Add(k(3), Entry{ID: "a-000003", Bytes: 5})
-	if _, ok := l.Get(k(2)); ok {
-		t.Fatal("the LRU entry a-000002 is still resident")
-	}
-	for _, key := range []Key{k(1), k(3)} {
-		if _, ok := l.Get(key); !ok {
-			t.Fatalf("key %x evicted, want the LRU entry a-000002", key[0])
-		}
-	}
-	if l.Len() != 2 || l.Bytes() != 15 {
-		t.Fatalf("after eviction len=%d bytes=%d, want 2/15", l.Len(), l.Bytes())
-	}
-
-	// Refresh in place: no eviction, byte accounting follows the update.
-	l.Add(k(1), Entry{ID: "a-000001", Bytes: 30})
-	if l.Len() != 2 || l.Bytes() != 35 {
-		t.Fatalf("after refresh len=%d bytes=%d, want 2/35", l.Len(), l.Bytes())
-	}
-
-	l.Remove(k(1))
-	if _, ok := l.Get(k(1)); ok || l.Len() != 1 || l.Bytes() != 5 {
-		t.Fatalf("after remove len=%d bytes=%d", l.Len(), l.Bytes())
-	}
-	l.Remove(k(1)) // removing a missing key is a no-op
-
-	if def := NewLRU(0); def.Capacity() != DefaultLRUEntries {
-		t.Fatalf("NewLRU(0) capacity = %d, want %d", def.Capacity(), DefaultLRUEntries)
-	}
-}

@@ -52,7 +52,7 @@ func E15CacheThroughput(scale Scale) (*table.Table, error) {
 		var hits, coalesced uint64
 		executedOn := uint64(jobs)
 		if c := onStats.Cache; c != nil {
-			hits, coalesced = c.Hits+c.DiskHits, c.Coalesced
+			hits, coalesced = c.Hits, c.Coalesced
 			executedOn = c.Misses
 		}
 		t.AddRow(

@@ -21,8 +21,8 @@
 //
 // The gateway composes with the result cache (docs/caching.md): it
 // content-addresses each submission against the fleet-wide eligible
-// profile set and answers duplicates from its own LRU or in-flight
-// table without forwarding; misses are forwarded and land in the
+// profile set and answers duplicates from its own index of routed
+// root jobs without forwarding; misses are forwarded and land in the
 // member's own cache too. Unlike a single daemon, a gateway cache hit
 // returns the *root* job's ID (202-with-existing-id, as coalescing
 // does) instead of minting an alias job.
@@ -59,7 +59,7 @@ type MemberSpec struct {
 // The committed example is docs/examples/members.json (golden-tested).
 type MembersSpec struct {
 	// Cache configures the gateway's result cache; the zero value
-	// enables it with defaults.
+	// enables it.
 	Cache service.FleetCacheSpec `json:"cache,omitzero"`
 	// Members is the worker fleet, one entry per daemon.
 	Members []MemberSpec `json:"members"`
@@ -77,9 +77,6 @@ func ParseMembersSpec(data []byte) (MembersSpec, error) {
 	}
 	if len(ms.Members) == 0 {
 		return MembersSpec{}, fmt.Errorf("federation: members spec: no members")
-	}
-	if ms.Cache.Entries < 0 {
-		return MembersSpec{}, fmt.Errorf("federation: members spec: negative cache entries %d", ms.Cache.Entries)
 	}
 	seen := make(map[string]bool, len(ms.Members))
 	for i, m := range ms.Members {

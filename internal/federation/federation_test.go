@@ -456,3 +456,45 @@ func TestGatewayCacheDedup(t *testing.T) {
 		t.Errorf("gateway cache stats = %+v, want >= 1 hit", st.Gateway.Cache)
 	}
 }
+
+// TestGatewayCacheKeepsEveryKey pins that the gateway's result-cache
+// index keeps every key: after 1025 distinct routed roots, the first
+// seed's resubmission is a hit on its root, not a second forward.
+func TestGatewayCacheKeepsEveryKey(t *testing.T) {
+	stub := newStubMember(t, service.Stats{}, accept)
+	stub.holdJobs()() // released at once: every stub job is done
+	g, err := New(Config{Members: []MemberSpec{{Name: "w0", Addr: stub.ts.URL, Profiles: die40()}},
+		PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	pr := testProgram(4)
+	const n = 1025
+	var first string
+	for seed := uint64(1); seed <= n; seed++ {
+		res, err := g.Submit(service.SubmitRequest{Seed: seed, Program: pr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second); err != nil || !terminal || j.Status != service.StatusDone {
+			t.Fatalf("seed %d: %s terminal=%v %v", seed, j.Status, terminal, err)
+		}
+		if seed == 1 {
+			first = res.ID
+		}
+	}
+	res, err := g.Submit(service.SubmitRequest{Seed: 1, Program: pr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache != "hit" || res.ID != first || res.DedupOf != first {
+		t.Fatalf("resubmitted seed 1 = %+v, want a hit on %s", res, first)
+	}
+	if got := stub.submitted(); got != n {
+		t.Errorf("member saw %d submissions, want %d", got, n)
+	}
+	if c := g.Stats().Gateway.Cache; c.Entries != n || c.Misses != n || c.Hits != 1 {
+		t.Errorf("gateway cache stats %+v, want %d entries, %d misses, 1 hit", *c, n, n)
+	}
+}

@@ -116,8 +116,7 @@ type Gateway struct {
 	jobs     map[string]*gwJob
 	remote   map[string]string // memberName \x00 remoteID → gateway ID
 	seq      int
-	lru      *cache.LRU
-	inflight map[cache.Key]*gwJob
+	byKey    map[cache.Key]*gwJob // result-cache index (cachedLocked); nil when off
 	draining bool
 	closed   bool
 
@@ -147,22 +146,21 @@ func New(cfg Config) (*Gateway, error) {
 		reg = obs.NewRegistry()
 	}
 	g := &Gateway{
-		store:    cfg.Store,
-		poll:     cfg.PollInterval,
-		jobs:     make(map[string]*gwJob),
-		remote:   make(map[string]string),
-		inflight: make(map[cache.Key]*gwJob),
-		drained:  make(chan struct{}),
-		obs:      cfg.Obs,
-		met:      newGwMetrics(reg),
-		started:  obs.Now(),
+		store:   cfg.Store,
+		poll:    cfg.PollInterval,
+		jobs:    make(map[string]*gwJob),
+		remote:  make(map[string]string),
+		drained: make(chan struct{}),
+		obs:     cfg.Obs,
+		met:     newGwMetrics(reg),
+		started: obs.Now(),
 	}
 	if g.poll <= 0 {
 		g.poll = DefaultPollInterval
 	}
 	g.cond = sync.NewCond(&g.mu)
 	if !cfg.Cache.Disable {
-		g.lru = cache.NewLRU(cfg.Cache.Entries)
+		g.byKey = make(map[cache.Key]*gwJob)
 	}
 	for _, spec := range cfg.Members {
 		m, err := NewMember(spec)
@@ -233,8 +231,8 @@ func (g *Gateway) recover() error {
 			g.remote[routeKey(r.Member, r.RemoteID)] = r.ID
 		}
 		if !j.key.Zero() {
-			if _, dup := g.inflight[j.key]; !dup {
-				g.inflight[j.key] = j
+			if _, dup := g.byKey[j.key]; !dup {
+				g.byKey[j.key] = j
 			}
 		}
 		g.met.recovered.Inc()
@@ -276,7 +274,7 @@ func routeKey(member, remoteID string) string { return member + "\x00" + remoteI
 // cacheable) is returned when the gateway cache is off or any eligible
 // profile opts out.
 func (g *Gateway) keyOf(pr assay.Program, seed uint64, eligible [][]int) (cache.Key, error) {
-	if g.lru == nil {
+	if g.byKey == nil {
 		return cache.Key{}, nil
 	}
 	var mats []cache.ProfileMaterial
@@ -435,31 +433,23 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 }
 
 // cachedLocked answers a submission from the gateway cache: an
-// identical in-flight routed job coalesces onto it, an identical
-// finished one is a hit. Both return the root job's ID
-// (202-with-existing-id); the gateway mints no alias jobs. Caller
-// holds g.mu.
+// identical queued or running routed job coalesces onto it, an
+// identical finished one is a hit. Both return the root job's ID
+// (202-with-existing-id); the gateway mints no alias jobs. The zero
+// key is never indexed. Caller holds g.mu.
 func (g *Gateway) cachedLocked(key cache.Key) (service.SubmitResult, bool) {
-	if key.Zero() {
+	root := g.byKey[key]
+	if root == nil {
 		return service.SubmitResult{}, false
 	}
-	if root, ok := g.inflight[key]; ok {
-		g.met.coalesced.Inc()
+	if root.snap.Status == service.StatusDone {
+		g.met.hit.Inc()
 		return service.SubmitResult{
-			ID: root.id, Eligible: root.snap.Eligible, Cache: "coalesced"}, true
+			ID: root.id, Eligible: root.snap.Eligible, Cache: "hit", DedupOf: root.id}, true
 	}
-	if g.lru == nil {
-		return service.SubmitResult{}, false
-	}
-	if e, ok := g.lru.Get(key); ok {
-		if root, live := g.jobs[e.ID]; live {
-			g.met.hit.Inc()
-			return service.SubmitResult{
-				ID: root.id, Eligible: root.snap.Eligible, Cache: "hit", DedupOf: root.id}, true
-		}
-		g.lru.Remove(key)
-	}
-	return service.SubmitResult{}, false
+	g.met.coalesced.Inc()
+	return service.SubmitResult{
+		ID: root.id, Eligible: root.snap.Eligible, Cache: "coalesced"}, true
 }
 
 // bind records an accepted forward under a fresh gateway ID: with a
@@ -522,7 +512,7 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		g.remote[routeKey(m.Name, res.ID)] = id
 	}
 	if !key.Zero() {
-		g.inflight[key] = j
+		g.byKey[key] = j
 	}
 	g.views[idx].pending++
 	g.met.forwarded.Inc()
@@ -639,23 +629,20 @@ func (g *Gateway) pollLoop() {
 }
 
 // finishLocked ends a routed job with its terminal snapshot, exactly
-// once: counters, cache insertion for successful cacheable roots,
-// singleflight release, and the completion broadcast drains and
-// long-polls wait on. Its callers are the job's relay, with the
+// once: counters, a failed root's release from the result-cache index
+// (a retry should forward again), and the completion broadcast drains
+// and long-polls wait on. Its callers are the job's relay, with the
 // member's record, and fail. Caller holds g.mu.
 func (g *Gateway) finishLocked(j *gwJob, snap service.Job) {
 	j.snap = snap
 	j.spanRoot.End()
 	if snap.Status == service.StatusDone {
 		g.met.done.Inc()
-		if !j.key.Zero() && g.lru != nil {
-			g.lru.Add(j.key, cache.Entry{ID: j.id, Bytes: int64(len(snap.Report))})
-		}
 	} else {
 		g.met.failed.Inc()
-	}
-	if !j.key.Zero() && g.inflight[j.key] == j {
-		delete(g.inflight, j.key)
+		if g.byKey[j.key] == j {
+			delete(g.byKey, j.key)
+		}
 	}
 	close(j.done)
 	g.cond.Broadcast()

@@ -192,12 +192,11 @@ func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 
 // SubscribeEvents attaches to a gateway job's mirrored event stream,
 // resuming after the given sequence number (service.SubscribeEvents
-// semantics). Relayed events
-// are served as the member's bytes: each carries Seq, Type, its Job or
-// Gap block where the relay decoded one, and its encoding
-// (stream.Event.Data), while other payload blocks stay encoded. The
-// HTTP handler, the one production reader, writes the encoding as it
-// is; an in-process reader that needs the payload decodes Data.
+// semantics). Relayed events are served as the mirror keeps them: each
+// is its Seq, its Type and the member's bytes (stream.Event.Data), with
+// a rewritten job ID re-encoded. The HTTP handler, the one production
+// reader, writes the bytes as they are; an in-process reader that
+// needs the payload decodes Data.
 func (g *Gateway) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {
 	g.mu.Lock()
 	j, ok := g.jobs[id]

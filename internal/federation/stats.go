@@ -142,13 +142,9 @@ func MergeStats(members []MemberStats) service.Stats {
 				mergedCache = &service.CacheStats{}
 			}
 			mergedCache.Entries += st.Cache.Entries
-			mergedCache.Capacity += st.Cache.Capacity
-			mergedCache.Bytes += st.Cache.Bytes
 			mergedCache.Hits += st.Cache.Hits
-			mergedCache.DiskHits += st.Cache.DiskHits
 			mergedCache.Misses += st.Cache.Misses
 			mergedCache.Coalesced += st.Cache.Coalesced
-			mergedCache.Inflight += st.Cache.Inflight
 		}
 	}
 	sort.Slice(out.Planners, func(a, b int) bool {
@@ -208,15 +204,12 @@ func (g *Gateway) Stats() Stats {
 		PersistErrors: uint64(g.met.persistErrors.Value()),
 		Draining:      g.draining,
 	}
-	if g.lru != nil {
+	if g.byKey != nil {
 		gs.Cache = &service.CacheStats{
-			Entries:   g.lru.Len(),
-			Capacity:  g.lru.Capacity(),
-			Bytes:     g.lru.Bytes(),
+			Entries:   len(g.byKey),
 			Hits:      uint64(g.met.hit.Value()),
 			Misses:    uint64(g.met.miss.Value()),
 			Coalesced: uint64(g.met.coalesced.Value()),
-			Inflight:  len(g.inflight),
 		}
 	}
 	g.mu.Unlock()

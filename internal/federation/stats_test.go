@@ -113,17 +113,17 @@ func TestMergeStats(t *testing.T) {
 			members: []MemberStats{
 				memberStats("a", service.Stats{
 					Store: &store.Stats{Kind: "disk", Segments: 2, Bytes: 1000, Records: 50, Truncated: 1},
-					Cache: &service.CacheStats{Entries: 3, Capacity: 256, Bytes: 900, Hits: 5, DiskHits: 1, Misses: 10, Coalesced: 2, Inflight: 1},
+					Cache: &service.CacheStats{Entries: 3, Hits: 5, Misses: 10, Coalesced: 2},
 				}),
 				memberStats("b", service.Stats{}),
 				memberStats("c", service.Stats{
 					Store: &store.Stats{Kind: "disk", Segments: 1, Bytes: 500, Records: 20},
-					Cache: &service.CacheStats{Entries: 1, Capacity: 256, Bytes: 100, Hits: 2, Misses: 4},
+					Cache: &service.CacheStats{Entries: 1, Hits: 2, Misses: 4},
 				}),
 			},
 			want: service.Stats{
 				Store: &store.Stats{Kind: "merged", Segments: 3, Bytes: 1500, Records: 70, Truncated: 1},
-				Cache: &service.CacheStats{Entries: 4, Capacity: 512, Bytes: 1000, Hits: 7, DiskHits: 1, Misses: 14, Coalesced: 2, Inflight: 1},
+				Cache: &service.CacheStats{Entries: 4, Hits: 7, Misses: 14, Coalesced: 2},
 			},
 		},
 	} {
@@ -142,7 +142,7 @@ func TestMergeStats(t *testing.T) {
 
 func TestParseMembersSpec(t *testing.T) {
 	valid := `{
-  "cache": {"entries": 16},
+  "cache": {"disable": true},
   "members": [
     {"name": "w0", "addr": "http://127.0.0.1:8081",
      "profiles": [{"name": "die40", "shards": 2, "cols": 40, "rows": 40}]},
@@ -154,7 +154,7 @@ func TestParseMembersSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms.Members) != 2 || ms.Cache.Entries != 16 {
+	if len(ms.Members) != 2 || !ms.Cache.Disable {
 		t.Fatalf("parsed = %+v", ms)
 	}
 	for _, tc := range []struct {
@@ -167,7 +167,7 @@ func TestParseMembersSpec(t *testing.T) {
 			{"name": "w", "addr": "http://x", "profiles": [{"name": "p", "shards": 1, "cols": 32, "rows": 32}]},
 			{"name": "w", "addr": "http://y", "profiles": [{"name": "p", "shards": 1, "cols": 32, "rows": 32}]}]}`, "duplicate member"},
 		{"empty addr", `{"members": [{"name": "w", "addr": "", "profiles": [{"name": "p", "shards": 1, "cols": 32, "rows": 32}]}]}`, "empty addr"},
-		{"negative cache", `{"cache": {"entries": -1}, "members": [{"name": "w", "addr": "http://x", "profiles": [{"name": "p", "shards": 1, "cols": 32, "rows": 32}]}]}`, "negative cache"},
+		{"cache entries", `{"cache": {"entries": 16}, "members": [{"name": "w", "addr": "http://x", "profiles": [{"name": "p", "shards": 1, "cols": 32, "rows": 32}]}]}`, "unknown field"},
 		{"bad profiles", `{"members": [{"name": "w", "addr": "http://x", "profiles": []}]}`, "w"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -481,39 +481,6 @@ func TestGatewayStatsEndToEnd(t *testing.T) {
 	// docs/examples/stats-federated.json mirrors this shape).
 	if _, err := json.Marshal(st); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCacheBytesAreReportBytes pins what the cache block's bytes
-// count: after N distinct cacheable jobs through a gateway over an
-// in-memory worker, both roles' cache bytes are the sum of the jobs'
-// report bytes.
-func TestCacheBytesAreReportBytes(t *testing.T) {
-	const n = 4
-	svc, ts := startWorker(t, die40())
-	g, err := New(Config{Members: []MemberSpec{{Name: "w0", Addr: ts.URL, Profiles: die40()}},
-		PollInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	var sum int64
-	for i := 0; i < n; i++ {
-		res, err := g.Submit(service.SubmitRequest{Seed: 6000 + uint64(i), Program: testProgram(4)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second)
-		if err != nil || !terminal || j.Status != service.StatusDone {
-			t.Fatalf("job %s: %s %v", res.ID, j.Status, err)
-		}
-		sum += int64(len(j.Report))
-	}
-	if c := g.Stats().Gateway.Cache; c == nil || c.Entries != n || c.Bytes != sum {
-		t.Errorf("gateway cache %+v, want %d entries of %d report bytes", c, n, sum)
-	}
-	if c := svc.Stats().Cache; c == nil || c.Entries != n || c.Bytes != sum {
-		t.Errorf("worker cache %+v, want %d entries of %d report bytes", c, n, sum)
 	}
 }
 

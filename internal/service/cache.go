@@ -4,19 +4,21 @@ package service
 // JSON, seed, eligible-profile configs) — the determinism contract —
 // so Submit content-addresses each submission (internal/cache) and
 // serves duplicates without touching a shard or consuming a queue
-// slot. Three fast paths, checked in order under the service lock:
+// slot. One index, Service.byKey, maps a key to the root job that
+// computes or computed it, and answers a duplicate under the service
+// lock in one of two ways:
 //
-//   - singleflight: an identical submission is already queued or
-//     running → the caller is attached to it (202 with the existing
-//     job ID, no new record, no WAL append);
-//   - memory hit: the LRU maps the key to a finished root job → a new
-//     alias job is minted instantly in StatusDone, sharing the root's
-//     report and event ring (CacheHit/DedupOf provenance);
-//   - disk hit (durable services): the store's keyed finish index maps
-//     the key to a recovered root → same alias, plus LRU promotion.
+//   - coalesced: the root is queued or running → the caller is
+//     attached to it (202 with the existing job ID, no new record, no
+//     WAL append);
+//   - hit: the root is done → a new alias job is minted instantly in
+//     StatusDone, sharing the root's report and event ring
+//     (CacheHit/DedupOf provenance).
 //
-// docs/caching.md documents the key derivation, the two-tier
-// semantics and the bit-identity guarantee.
+// The index keeps every key for as long as the daemon keeps the root's
+// record, which is for good; a durable service rebuilds it at startup
+// from the keyed finish records in its log. docs/caching.md documents
+// the key derivation, the index and the bit-identity guarantee.
 
 import (
 	"encoding/json"
@@ -29,13 +31,10 @@ import (
 	"biochip/internal/store"
 )
 
-// CacheConfig sizes the result cache.
+// CacheConfig configures the result cache. Its index has no bound: an
+// entry is one map slot beside the root's job record, which the service
+// keeps for good.
 type CacheConfig struct {
-	// Entries bounds the in-memory LRU tier; 0 means
-	// cache.DefaultLRUEntries. An entry only names its root job, whose
-	// record — report and event ring — the service keeps whether the
-	// entry is resident or not.
-	Entries int
 	// Disable turns the result cache off entirely: every submission
 	// executes, exactly as before the cache existed.
 	Disable bool
@@ -139,17 +138,16 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 	if s.draining {
 		return SubmitResult{}, ErrDraining
 	}
-	// Cache fast paths come before the queue-capacity check: a
-	// duplicate is answered even when the queue is full, because it
-	// consumes no slot.
-	if !key.Zero() {
-		if root, ok := s.inflight[key]; ok {
-			s.met.coalesced.Inc()
-			return SubmitResult{ID: root.ID, Eligible: root.Eligible, Cache: "coalesced"}, nil
-		}
-		if root := s.cachedRootLocked(key); root != nil {
+	// The cache answers before the queue-capacity check: a duplicate
+	// is answered even when the queue is full, because it consumes no
+	// slot. The zero key is never indexed.
+	if root := s.byKey[key]; root != nil {
+		if root.Status == StatusDone {
+			s.met.hit.Inc()
 			return s.serveHitLocked(root, pr, seed, wal, traceParent)
 		}
+		s.met.coalesced.Inc()
+		return SubmitResult{ID: root.ID, Eligible: root.Eligible, Cache: "coalesced"}, nil
 	}
 	if s.queued >= s.cfg.QueueDepth {
 		return SubmitResult{}, s.queueFullLocked()
@@ -188,7 +186,7 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 // must always execute — eligibility, not the executing shard, is what
 // the key binds).
 func (s *Service) cacheKey(pr assay.Program, seed uint64, eligible []*profile) (cache.Key, error) {
-	if s.lru == nil {
+	if s.byKey == nil {
 		return cache.Key{}, nil
 	}
 	mats := make([]cache.ProfileMaterial, 0, len(eligible))
@@ -205,30 +203,6 @@ func (s *Service) cacheKey(pr assay.Program, seed uint64, eligible []*profile) (
 	return key, nil
 }
 
-// cachedRootLocked resolves a key to a finished root job through the
-// two cache tiers — LRU first, then (durable services) the store's
-// keyed finish index, promoting disk hits into the LRU. Caller holds
-// s.mu.
-func (s *Service) cachedRootLocked(key cache.Key) *Job {
-	if e, ok := s.lru.Get(key); ok {
-		if root := s.jobs[e.ID]; root != nil && root.Status == StatusDone {
-			s.met.hit.Inc()
-			return root
-		}
-		s.lru.Remove(key)
-	}
-	if s.store != nil {
-		if id, ok := s.store.FinishByKey(key.String()); ok {
-			if root := s.jobs[id]; root != nil && root.Status == StatusDone {
-				s.met.diskHit.Inc()
-				s.cacheInsertLocked(root)
-				return root
-			}
-		}
-	}
-	return nil
-}
-
 // serveHitLocked answers a submission from a finished root job: it
 // mints a new job record that is born terminal — CacheHit provenance,
 // the root's report bytes and the root's event ring, so Get, Wait,
@@ -238,9 +212,10 @@ func (s *Service) cachedRootLocked(key cache.Key) *Job {
 // report and stream live once, in the root's record). Caller holds
 // s.mu.
 //
-// Invariant: on a durable service every cache-resident root is
-// persisted — finish() and recovery only insert persisted roots — so
-// the alias's DedupOf reference is always resolvable after a restart.
+// Invariant: on a durable service every done root in the index is
+// persisted — finish drops one whose record did not persist, and
+// recovery indexes only restored ones — so the alias's DedupOf
+// reference is always resolvable after a restart.
 func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal json.RawMessage, traceParent string) (SubmitResult, error) {
 	id := JobID(s.seq + 1)
 	if s.store != nil {
@@ -291,13 +266,6 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 	return SubmitResult{ID: id, Eligible: j.Eligible, Cache: "hit", DedupOf: root.ID}, nil
 }
 
-// cacheInsertLocked registers a finished root job in the LRU tier,
-// sized by its report. Caller holds s.mu; the job is done and (if
-// durable) persisted.
-func (s *Service) cacheInsertLocked(j *Job) {
-	s.lru.Add(j.key, cache.Entry{ID: j.ID, Bytes: int64(len(j.Report))})
-}
-
 // queueFullLocked snapshots the per-class backlog into a
 // *QueueFullError. Caller holds s.mu.
 func (s *Service) queueFullLocked() error {
@@ -313,18 +281,14 @@ func (s *Service) queueFullLocked() error {
 // CacheStats is the result-cache block of Stats (GET /v1/stats),
 // present when the cache is enabled.
 type CacheStats struct {
-	// Entries/Capacity/Bytes describe the in-memory LRU tier.
-	Entries  int   `json:"entries"`
-	Capacity int   `json:"capacity"`
-	Bytes    int64 `json:"bytes"`
-	// Hits counts submissions answered from the LRU tier, DiskHits
-	// from the durable tier, Misses cacheable submissions that had to
-	// execute, and Coalesced submissions attached to an identical
-	// in-flight job. Non-cacheable submissions count nowhere.
+	// Entries is the size of the index: every key of a queued, running
+	// or done root.
+	Entries int `json:"entries"`
+	// Hits counts submissions answered from a done root, Misses
+	// cacheable submissions that had to execute, and Coalesced
+	// submissions attached to an identical queued or running root.
+	// Non-cacheable submissions count nowhere.
 	Hits      uint64 `json:"hits"`
-	DiskHits  uint64 `json:"disk_hits"`
 	Misses    uint64 `json:"misses"`
 	Coalesced uint64 `json:"coalesced"`
-	// Inflight is the current size of the singleflight table.
-	Inflight int `json:"inflight"`
 }

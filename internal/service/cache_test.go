@@ -175,8 +175,45 @@ func TestSingleflightCoalesce(t *testing.T) {
 	if st.Cache.Coalesced != dups {
 		t.Errorf("stats.Cache.Coalesced = %d, want %d", st.Cache.Coalesced, dups)
 	}
-	if st.Cache.Inflight != 0 {
-		t.Errorf("stats.Cache.Inflight = %d after drain, want 0", st.Cache.Inflight)
+	if st.Cache.Entries != 2 {
+		t.Errorf("stats.Cache.Entries = %d after drain, want 2 (one per distinct key)", st.Cache.Entries)
+	}
+}
+
+// TestCacheKeepsEveryKey pins that the result-cache index keeps every
+// key for the daemon's lifetime: after 1025 distinct roots, the first
+// seed's resubmission is still a hit on its root.
+func TestCacheKeepsEveryKey(t *testing.T) {
+	svc, err := New(Config{Shards: 1, Chip: testChip()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	svc.run = func(*shard, *Job) (*assay.Report, error) { return &assay.Report{}, nil }
+	pr := testProgram(4)
+	const n = 1025
+	var first string
+	for seed := uint64(1); seed <= n; seed++ {
+		id, err := submit(svc, pr, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+			t.Fatalf("seed %d: %s %v", seed, j.Status, err)
+		}
+		if seed == 1 {
+			first = id
+		}
+	}
+	res, err := svc.Submit(SubmitRequest{Seed: 1, Program: pr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache != "hit" || res.DedupOf != first {
+		t.Fatalf("resubmitted seed 1 = %+v, want a hit on %s", res, first)
+	}
+	if c := svc.Stats().Cache; c.Entries != n || c.Misses != n || c.Hits != 1 {
+		t.Errorf("cache stats %+v, want %d entries, %d misses, 1 hit", *c, n, n)
 	}
 }
 

@@ -28,10 +28,9 @@ type FleetProfileSpec struct {
 }
 
 // FleetCacheSpec is the optional result-cache block of a fleet spec.
+// The cache's index has no size to set (CacheConfig): an "entries"
+// field is unknown, and fails to parse as any unknown field does.
 type FleetCacheSpec struct {
-	// Entries bounds the in-memory LRU tier; 0 means the default
-	// (cache.DefaultLRUEntries).
-	Entries int `json:"entries,omitempty"`
 	// Disable turns the result cache off for the whole fleet.
 	Disable bool `json:"disable,omitempty"`
 }
@@ -68,9 +67,6 @@ func ParseFleetSpec(data []byte) (FleetSpec, error) {
 	if fs.Queue < 0 {
 		return FleetSpec{}, fmt.Errorf("service: fleet spec: negative queue depth %d", fs.Queue)
 	}
-	if fs.Cache.Entries < 0 {
-		return FleetSpec{}, fmt.Errorf("service: fleet spec: negative cache entries %d", fs.Cache.Entries)
-	}
 	seen := make(map[string]bool, len(fs.Profiles))
 	for i, p := range fs.Profiles {
 		switch {
@@ -106,7 +102,7 @@ func LoadFleetSpec(path string) (FleetSpec, error) {
 func (fs FleetSpec) ServiceConfig() Config {
 	cfg := Config{
 		QueueDepth: fs.Queue,
-		Cache:      CacheConfig{Entries: fs.Cache.Entries, Disable: fs.Cache.Disable},
+		Cache:      CacheConfig{Disable: fs.Cache.Disable},
 	}
 	for _, p := range fs.Profiles {
 		die := chip.DefaultConfig()

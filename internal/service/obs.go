@@ -20,10 +20,10 @@ import "biochip/internal/obs"
 // builds each shard — so a scrape's series set never depends on which
 // paths ran, and counter sites skip the label lookup.
 type svcMetrics struct {
-	done, failed                  *obs.Counter    // terminal jobs, restored ones included
-	recovered, persistErrors      *obs.Counter    // (no labels)
-	hit, diskHit, miss, coalesced *obs.Counter    // result-cache outcomes
-	executed, steals              *obs.CounterVec // profile, shard
+	done, failed             *obs.Counter    // terminal jobs, restored ones included
+	recovered, persistErrors *obs.Counter    // (no labels)
+	hit, miss, coalesced     *obs.Counter    // result-cache outcomes
+	executed, steals         *obs.CounterVec // profile, shard
 
 	queueDepth *obs.GaugeVec     // class
 	queueWait  *obs.HistogramVec // class
@@ -42,7 +42,6 @@ func newSvcMetrics(reg *obs.Registry) svcMetrics {
 		recovered:     reg.Counter("assayd_recovered_total", "Jobs restored from the durable store at startup.").With(),
 		persistErrors: reg.Counter("assayd_persist_errors_total", "Durable-store appends that failed.").With(),
 		hit:           cache.With("hit"),
-		diskHit:       cache.With("disk_hit"),
 		miss:          cache.With("miss"),
 		coalesced:     cache.With("coalesced"),
 		executed:      reg.Counter("assayd_executed_total", "Jobs executed, per profile and shard.", "profile", "shard"),

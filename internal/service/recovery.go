@@ -111,9 +111,9 @@ func (s *Service) recover() error {
 // recovered ring serving the persisted event stream. A cache-hit alias
 // (DedupOf) is rebuilt sharing its root's report and ring — the root is
 // always earlier in the log, since an alias finish record is only ever
-// written after its root's. Keyed roots re-warm the LRU tier, so a
-// restarted daemon answers cache lookups for everything it ever
-// computed. Caller holds s.mu.
+// written after its root's. Keyed roots join the result-cache index,
+// first writer winning, so a restarted daemon answers cache lookups
+// for everything it ever computed. Caller holds s.mu.
 func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64, fin *store.FinishRecord) error {
 	if fin.DedupOf != "" {
 		root := s.jobs[fin.DedupOf]
@@ -168,11 +168,13 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 	default:
 		return fmt.Errorf("service: recovery: job %s: terminal record with status %q", id, fin.Status)
 	}
-	if s.lru != nil && fin.Key != "" && j.Status == StatusDone {
+	if s.byKey != nil && fin.Key != "" && j.Status == StatusDone {
 		var key cache.Key
 		if n, err := hex.Decode(key[:], []byte(fin.Key)); err == nil && n == len(key) {
 			j.key = key
-			s.cacheInsertLocked(j)
+			if _, dup := s.byKey[key]; !dup {
+				s.byKey[key] = j
+			}
 		}
 	}
 	s.jobs[id] = j

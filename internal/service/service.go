@@ -356,12 +356,11 @@ type Service struct {
 	jobs      map[string]*Job
 	classes   map[string]*classQueue
 	classList []*classQueue
-	// lru is the in-memory tier of the result cache (nil when
-	// Config.Cache.Disable); inflight is the singleflight table mapping
-	// a content key to its queued-or-running root job. Both are guarded
-	// by mu.
-	lru      *cache.LRU
-	inflight map[cache.Key]*Job
+	// byKey is the result-cache index (nil when Config.Cache.Disable):
+	// a content key maps to the root job that computes or computed it,
+	// queued, running or done. Failed roots, and on a durable service
+	// done roots whose finish record did not persist, leave it.
+	byKey    map[cache.Key]*Job
 	seq      int
 	queued   int
 	closed   bool
@@ -457,11 +456,9 @@ func New(cfg Config) (*Service, error) {
 		s.profiles = append(s.profiles, p)
 	}
 	if !cfg.Cache.Disable {
-		// The result cache must exist before recovery replays the log:
-		// restored roots warm the LRU, re-enqueued in-flight jobs
-		// register in the singleflight table.
-		s.lru = cache.NewLRU(cfg.Cache.Entries)
-		s.inflight = make(map[cache.Key]*Job)
+		// The index must exist before recovery replays the log, which
+		// registers restored keyed roots and re-enqueued jobs in it.
+		s.byKey = make(map[cache.Key]*Job)
 	}
 	if s.store != nil {
 		// Replay the log before any shard loop starts: restored jobs
@@ -554,7 +551,7 @@ func shardIDsOf(shards []*shard, eligible []*profile) []int {
 
 // enqueueLocked creates the job record under the given (already WAL'd
 // when durable) ID, attaches its event ring, publishes the placement
-// event, registers cacheable jobs in the singleflight table and queues
+// event, registers cacheable jobs in the result-cache index and queues
 // the job. The ID must be JobID(s.seq+1); enqueueLocked advances s.seq.
 // traceParent is the foreign parent span from an X-Assay-Trace header
 // ("" for local and recovered submissions). Caller holds s.mu.
@@ -578,11 +575,11 @@ func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target
 	}
 	s.startTrace(j, traceParent)
 	if !key.Zero() {
-		if _, dup := s.inflight[key]; !dup {
+		if _, dup := s.byKey[key]; !dup {
 			// First writer wins: recovery can legally re-enqueue two
 			// identical jobs admitted before the cache existed (or
 			// while it was disabled); the extra one just executes.
-			s.inflight[key] = j
+			s.byKey[key] = j
 		}
 	}
 	// Event 1 of every job's stream: admission and placement.
@@ -695,8 +692,8 @@ func (s *Service) Close() {
 			j.ring.Publish(stream.Event{Type: stream.JobFailed,
 				Job: &stream.JobInfo{ID: j.ID}, Err: ErrClosed.Error()})
 			j.ring.Close()
-			if !j.key.Zero() && s.inflight[j.key] == j {
-				delete(s.inflight, j.key)
+			if s.byKey[j.key] == j {
+				delete(s.byKey, j.key)
 			}
 			close(j.done)
 		}
@@ -829,15 +826,12 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 		s.met.persist.With().Observe(obs.Since(pAt))
 		j.trace.Add("persist", finSpan.ID(), pAt, obs.Now())
 	}
-	if !j.key.Zero() {
-		if s.inflight[j.key] == j {
-			delete(s.inflight, j.key)
-		}
-		// A failed job caches nothing: failures are often
-		// environmental (close, drain), and a retry should execute.
-		if j.Status == StatusDone && (s.store == nil || j.persisted) {
-			s.cacheInsertLocked(j)
-		}
+	// A failed root leaves the result-cache index, so a retry executes:
+	// failures are often environmental (close, drain). So does a done
+	// root whose finish record did not persist, since no restart could
+	// resolve an alias of it.
+	if (j.Status == StatusFailed || (s.store != nil && !j.persisted)) && s.byKey[j.key] == j {
+		delete(s.byKey, j.key)
 	}
 	finSpan.End()
 	j.spanRoot.End()
@@ -868,8 +862,7 @@ func (s *Service) persistFinishLocked(j *Job) {
 		Events:   j.ring.Events(),
 	}
 	if !j.key.Zero() && j.Status == StatusDone {
-		// The content address makes the log the durable cache tier:
-		// the keyed finish index answers FinishByKey after a restart.
+		// A restart rebuilds the result-cache index from keyed roots.
 		rec.Key = j.key.String()
 	}
 	if err := s.store.LogFinish(rec); err != nil {
@@ -1043,16 +1036,12 @@ func (s *Service) Stats() Stats {
 		sst := s.store.Stats()
 		st.Store = &sst
 	}
-	if s.lru != nil {
+	if s.byKey != nil {
 		st.Cache = &CacheStats{
-			Entries:   s.lru.Len(),
-			Capacity:  s.lru.Capacity(),
-			Bytes:     s.lru.Bytes(),
+			Entries:   len(s.byKey),
 			Hits:      uint64(s.met.hit.Value()),
-			DiskHits:  uint64(s.met.diskHit.Value()),
 			Misses:    uint64(s.met.miss.Value()),
 			Coalesced: uint64(s.met.coalesced.Value()),
-			Inflight:  len(s.inflight),
 		}
 	}
 	planners := make(map[string]PlannerStats)

@@ -12,11 +12,9 @@ import (
 // lives as long as the job record and keeps every event, so a finished
 // job's stream replays in full (from the log on a durable service once
 // its finish record is written); callers must Cancel the
-// subscription when done. Every event carries its encoding (Data). A
-// finished durable job's events come from the log as a gateway's
-// relayed events come from its member: sequence number, type and
-// bytes, with no payload block decoded; a reader that needs one
-// decodes Data.
+// subscription when done. Events come as the ring keeps them, from the
+// ring and the log alike: sequence number, type and bytes (Data); a
+// reader that needs a payload block decodes Data.
 func (s *Service) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

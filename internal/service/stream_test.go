@@ -177,7 +177,7 @@ func TestStreamDeterminism(t *testing.T) {
 		t.Fatalf("service stream has %d execution events, serial replay %d", len(exec), len(c.Events))
 	}
 	for i := range exec {
-		a, b := exec[i], c.Events[i]
+		a, b := decodeData(t, exec[i]), c.Events[i]
 		if a.Seq != b.Seq+2 {
 			t.Errorf("execution event %d: seq %d, want serial seq %d + 2", i, a.Seq, b.Seq)
 		}

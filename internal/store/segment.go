@@ -62,7 +62,6 @@ type Disk struct {
 	bytes     int64 // total log bytes across segments
 	truncated int64 // corrupt tail bytes discarded at open
 	index     map[string]finishEntry
-	keyIndex  map[string]string // content-address hex → root job ID
 	closed    bool
 	// broken is set when a failed append could not be cut back off the
 	// active segment: the segment's end is then unknown, so every later
@@ -107,10 +106,9 @@ func Open(dir string, opts Options) (*Disk, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	d := &Disk{
-		dir:      dir,
-		opts:     opts,
-		index:    make(map[string]finishEntry),
-		keyIndex: make(map[string]string),
+		dir:   dir,
+		opts:  opts,
+		index: make(map[string]finishEntry),
 	}
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -345,18 +343,13 @@ func (d *Disk) rollback(size int64) {
 	}
 }
 
-// indexFinish registers one finish record in the in-memory indexes:
-// every record by job ID, and successful roots — done, keyed, not
-// themselves aliases — by content-address key. Caller holds d.mu (or is
-// the single-threaded open-time scan).
+// indexFinish registers one finish record in the in-memory index by
+// job ID. Caller holds d.mu (or is the single-threaded open-time scan).
 func (d *Disk) indexFinish(fin *FinishRecord, e finishEntry) {
 	if len(e.events) == 0 {
 		e.dedupOf = fin.DedupOf
 	}
 	d.index[fin.ID] = e
-	if fin.Key != "" && fin.DedupOf == "" && fin.Status == "done" {
-		d.keyIndex[fin.Key] = fin.ID
-	}
 }
 
 // roll starts the next segment and seals the active one. The next
@@ -442,14 +435,6 @@ func (d *Disk) Events(id string) ([]stream.Event, error) {
 		evs[i] = stream.WithEncoding(stream.Event{Seq: uint64(i + 1), Type: sp.typ}, payload[sp.start:sp.end:sp.end])
 	}
 	return evs, nil
-}
-
-// FinishByKey implements Store: an in-memory index lookup, no disk I/O.
-func (d *Disk) FinishByKey(key string) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	id, ok := d.keyIndex[key]
-	return id, ok
 }
 
 // Stats implements Store.

@@ -91,10 +91,9 @@ type FinishRecord struct {
 	// Error is the failure message of failed jobs.
 	Error string `json:"error,omitempty"`
 	// Key is the hex content-address of the job's (program, seed,
-	// profile-config) triple (internal/cache). Set on successful roots,
-	// it makes the store the durable tier of the result cache: the
-	// keyed finish index rebuilt at open time lets a restarted daemon
-	// answer cache lookups for everything it ever computed.
+	// profile-config) triple (internal/cache), set on successful roots.
+	// A restarted worker rebuilds its result-cache index from these
+	// keys, so it answers cache lookups for everything it ever computed.
 	Key string `json:"key,omitempty"`
 	// DedupOf marks a cache-hit alias: the job was answered from the
 	// finish record of the named root job and persists neither report
@@ -176,10 +175,6 @@ type Store interface {
 	// blocks are not decoded. Cache-hit aliases (FinishRecord.DedupOf)
 	// resolve to their root's stream.
 	Events(id string) ([]stream.Event, error)
-	// FinishByKey returns the job ID of the successful finish record
-	// with the given content-address key, if any — the durable tier of
-	// the result cache. Lookups hit the in-memory index only.
-	FinishByKey(key string) (string, bool)
 	// Stats snapshots the store counters.
 	Stats() Stats
 	// Close releases the store. A Close without a prior drain is the

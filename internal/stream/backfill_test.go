@@ -70,8 +70,8 @@ func TestTeeObservesStampedEvents(t *testing.T) {
 		t.Fatalf("Events: %d events, want 600", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) || ev.Wall != 3.5 || ev.Op.Index != i {
-			t.Fatalf("Events: event %d has seq %d wall %v op %+v", i, ev.Seq, ev.Wall, ev.Op)
+		if d := decoded(t, ev); ev.Seq != uint64(i+1) || d.Wall != 3.5 || d.Op.Index != i {
+			t.Fatalf("Events: event %d has seq %d wall %v op %+v", i, ev.Seq, d.Wall, d.Op)
 		}
 		want := fmt.Sprintf(`{"seq":%d,"type":"op.started","t":0,"wall":3.5,"op":{"index":%d,"kind":"load"}}`, i+1, i)
 		if data, err := ev.Data(); err != nil || string(data) != want {

@@ -45,15 +45,15 @@ func NewRing() *Ring {
 }
 
 // Publish assigns the event its sequence number, stamps its wall clock,
-// encodes it, stores it and wakes subscribers. It never blocks and
-// returns the assigned sequence number. Publishing on a closed ring is
-// a no-op returning 0.
+// encodes it, stores it as its sequence number, type and bytes, and
+// wakes subscribers. It never blocks and returns the assigned sequence
+// number. Publishing on a closed ring is a no-op returning 0.
 //
 // The encoding is the event's from then on (Data): every SSE frame
 // copies it, and a durable log splices it into the job's finish
 // record, so an event is encoded once however many times it is served.
-// An event that cannot be encoded (a non-finite float) is stored
-// without one, and each use then fails as json.Marshal does.
+// An event that cannot be encoded (a non-finite float) is stored whole,
+// and each use of Data then fails as json.Marshal does.
 func (r *Ring) Publish(ev Event) uint64 {
 	r.mu.Lock()
 	if r.closed {
@@ -81,12 +81,11 @@ func (r *Ring) Publish(ev Event) uint64 {
 // ignored: they describe the upstream connection, not the job. Feeding
 // a closed ring is a no-op.
 //
-// An event is stored as given, its encoding included (WithEncoding), so
-// subscribers are served the upstream's bytes. A relay need decode only
-// what Feed reads — Seq, Type and a gap's range — and what it rewrites
-// itself; a federation gateway decodes the Job and Gap blocks and
-// leaves every other payload block encoded. A subscriber that reads
-// payload fields decodes the event's Data.
+// An event that carries its encoding (WithEncoding) is stored as its
+// sequence number, type and bytes, so subscribers are served the
+// upstream's bytes; one without is stored whole. A relay need decode
+// only what Feed reads — Seq, Type and a gap's range — and what it
+// rewrites itself.
 func (r *Ring) Feed(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -109,8 +108,16 @@ func (r *Ring) Feed(ev Event) {
 }
 
 // storeLocked appends ev, whose sequence number is the next one, and
-// wakes subscribers. Caller holds r.mu.
+// wakes subscribers. An event that carries its encoding is kept as its
+// sequence number, type and bytes, the shape a durable log serves, so
+// every source a subscriber reads yields one shape: a reader that needs
+// a payload block decodes Data. An event without an encoding (one
+// Publish could not encode, or one fed without it) is kept whole, and
+// Data encodes it, or fails, on each use. Caller holds r.mu.
 func (r *Ring) storeLocked(ev Event) {
+	if ev.enc != nil {
+		ev = Event{Seq: ev.Seq, Type: ev.Type, enc: ev.enc}
+	}
 	if r.buf == nil {
 		r.buf = make([]Event, 0, 8)
 	}
@@ -137,8 +144,9 @@ func (r *Ring) advanceLocked(seq uint64) {
 func (r *Ring) Sink() Sink { return func(ev Event) { r.Publish(ev) } }
 
 // Events returns a copy of the retained events in sequence order, each
-// carrying its encoding: a published ring's whole stream, as
-// subscribers saw it. An offloaded ring retains none.
+// as the ring stores it (its sequence number, type and bytes): a
+// published ring's whole stream, as subscribers saw it. An offloaded
+// ring retains none.
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
