@@ -45,11 +45,11 @@
 // docs/observability.md) — the timed stages the job moved through,
 // stitched across the federation hop when the daemon is a gateway. The
 // global -v flag logs every request's wall latency and each
-// retry/backoff decision to stderr.
+// retry/backoff decision to stderr. Requests go through service.Client.
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -57,10 +57,10 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
+	"biochip/internal/assay"
 	"biochip/internal/federation"
 	"biochip/internal/obs"
 	"biochip/internal/rng"
@@ -68,8 +68,8 @@ import (
 	"biochip/internal/stream"
 )
 
-// verbose is the global -v switch: per-request wall latency and
-// retry/backoff decisions go to stderr.
+// verbose is the global -v switch: requests and retry/backoff
+// decisions go to stderr.
 var verbose bool
 
 // vlogf logs one -v diagnostic line to stderr.
@@ -79,32 +79,53 @@ func vlogf(format string, a ...interface{}) {
 	}
 }
 
+// logTransport is the -v request log: one line to w per request, its
+// method, URL, status (or error) and latency to the response head.
+type logTransport struct{ w io.Writer }
+
+func (t logTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	start := time.Now()
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	outcome := any(err)
+	if err == nil {
+		outcome = resp.StatusCode
+	}
+	fmt.Fprintf(t.w, "assayctl: %s %s → %v in %v\n", req.Method, req.URL, outcome, time.Since(start).Round(time.Millisecond))
+	return resp, err
+}
+
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8547", "assayd base URL")
-	flag.BoolVar(&verbose, "v", false, "log request latencies and retry decisions to stderr")
+	flag.BoolVar(&verbose, "v", false, "log requests and retry decisions to stderr")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
 	}
+	// One client for every request, so -v logs them all, stream
+	// reconnects included.
+	c := &service.Client{Addr: *addr}
+	if verbose {
+		c.HTTP = &http.Client{Transport: logTransport{os.Stderr}}
+	}
 	var err error
 	switch args[0] {
 	case "submit":
-		err = cmdSubmit(*addr, args[1:])
+		err = cmdSubmit(c, args[1:])
 	case "get":
-		err = cmdGet(*addr, args[1:])
+		err = cmdGet(c, args[1:])
 	case "wait":
-		err = cmdWait(*addr, args[1:])
+		err = cmdWait(c, args[1:])
 	case "watch":
-		err = cmdWatch(*addr, args[1:])
+		err = cmdWatch(c, args[1:])
 	case "trace":
-		err = cmdTrace(*addr, args[1:])
+		err = cmdTrace(c, args[1:])
 	case "list":
-		err = cmdList(*addr, args[1:])
+		err = cmdList(c, args[1:])
 	case "stats":
-		err = cmdStats(*addr, args[1:])
+		err = cmdStats(c, args[1:])
 	case "health":
-		err = cmdHealth(*addr, args[1:])
+		err = cmdHealth(c, args[1:])
 	default:
 		usage()
 	}
@@ -127,7 +148,7 @@ func usage() {
 	os.Exit(2)
 }
 
-func cmdSubmit(addr string, args []string) error {
+func cmdSubmit(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	seed := fs.Uint64("seed", 1, "request seed (replaying it reproduces the result bit-for-bit)")
 	wait := fs.Bool("wait", false, "block until the job finishes and print the job record")
@@ -136,18 +157,16 @@ func cmdSubmit(addr string, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("submit needs exactly one program file")
 	}
-	prog, err := os.ReadFile(fs.Arg(0))
+	raw, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(map[string]json.RawMessage{
-		"seed":    json.RawMessage(fmt.Sprint(*seed)),
-		"program": json.RawMessage(prog),
-	})
-	if err != nil {
-		return err
+	// A malformed program fails here, before any request.
+	var pr assay.Program
+	if err := json.Unmarshal(raw, &pr); err != nil {
+		return fmt.Errorf("%s: %w", fs.Arg(0), err)
 	}
-	sub, err := submitWithBackoff(addr, body, *retries)
+	sub, err := submitWithBackoff(c, service.SubmitRequest{Seed: *seed, Program: pr}, *retries)
 	if err != nil {
 		return err
 	}
@@ -168,117 +187,72 @@ func cmdSubmit(addr string, args []string) error {
 		fmt.Println(sub.ID)
 		return nil
 	}
-	return waitUntilDone(addr, sub.ID)
+	return waitUntilDone(c, sub.ID)
 }
 
-// submitResult decodes a submit reply: the accepted submission, or the
-// error envelope of a refusal.
-type submitResult struct {
-	service.SubmitResult
-	Error string `json:"error"`
-}
-
-// parseQueueFull decodes a 429 refusal body — the error envelope with
-// the server's queue occupancy and per-class backlog — tolerantly: a
-// malformed, truncated or empty body yields a zero value (rendering as
-// nothing) rather than an error, so the retry loop degrades to the
-// plain Retry-After backoff instead of aborting on a mangled proxy
-// response.
-func parseQueueFull(r io.Reader) service.ErrorBody {
-	var qf service.ErrorBody
-	if err := json.NewDecoder(r).Decode(&qf); err != nil {
-		// A partial decode can leave fields half-populated; keep only
-		// the error text so the backlog renders as nothing.
-		return service.ErrorBody{Error: qf.Error}
-	}
-	if qf.Queued != nil && *qf.Queued < 0 {
-		qf.Queued = nil
-	}
-	return qf
-}
-
-// renderBacklog formats a 429 body's backlog block for the retry
-// message: "16/16 queued (die40: 12, die40+die48: 4)".
-func renderBacklog(qf service.ErrorBody) string {
-	if qf.Queued == nil {
+// renderBacklog formats a 429's fill and backlog for the retry
+// message: "16/16 queued (die40: 12, die40+die48: 4)". A refusal
+// without a fill (a mangled body, which the Client reads as an empty
+// backlog) renders as nothing.
+func renderBacklog(qf *service.QueueFullError) string {
+	if qf.Depth == 0 {
 		return ""
 	}
-	s := fmt.Sprintf(", %d/%d queued", *qf.Queued, qf.QueueDepth)
-	if len(qf.Backlog) == 0 {
+	s := fmt.Sprintf(", %d/%d queued", qf.Queued, qf.Depth)
+	if len(qf.Classes) == 0 {
 		return s
 	}
-	classes := make([]string, len(qf.Backlog))
-	for i, c := range qf.Backlog {
+	classes := make([]string, len(qf.Classes))
+	for i, c := range qf.Classes {
 		classes[i] = fmt.Sprintf("%s: %d", strings.Join(c.Profiles, "+"), c.Queued)
 	}
 	return s + " (" + strings.Join(classes, ", ") + ")"
 }
 
-// submitWithBackoff POSTs the submission, sleeping out each 429 for the
-// duration the server advertises in Retry-After (default 1 s) before
+// submitWithBackoff submits req, sleeping out each 429 for the
+// Retry-After the server advertises (QueueFullError.RetryAfter) before
 // retrying, up to the retry budget. Each sleep is jittered ±20% —
 // deterministically per (process, attempt), so a run is reproducible
 // while concurrent clients still spread out — and the retry message
 // renders the per-class backlog from the refusal body.
-func submitWithBackoff(addr string, body []byte, retries int) (submitResult, error) {
-	var sub submitResult
+func submitWithBackoff(c *service.Client, req service.SubmitRequest, retries int) (service.SubmitResult, error) {
 	// One draw per attempt: deterministic for a given process, but
 	// distinct across concurrent clients (seeded by pid).
 	jitter := rng.Substream(uint64(os.Getpid()), 0x6a697474657200)
 	for attempt := 0; ; attempt++ {
-		start := time.Now()
-		resp, err := http.Post(addr+"/v1/assays", "application/json", bytes.NewReader(body))
-		if err != nil {
+		sub, err := c.Submit(context.Background(), req)
+		var full *service.QueueFullError
+		if !errors.As(err, &full) {
 			return sub, err
 		}
-		vlogf("POST /v1/assays → %d in %v", resp.StatusCode,
-			time.Since(start).Round(time.Millisecond))
-		if resp.StatusCode == http.StatusTooManyRequests {
-			base := retryAfter(resp)
-			qf := parseQueueFull(resp.Body)
-			resp.Body.Close()
-			if attempt >= retries {
-				return sub, fmt.Errorf("queue full after %d attempts%s", attempt+1, renderBacklog(qf))
-			}
-			backoff := time.Duration(float64(base) * jitter.Uniform(0.8, 1.2))
-			vlogf("backoff: Retry-After %v, jittered to %v (attempt %d/%d)",
-				base, backoff.Round(time.Millisecond), attempt+1, retries)
-			fmt.Fprintf(os.Stderr, "assayctl: queue full%s, retrying in %v (%d/%d)\n",
-				renderBacklog(qf), backoff.Round(time.Millisecond), attempt+1, retries)
-			time.Sleep(backoff)
-			continue
+		if attempt >= retries {
+			return sub, fmt.Errorf("queue full after %d attempts%s", attempt+1, renderBacklog(full))
 		}
-		if err := decode(resp, &sub); err != nil {
-			return sub, err
-		}
-		if sub.Error != "" {
-			return sub, fmt.Errorf("%s: %s", resp.Status, sub.Error)
-		}
-		return sub, nil
+		backoff := time.Duration(float64(full.RetryAfter) * jitter.Uniform(0.8, 1.2))
+		vlogf("backoff: Retry-After %v, jittered to %v (attempt %d/%d)",
+			full.RetryAfter, backoff.Round(time.Millisecond), attempt+1, retries)
+		fmt.Fprintf(os.Stderr, "assayctl: queue full%s, retrying in %v (%d/%d)\n",
+			renderBacklog(full), backoff.Round(time.Millisecond), attempt+1, retries)
+		time.Sleep(backoff)
 	}
 }
 
-// retryAfter reads the server's backoff hint in seconds, defaulting to
-// one second when absent or unparsable.
-func retryAfter(resp *http.Response) time.Duration {
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
-		return time.Duration(secs) * time.Second
-	}
-	return time.Second
-}
-
-func cmdGet(addr string, args []string) error {
+func cmdGet(c *service.Client, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("get needs exactly one job ID")
 	}
-	return printJSON(addr + "/v1/assays/" + args[0])
+	j, err := c.Job(context.Background(), args[0])
+	if err != nil {
+		return err
+	}
+	return printJSON(j)
 }
 
-func cmdWait(addr string, args []string) error {
+func cmdWait(c *service.Client, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("wait needs exactly one job ID")
 	}
-	return waitUntilDone(addr, args[0])
+	return waitUntilDone(c, args[0])
 }
 
 // cmdTrace fetches GET /v1/assays/{id}/trace and renders the span
@@ -287,30 +261,22 @@ func cmdWait(addr string, args []string) error {
 // member's spans stitched under the forward span
 // (docs/observability.md). 404 means the daemon runs without
 // observability or the job predates it.
-func cmdTrace(addr string, args []string) error {
+func cmdTrace(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	output := fs.String("o", "text", "output mode: text (rendered tree) or json (raw trace document)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("trace needs exactly one job ID")
 	}
-	url := addr + "/v1/assays/" + fs.Arg(0) + "/trace"
-	if *output == "json" {
-		return printJSON(url)
-	}
-	if *output != "text" {
+	if *output != "text" && *output != "json" {
 		return fmt.Errorf("unknown output mode %q", *output)
 	}
-	raw, code, err := fetch(url)
+	doc, err := c.Trace(context.Background(), fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	if code != http.StatusOK {
-		return fmt.Errorf("%d: %s", code, strings.TrimSpace(string(raw)))
-	}
-	var doc obs.TraceDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return err
+	if *output == "json" {
+		return printJSON(doc)
 	}
 	for _, line := range renderTrace(doc) {
 		fmt.Println(line)
@@ -376,25 +342,22 @@ func renderTrace(doc obs.TraceDoc) []string {
 // snapshots, docs/federation.md): text mode renders the gateway
 // counters and each member's reachability first, then the merged
 // fleet exactly as a single daemon's.
-func cmdStats(addr string, args []string) error {
+func cmdStats(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	output := fs.String("o", "text", "output mode: text (rendered summary) or json (raw stats document)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("stats takes no positional arguments")
 	}
-	if *output == "json" {
-		return printJSON(addr + "/v1/stats")
-	}
-	if *output != "text" {
+	if *output != "text" && *output != "json" {
 		return fmt.Errorf("unknown output mode %q", *output)
 	}
-	raw, code, err := fetch(addr + "/v1/stats")
-	if err != nil {
+	var raw json.RawMessage
+	if err := c.Stats(context.Background(), &raw); err != nil {
 		return err
 	}
-	if code != http.StatusOK {
-		return fmt.Errorf("%d: %s", code, string(raw))
+	if *output == "json" {
+		return printJSON(raw)
 	}
 	// A gateway's stats nest the merged fleet under "fleet"; a worker's
 	// are the fleet block itself. A gateway always fronts a member.
@@ -480,19 +443,18 @@ func renderFleetStats(st service.Stats) error {
 // one line; a federation gateway reports the aggregate status plus one
 // line per member, and a non-ok aggregate ("degraded", "draining",
 // "unavailable") exits non-zero so scripts can gate on it.
-func cmdHealth(addr string, args []string) error {
+func cmdHealth(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("health", flag.ExitOnError)
 	output := fs.String("o", "text", "output mode: text (rendered) or json (raw health document)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("health takes no positional arguments")
 	}
-	raw, code, err := fetch(addr + "/v1/healthz")
-	if err != nil {
+	// The body decodes whether the daemon is ready or not; its status
+	// field says which.
+	var raw json.RawMessage
+	if _, err := c.Health(context.Background(), &raw); err != nil {
 		return err
-	}
-	if code != http.StatusOK && code != http.StatusServiceUnavailable {
-		return fmt.Errorf("%d: %s", code, string(raw))
 	}
 	// A worker's body is service.Health; a gateway's shares its status,
 	// uptime and build fields and adds the member rows.
@@ -505,11 +467,9 @@ func cmdHealth(addr string, args []string) error {
 	}
 	switch *output {
 	case "json":
-		var pretty bytes.Buffer
-		if err := json.Indent(&pretty, raw, "", "  "); err != nil {
+		if err := printJSON(raw); err != nil {
 			return err
 		}
-		fmt.Println(pretty.String())
 	case "text":
 		if h.Members == nil {
 			fmt.Printf("%s  %d shards, %d queued, %d running, up %.0fs%s\n",
@@ -556,7 +516,7 @@ func renderBuild(b *obs.Build) string {
 }
 
 // cmdList pages through GET /v1/assays and prints one job per line.
-func cmdList(addr string, args []string) error {
+func cmdList(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	status := fs.String("status", "", "filter by status (queued|running|done|failed)")
 	limit := fs.Int("limit", 0, "page size (server default 50)")
@@ -566,43 +526,9 @@ func cmdList(addr string, args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("list takes no positional arguments")
 	}
-	q := make([]string, 0, 4)
-	if *status != "" {
-		q = append(q, "status="+*status)
-	}
-	if *limit > 0 {
-		q = append(q, fmt.Sprintf("limit=%d", *limit))
-	}
-	if *after != "" {
-		q = append(q, "after="+*after)
-	}
-	if *newest {
-		q = append(q, "order=desc")
-	}
-	url := addr + "/v1/assays"
-	if len(q) > 0 {
-		url += "?" + strings.Join(q, "&")
-	}
-	raw, code, err := fetch(url)
+	page, err := c.List(context.Background(), service.ListFilter{
+		Status: service.Status(*status), Limit: *limit, After: *after, Newest: *newest})
 	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("%d: %s", code, string(raw))
-	}
-	var page struct {
-		Jobs []struct {
-			ID        string `json:"id"`
-			Status    string `json:"status"`
-			Program   string `json:"program"`
-			Seed      uint64 `json:"seed"`
-			Profile   string `json:"profile"`
-			Recovered bool   `json:"recovered"`
-			Error     string `json:"error"`
-		} `json:"jobs"`
-		Next string `json:"next"`
-	}
-	if err := json.Unmarshal(raw, &page); err != nil {
 		return err
 	}
 	for _, j := range page.Jobs {
@@ -627,7 +553,7 @@ func cmdList(addr string, args []string) error {
 // cmdWatch follows a job's SSE stream, reconnecting with Last-Event-ID
 // when the connection drops so the rendered sequence has no gaps or
 // duplicates.
-func cmdWatch(addr string, args []string) error {
+func cmdWatch(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	output := fs.String("o", "text", "output mode: text (rendered) or json (raw NDJSON)")
 	from := fs.Uint64("from", 0, "resume after this sequence number")
@@ -642,7 +568,7 @@ func cmdWatch(addr string, args []string) error {
 	id := fs.Arg(0)
 	if id == "latest" {
 		var err error
-		if id, err = latestJob(addr); err != nil {
+		if id, err = latestJob(c); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "assayctl: watching %s\n", id)
@@ -651,7 +577,7 @@ func cmdWatch(addr string, args []string) error {
 	last := *from
 	for attempt := 0; ; {
 		before := last
-		terminal, failed, err := streamEvents(addr, id, &last, *output)
+		terminal, failed, err := streamEvents(c, id, &last, *output)
 		if last > before {
 			// The connection made progress; a fresh drop gets a fresh
 			// reconnect budget (long jobs behind connection-recycling
@@ -687,24 +613,13 @@ func cmdWatch(addr string, args []string) error {
 }
 
 // errNoRetry marks watch failures no reconnect can fix (the server gave
-// a definitive non-200 answer).
+// a definitive refusal).
 var errNoRetry = fmt.Errorf("definitive server response")
 
 // latestJob resolves the newest job via the listing endpoint.
-func latestJob(addr string) (string, error) {
-	raw, code, err := fetch(addr + "/v1/assays?order=desc&limit=1")
+func latestJob(c *service.Client) (string, error) {
+	page, err := c.List(context.Background(), service.ListFilter{Newest: true, Limit: 1})
 	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("%d: %s", code, string(raw))
-	}
-	var page struct {
-		Jobs []struct {
-			ID string `json:"id"`
-		} `json:"jobs"`
-	}
-	if err := json.Unmarshal(raw, &page); err != nil {
 		return "", err
 	}
 	if len(page.Jobs) == 0 {
@@ -716,35 +631,24 @@ func latestJob(addr string) (string, error) {
 // streamEvents consumes one SSE connection. It returns terminal=true
 // once a job.done / job.failed / shutdown event arrives (failed reports
 // which), and a non-nil error when the connection broke mid-stream.
-func streamEvents(addr, id string, last *uint64, output string) (terminal, failed bool, err error) {
-	req, err := http.NewRequest(http.MethodGet, addr+"/v1/assays/"+id+"/events", nil)
+func streamEvents(c *service.Client, id string, last *uint64, output string) (terminal, failed bool, err error) {
+	evs, err := c.Events(context.Background(), id, *last)
+	if err != nil && !errors.Is(err, service.ErrUnreachable) {
+		err = fmt.Errorf("%w: %w", err, errNoRetry) // 404 unknown job, 400 bad cursor, ...
+	}
 	if err != nil {
 		return false, false, err
 	}
-	if *last > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(*last, 10))
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return false, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return false, false, fmt.Errorf("%s: %s: %w",
-			resp.Status, strings.TrimSpace(string(raw)), errNoRetry)
-	}
+	defer evs.Close()
 	// The reader skips a frame it cannot use (invalid JSON, id:/event:
 	// lines that disagree with the payload, a CR in the payload), as a
 	// gateway's relay does, instead of failing the watch.
-	rd := stream.NewSSEReader(resp.Body)
 	for {
-		ev, ok := rd.Next()
+		ev, ok := evs.Next()
 		if !ok {
 			// A clean server-side close returns nil; a broken
 			// connection returns its error and is worth resuming.
-			return false, false, rd.Err()
+			return false, false, evs.Err()
 		}
 		if ev.Seq > 0 {
 			*last = ev.Seq
@@ -815,73 +719,36 @@ func renderEvent(ev stream.Event) string {
 // waitUntilDone long-polls the job (the server holds each GET until the
 // job finishes or its window closes) and pretty-prints the final
 // record, with a placement summary on stderr.
-func waitUntilDone(addr, id string) error {
+func waitUntilDone(c *service.Client, id string) error {
 	for {
-		raw, status, err := fetch(addr + "/v1/assays/" + id + "?wait=1")
+		j, err := c.Wait(context.Background(), id, 0)
 		if err != nil {
+			return fmt.Errorf("job %s: %w", id, err)
+		}
+		if j.Status != service.StatusDone && j.Status != service.StatusFailed {
+			continue
+		}
+		if err := printJSON(j); err != nil {
 			return err
 		}
-		if status != http.StatusOK {
-			return fmt.Errorf("job %s: %s", id, string(raw))
+		if j.Profile != "" {
+			fmt.Fprintf(os.Stderr, "assayctl: %s ran on profile %s (shard %d, stolen %v; eligible: %s)\n",
+				id, j.Profile, j.Shard, j.Stolen, strings.Join(j.Eligible, ", "))
 		}
-		var job struct {
-			Status   string   `json:"status"`
-			Profile  string   `json:"profile"`
-			Eligible []string `json:"eligible"`
-			Shard    int      `json:"shard"`
-			Stolen   bool     `json:"stolen"`
+		if j.Status == service.StatusFailed {
+			return fmt.Errorf("job %s failed", id)
 		}
-		if err := json.Unmarshal(raw, &job); err != nil {
-			return err
-		}
-		if job.Status == "done" || job.Status == "failed" {
-			var pretty bytes.Buffer
-			if err := json.Indent(&pretty, raw, "", "  "); err != nil {
-				return err
-			}
-			fmt.Println(pretty.String())
-			if job.Profile != "" {
-				fmt.Fprintf(os.Stderr, "assayctl: %s ran on profile %s (shard %d, stolen %v; eligible: %s)\n",
-					id, job.Profile, job.Shard, job.Stolen, strings.Join(job.Eligible, ", "))
-			}
-			if job.Status == "failed" {
-				return fmt.Errorf("job %s failed", id)
-			}
-			return nil
-		}
+		return nil
 	}
 }
 
-func printJSON(url string) error {
-	raw, status, err := fetch(url)
+// printJSON pretty-prints a reply document on stdout, followed by a
+// blank line.
+func printJSON(v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("%d: %s", status, string(raw))
-	}
-	var pretty bytes.Buffer
-	if err := json.Indent(&pretty, raw, "", "  "); err != nil {
-		return err
-	}
-	fmt.Println(pretty.String())
+	fmt.Printf("%s\n\n", out)
 	return nil
-}
-
-func fetch(url string) ([]byte, int, error) {
-	start := time.Now()
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	vlogf("GET %s → %d in %v", url, resp.StatusCode,
-		time.Since(start).Round(time.Millisecond))
-	return raw, resp.StatusCode, err
-}
-
-func decode(resp *http.Response, v interface{}) error {
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
 }

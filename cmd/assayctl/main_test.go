@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"biochip/internal/federation"
@@ -16,9 +20,10 @@ import (
 
 // TestParseQueueFullDegrades pins the 429-body contract: whatever a
 // member, gateway or intermediary proxy mangles the refusal body into,
-// parsing must degrade to a zero value (rendering as nothing) so the
-// retry loop falls back to the plain Retry-After backoff instead of
-// erroring out of a retryable situation.
+// the Client must still read a *service.QueueFullError, at worst with an
+// empty backlog (rendering as nothing), so the retry loop falls back to
+// the plain Retry-After backoff instead of erroring out of a retryable
+// situation.
 func TestParseQueueFullDegrades(t *testing.T) {
 	cases := []struct {
 		name string
@@ -39,7 +44,18 @@ func TestParseQueueFullDegrades(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			qf := parseQueueFull(strings.NewReader(tc.body))
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Retry-After", "0")
+				w.WriteHeader(http.StatusTooManyRequests)
+				w.Write([]byte(tc.body))
+			}))
+			defer srv.Close()
+			c := &service.Client{Addr: srv.URL}
+			_, err := c.Submit(context.Background(), service.SubmitRequest{Seed: 1})
+			var qf *service.QueueFullError
+			if !errors.As(err, &qf) {
+				t.Fatalf("Submit: %v, want a *service.QueueFullError", err)
+			}
 			if got := renderBacklog(qf); got != tc.want {
 				t.Errorf("renderBacklog = %q, want %q", got, tc.want)
 			}
@@ -66,7 +82,7 @@ func TestSubmitBackoffMalformed429(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sub, err := submitWithBackoff(srv.URL, []byte(`{"seed":1,"program":{}}`), 3)
+	sub, err := submitWithBackoff(&service.Client{Addr: srv.URL}, service.SubmitRequest{Seed: 1}, 3)
 	if err != nil {
 		t.Fatalf("submitWithBackoff: %v", err)
 	}
@@ -85,7 +101,7 @@ func TestSubmitBackoffExhausted(t *testing.T) {
 		w.Write([]byte(`{"error":"queue full","queued":8,"queue_depth":8}`))
 	}))
 	defer srv.Close()
-	_, err := submitWithBackoff(srv.URL, []byte(`{}`), 1)
+	_, err := submitWithBackoff(&service.Client{Addr: srv.URL}, service.SubmitRequest{}, 1)
 	if err == nil || !strings.Contains(err.Error(), "8/8 queued") {
 		t.Errorf("exhausted error = %v, want it to carry the 8/8 backlog", err)
 	}
@@ -238,7 +254,7 @@ func TestStreamEventsLineEnds(t *testing.T) {
 			}))
 			defer srv.Close()
 			var last uint64
-			terminal, failed, err := streamEvents(srv.URL, "a-000001", &last, "json")
+			terminal, failed, err := streamEvents(&service.Client{Addr: srv.URL}, "a-000001", &last, "json")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,5 +265,83 @@ func TestStreamEventsLineEnds(t *testing.T) {
 				t.Errorf("cursor at #%d, want #2", last)
 			}
 		})
+	}
+}
+
+// TestJobIDStaysOneSegment pins that a job ID is one path segment and a
+// flag value one query value: get, wait, watch and trace of "../stats"
+// ask the worker about a job of that name (it knows none) instead of
+// reaching /v1/stats, and a list cursor holding "&status=sideways" is
+// one cursor, not a second, invalid, filter.
+func TestJobIDStaysOneSegment(t *testing.T) {
+	svc, err := service.New(service.FleetSpec{Profiles: []service.FleetProfileSpec{
+		{Name: "die40", Shards: 1, Cols: 40, Rows: 40}}}.ServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	c := &service.Client{Addr: srv.URL}
+	for _, cmd := range []struct {
+		name string
+		run  func(*service.Client, []string) error
+		args []string
+	}{
+		{"get", cmdGet, []string{"../stats"}},
+		{"wait", cmdWait, []string{"../stats"}},
+		{"watch", cmdWatch, []string{"-retries", "0", "../stats"}},
+		{"trace", cmdTrace, []string{"../stats"}},
+	} {
+		// Fatal: were the ID not escaped, wait would poll /v1/stats for
+		// good, as it never reads a terminal job there.
+		if err := cmd.run(c, cmd.args); !errors.Is(err, service.ErrUnknownJob) {
+			t.Fatalf("%s ../stats: %v, want the unknown-job refusal", cmd.name, err)
+		}
+	}
+	if err := cmdGet(c, []string{"../stats"}); err == nil || err.Error() != "unknown job" {
+		t.Errorf("get ../stats: %v, want the worker's \"unknown job\"", err)
+	}
+	if err := cmdList(c, []string{"-after", "a-000001&status=sideways"}); err != nil {
+		t.Errorf("list with an '&' in its cursor: %v", err)
+	}
+}
+
+// TestVerboseLogsEveryRequest pins -v over watch: the listing that
+// resolves "latest", the event stream and its reconnect after a clean
+// end without a terminal frame each log one request line.
+func TestVerboseLogsEveryRequest(t *testing.T) {
+	var streams atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/assays" {
+			fmt.Fprint(w, `{"jobs":[{"id":"a-000001","status":"running"}]}`)
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		if streams.Add(1) == 1 {
+			fmt.Fprint(w, "id: 1\nevent: job.started\ndata: {\"seq\":1,\"type\":\"job.started\",\"t\":0}\n\n")
+			return
+		}
+		fmt.Fprint(w, "id: 2\nevent: job.done\ndata: {\"seq\":2,\"type\":\"job.done\",\"t\":0}\n\n")
+	}))
+	defer srv.Close()
+	var log bytes.Buffer
+	c := &service.Client{Addr: srv.URL, HTTP: &http.Client{Transport: logTransport{&log}}}
+	if err := cmdWatch(c, []string{"-o", "json", "latest"}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
+	want := []string{
+		"assayctl: GET " + srv.URL + "/v1/assays?limit=1&order=desc → 200 in ",
+		"assayctl: GET " + srv.URL + "/v1/assays/a-000001/events → 200 in ",
+		"assayctl: GET " + srv.URL + "/v1/assays/a-000001/events → 200 in ",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("-v logged %d lines, want %d:\n%s", len(lines), len(want), log.String())
+	}
+	for i, line := range lines {
+		if !strings.HasPrefix(line, want[i]) {
+			t.Errorf("line %d: %q, want prefix %q", i, line, want[i])
+		}
 	}
 }

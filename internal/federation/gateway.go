@@ -411,13 +411,14 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 			ft := fwdTrace{ref: ref, parent: req.Trace, subAt: subAt, placeEnd: placeEnd, fwdAt: fwdAt}
 			return g.bind(c.idx, c.member, pr, seed, key, wal, res, ft)
 		}
-		lastErr = err
+		// A member's refusal reads as its own message; name the member.
+		lastErr = fmt.Errorf("member %s: %w", c.member.Name, err)
 		var full *service.QueueFullError
 		switch {
 		case errors.As(err, &full):
 			fulls = append(fulls, full)
 			g.noteBacklog(c.idx, full)
-		case errors.Is(err, ErrUnreachable):
+		case errors.Is(err, service.ErrUnreachable):
 			g.noteUnreachable(c.idx)
 		}
 		// Draining, incompatible and persist-refusing members simply
@@ -426,7 +427,7 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 	if len(fulls) == len(cands) {
 		return service.SubmitResult{}, mergeQueueFull(fulls)
 	}
-	if errors.Is(lastErr, ErrUnreachable) {
+	if errors.Is(lastErr, service.ErrUnreachable) {
 		return service.SubmitResult{}, fmt.Errorf("%w: %v", ErrNoMembers, lastErr)
 	}
 	return service.SubmitResult{}, lastErr
@@ -610,7 +611,8 @@ func (g *Gateway) pollLoop() {
 		case <-t.C:
 		}
 		for i, m := range g.members {
-			st, err := m.Stats(g.ctx)
+			var st service.Stats
+			err := m.Stats(g.ctx, &st)
 			g.mu.Lock()
 			v := &g.views[i]
 			if err != nil {
@@ -716,7 +718,7 @@ func (g *Gateway) WaitTimeout(id string, timeout time.Duration) (service.Job, bo
 	j, ok := g.jobs[id]
 	g.mu.Unlock()
 	if !ok {
-		return service.Job{}, false, fmt.Errorf("federation: wait: unknown job %q", id)
+		return service.Job{}, false, fmt.Errorf("%w %q", service.ErrUnknownJob, id)
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()

@@ -4,19 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
-	"net/url"
-	"strconv"
 
 	"biochip/internal/service"
 	"biochip/internal/stream"
 )
-
-// relayDrainBytes bounds what a relay reads past a job's terminal frame
-// to reach the end of the member's response, so the connection is
-// reused instead of dropped.
-const relayDrainBytes = 4 << 10
 
 // relay is the one follower of a routed job, started by bind and
 // recover: it connects to the member's SSE endpoint resuming after the
@@ -45,7 +36,7 @@ func (g *Gateway) relay(j *gwJob) {
 		if terminal {
 			return
 		}
-		if errors.Is(err, ErrUnknownJob) {
+		if errors.Is(err, service.ErrUnknownJob) {
 			g.fail(j, "federation: job lost by member restart (member runs without -data)")
 			return
 		}
@@ -61,18 +52,15 @@ func (g *Gateway) relay(j *gwJob) {
 // it finished the job, and the error that broke the connection, if
 // any.
 func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
-	ctx, cancel := context.WithCancel(g.ctx)
-	defer cancel()
-	resp, err := g.openEvents(ctx, j, j.mirror.Last())
+	evs, err := j.member.Events(g.ctx, j.remoteID, j.mirror.Last())
 	if err != nil {
 		return false, err
 	}
-	defer resp.Body.Close()
-	rd := stream.NewSSEReader(resp.Body)
+	defer evs.Close()
 	for {
-		ev, ok := rd.Next()
+		ev, ok := evs.Next()
 		if !ok {
-			return false, rd.Err()
+			return false, evs.Err()
 		}
 		switch ev.Type {
 		case stream.Shutdown:
@@ -97,7 +85,7 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 			// along. A failed fetch, or a record not yet terminal, ends
 			// the connection with the frame unfed, so the reconnect
 			// resumes just before it and fetches again.
-			rj, err := j.member.Job(ctx, j.remoteID)
+			rj, err := j.member.Job(g.ctx, j.remoteID)
 			if err != nil || (rj.Status != service.StatusDone && rj.Status != service.StatusFailed) {
 				return false, err
 			}
@@ -107,10 +95,8 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 			j.mirror.Feed(j.rewrite(ev))
 			j.mirror.Close()
 			// The member ends the response right after the terminal
-			// frame: read to that end, within a small bound, so the
-			// connection goes back to the member's idle pool (a failed
-			// read only costs the connection).
-			_, _ = io.CopyN(io.Discard, resp.Body, relayDrainBytes)
+			// frame: read to that end, so the connection is reused.
+			_ = evs.Release()
 			return true, nil
 		}
 		j.mirror.Feed(j.rewrite(ev))
@@ -133,33 +119,6 @@ func (j *gwJob) rewrite(ev stream.Event) stream.Event {
 	return stream.WithEncoding(ev, data)
 }
 
-// openEvents opens the member SSE stream resuming after the given
-// sequence number.
-func (g *Gateway) openEvents(ctx context.Context, j *gwJob, after uint64) (*http.Response, error) {
-	u := j.member.Addr + "/v1/assays/" + url.PathEscape(j.remoteID) + "/events"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	if after > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(after, 10))
-	}
-	resp, err := j.member.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return resp, nil
-	case http.StatusNotFound:
-		resp.Body.Close()
-		return nil, ErrUnknownJob
-	default:
-		resp.Body.Close()
-		return nil, errors.New("federation: events: status " + strconv.Itoa(resp.StatusCode))
-	}
-}
-
 // rangeFetch recovers events the mirror dropped — the range an
 // upstream gap or a skipped bad frame moved it past (stream.Ring.Feed)
 // — with one bounded SSE fetch from the member, which serves its own
@@ -168,15 +127,14 @@ func (g *Gateway) openEvents(ctx context.Context, j *gwJob, after uint64) (*http
 func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 	ctx, cancel := context.WithTimeout(g.ctx, rpcTimeout)
 	defer cancel()
-	resp, err := g.openEvents(ctx, j, from-1)
+	evs, err := j.member.Events(ctx, j.remoteID, from-1)
 	if err != nil {
 		return nil
 	}
-	defer resp.Body.Close()
-	rd := stream.NewSSEReader(resp.Body)
+	defer evs.Close()
 	var out []stream.Event
 	for {
-		ev, ok := rd.Next()
+		ev, ok := evs.Next()
 		if !ok || ev.Seq > to {
 			return out
 		}

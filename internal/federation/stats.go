@@ -174,8 +174,8 @@ func (g *Gateway) MemberStatsSnapshot() []MemberStats {
 		go func(i int, m *Member) {
 			defer wg.Done()
 			ms := MemberStats{Member: m.Name, Addr: m.Addr}
-			st, err := m.Stats(g.ctx)
-			if err != nil {
+			var st service.Stats
+			if err := m.Stats(g.ctx, &st); err != nil {
 				ms.Error = err.Error()
 			} else {
 				ms.Reachable = true
@@ -261,8 +261,8 @@ func (g *Gateway) AggregateHealth() Health {
 		go func(i int, m *Member) {
 			defer wg.Done()
 			row := MemberHealth{Member: m.Name, Addr: m.Addr}
-			h, err := m.Health(g.ctx)
-			if err != nil {
+			var h service.Health
+			if _, err := m.Health(g.ctx, &h); err != nil {
 				row.Error = err.Error()
 			} else {
 				row.Reachable = true

@@ -24,8 +24,8 @@ type Backend interface {
 	Get(id string) (Job, bool)
 	// WaitTimeout blocks until the job is terminal or d elapses and
 	// returns the snapshot at that moment plus whether it is terminal;
-	// d <= 0 returns the current snapshot without waiting. Unknown jobs
-	// are an error.
+	// d <= 0 returns the current snapshot without waiting. An unknown
+	// job is ErrUnknownJob.
 	WaitTimeout(id string, d time.Duration) (Job, bool, error)
 	// List pages through job snapshots (see PageIDs).
 	List(f ListFilter) ListPage

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 
 	"biochip/internal/assay"
 	"biochip/internal/cache"
@@ -53,6 +54,9 @@ type QueueFullError struct {
 	// Classes is the backlog per live compatibility class (non-empty
 	// classes only), in class-creation order.
 	Classes []ClassStats `json:"classes,omitempty"`
+	// RetryAfter is the backoff hint of a 429 that Client read back;
+	// the handler itself always sends 1 s.
+	RetryAfter time.Duration `json:"-"`
 }
 
 // Error implements error.

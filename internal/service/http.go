@@ -89,7 +89,8 @@ type handler struct {
 // profile can run to 422, an unknown job to 404, a draining, closed or
 // unavailable backend to 503 (draining adds Retry-After), a malformed
 // program to 400 and a submission body over 1 MiB to 413. sse is the
-// gauge of open event streams.
+// gauge of open event streams. Client is the inverse: it maps each of
+// these statuses back to the error it was mapped from.
 func NewHandler(b Backend, sse *obs.GaugeVec) http.Handler {
 	h := &handler{b: b, sse: sse}
 	mux := http.NewServeMux()

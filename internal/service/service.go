@@ -641,7 +641,7 @@ func (s *Service) Wait(id string) (Job, error) {
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
 	if !ok {
-		return Job{}, fmt.Errorf("service: unknown job %q", id)
+		return Job{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
 	<-j.done
 	snap, _ := s.Get(id)
@@ -657,7 +657,7 @@ func (s *Service) WaitTimeout(id string, d time.Duration) (Job, bool, error) {
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
 	if !ok {
-		return Job{}, false, fmt.Errorf("service: unknown job %q", id)
+		return Job{}, false, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
