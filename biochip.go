@@ -192,7 +192,7 @@ type (
 )
 
 // NewAssayService builds the shard pool and starts its executors; stop
-// it with Close.
+// it with Close, which removes the temporary log a nil cfg.Store opens.
 func NewAssayService(cfg ServiceConfig) (*AssayService, error) { return service.New(cfg) }
 
 // Technology selection (paper consideration C1).

@@ -718,15 +718,24 @@ func renderEvent(ev stream.Event) string {
 
 // waitUntilDone long-polls the job (the server holds each GET until the
 // job finishes or its window closes) and pretty-prints the final
-// record, with a placement summary on stderr.
+// record, with a placement summary on stderr. It polls again only on a
+// queued or running record of the job; any other reply is an error,
+// so a server that is not assayd cannot keep it polling.
 func waitUntilDone(c *service.Client, id string) error {
 	for {
 		j, err := c.Wait(context.Background(), id, 0)
 		if err != nil {
 			return fmt.Errorf("job %s: %w", id, err)
 		}
-		if j.Status != service.StatusDone && j.Status != service.StatusFailed {
+		if j.ID != id {
+			return fmt.Errorf("job %s: the reply is not that job's record (id %q)", id, j.ID)
+		}
+		switch j.Status {
+		case service.StatusQueued, service.StatusRunning:
 			continue
+		case service.StatusDone, service.StatusFailed:
+		default:
+			return fmt.Errorf("job %s: the reply has status %q, not a job's", id, j.Status)
 		}
 		if err := printJSON(j); err != nil {
 			return err

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"biochip/internal/federation"
 	"biochip/internal/obs"
@@ -304,6 +305,43 @@ func TestJobIDStaysOneSegment(t *testing.T) {
 	}
 	if err := cmdList(c, []string{"-after", "a-000001&status=sideways"}); err != nil {
 		t.Errorf("list with an '&' in its cursor: %v", err)
+	}
+}
+
+// TestWaitRefusesNonJobReply pins that wait polls again only on a
+// queued or running record of the job it waits for: a 200 reply that
+// is no job record at all, an empty object or a stats body, is an
+// error that names what came back, not a reason to poll at once and
+// for good.
+func TestWaitRefusesNonJobReply(t *testing.T) {
+	for _, tc := range []struct{ name, body, want string }{
+		{"empty object", `{}`, `(id "")`},
+		{"stats body", `{"shards":2,"queue_depth":64,"queued":0,"running":0,"done":1,"failed":0}`, `(id "")`},
+		{"other job", `{"id":"a-000002","status":"running"}`, `(id "a-000002")`},
+		{"unknown status", `{"id":"a-000001","status":"sideways"}`, `status "sideways"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var polls atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				polls.Add(1)
+				fmt.Fprint(w, tc.body)
+			}))
+			defer srv.Close()
+			c := &service.Client{Addr: srv.URL}
+			done := make(chan error, 1)
+			go func() { done <- cmdWait(c, []string{"a-000001"}) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("wait: %v, want an error naming %s", err, tc.want)
+				}
+				if n := polls.Load(); n != 1 {
+					t.Errorf("wait polled %d times, want 1", n)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("wait still polling after 5 s (%d polls)", polls.Load())
+			}
+		})
 	}
 }
 

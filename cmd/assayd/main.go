@@ -46,7 +46,8 @@
 // jobs persist their report and full event stream, and a restart
 // replays the log — finished jobs are served from disk and jobs that
 // were in flight at a crash re-execute deterministically from their
-// (program, seed) record.
+// (program, seed) record. Without -data the log is private: fsync off,
+// under $TMPDIR, removed at exit, so a restart starts empty.
 //
 // Duplicate submissions are answered from a content-addressed result
 // cache (docs/caching.md): an identical (program, seed) resubmission
@@ -97,7 +98,7 @@ func main() {
 	cols := flag.Int("cols", 96, "electrode columns per die")
 	rows := flag.Int("rows", 96, "electrode rows per die")
 	par := flag.Int("p", 1, "intra-die parallelism (workers per simulator; 0 = GOMAXPROCS)")
-	data := flag.String("data", "", "durable data directory: submissions, reports and event streams survive restarts (empty = in-memory only)")
+	data := flag.String("data", "", "durable data directory: submissions, reports and event streams survive restarts (empty = a private log under $TMPDIR, fsync off, removed at exit)")
 	noCache := flag.Bool("no-cache", false, "disable the content-addressed result cache: every submission executes")
 	gateway := flag.Bool("gateway", false, "run as a federation gateway over the -members fleet instead of owning dies (docs/federation.md)")
 	members := flag.String("members", "", "members spec file (JSON) listing the worker daemons behind a -gateway")
@@ -125,17 +126,14 @@ func main() {
 		if *noCache {
 			cfg.Cache.Disable = true
 		}
-		disk := openStore(*data)
-		if disk != nil {
-			cfg.Store = disk
-		}
+		cfg.Store = openStore(*data)
 		g, err := federation.New(cfg)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "assayd: gateway over %d members, listening on %s\n",
 			len(spec.Members), *addr)
-		if disk != nil {
+		if *data != "" {
 			fmt.Fprintf(os.Stderr, "assayd: data dir %s: %d routed jobs recovered\n",
 				*data, g.Stats().Gateway.Recovered)
 		}
@@ -146,7 +144,7 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "assayd:   member %s @ %s: profiles %v\n", m.Name, m.Addr, names)
 		}
-		serve(*addr, g, g.Handler(), disk)
+		serve(*addr, g, g.Handler())
 		return
 	}
 
@@ -175,17 +173,14 @@ func main() {
 		svcCfg.Cache.Disable = true
 	}
 	svcCfg.Obs = reg
-	disk := openStore(*data)
-	if disk != nil {
-		svcCfg.Store = disk
-	}
+	svcCfg.Store = openStore(*data)
 	svc, err := service.New(svcCfg)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "assayd: %d shards, queue %d, listening on %s\n",
 		svc.Shards(), svcCfg.QueueDepth, *addr)
-	if disk != nil {
+	if *data != "" {
 		fmt.Fprintf(os.Stderr, "assayd: data dir %s: %d jobs recovered\n",
 			*data, svc.Stats().Recovered)
 	}
@@ -197,7 +192,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "assayd:   profile %s: %d × %d×%d dies%s\n",
 			p.Name, p.Shards, p.Chip.Array.Cols, p.Chip.Array.Rows, tech)
 	}
-	serve(*addr, svc, svc.Handler(), disk)
+	serve(*addr, svc, svc.Handler())
 }
 
 // startPprof serves net/http/pprof on its own listener, kept off the
@@ -225,9 +220,9 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// openStore opens the durable data directory, or returns nil for the
-// in-memory default (empty dir).
-func openStore(dir string) *store.Disk {
+// openStore opens the -data directory's log, or returns nil without
+// one: the backend then opens its private log.
+func openStore(dir string) store.Store {
 	if dir == "" {
 		return nil
 	}
@@ -242,11 +237,11 @@ func openStore(dir string) *store.Disk {
 // SIGTERM drains gracefully — admission closes first (healthz flips to
 // draining, submits get 503 + Retry-After), every admitted job runs to
 // completion and open SSE subscribers get their terminal shutdown
-// event — and only then stops the listener, closes the backend and
-// closes the store (nil for none). A second signal skips the wait: the
-// drain is unbounded when the backlog is deep, and the operator must
-// keep a way out.
-func serve(addr string, b service.Backend, h http.Handler, disk *store.Disk) {
+// event — and only then stops the listener and closes the backend,
+// which closes its log (a listen error closes it too). A second signal
+// skips the wait, leaving a private log behind: the drain is unbounded
+// when the backlog is deep, and the operator must keep a way out.
+func serve(addr string, b service.Backend, h http.Handler) {
 	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
@@ -266,14 +261,10 @@ func serve(addr string, b service.Backend, h http.Handler, disk *store.Disk) {
 		_ = srv.Shutdown(ctx)
 		close(done)
 	}()
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := srv.ListenAndServe(); err != http.ErrServerClosed {
+		b.Close()
 		fatal(err)
 	}
 	<-done
 	b.Close()
-	if disk != nil {
-		if err := disk.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "assayd:", err)
-		}
-	}
 }

@@ -171,12 +171,12 @@ type Program struct {
 }
 
 // MaxOps bounds a program's operation count. A job's event ring holds
-// its whole event stream in memory for as long as the job record lives
-// — on a durable service until its finish record is written — and every
-// operation adds two events to that stream, a scan one more per
-// stream.ChunkRows sites, so the op count bounds it. The largest program in the examples, the
-// docs and the evaluation suite, E14's "stream-overhead" at full
-// scale, has 12.
+// its whole event stream in memory until its finish record is in the
+// log (for as long as the job record lives, if that append fails), and
+// every operation adds two events to that stream, a scan one more per
+// stream.ChunkRows sites, so the op count bounds it. The largest
+// program in the examples, the docs and the evaluation suite, E14's
+// "stream-overhead" at full scale, has 12.
 const MaxOps = 256
 
 // OpCountError is returned by CheckOps and Check for a program with

@@ -42,8 +42,8 @@ func (noMembers) Unwrap() error { return service.ErrUnavailable }
 type Config struct {
 	// Members is the worker fleet (ParseMembersSpec).
 	Members []MemberSpec
-	// Store durably records job→member bindings; nil means none
-	// (bindings lost on restart).
+	// Store is the route log, replayed by New; nil opens a private one
+	// (store.OpenTemp) that Close removes. The gateway owns either.
 	Store store.Store
 	// Cache configures the gateway's own result cache.
 	Cache service.FleetCacheSpec
@@ -107,7 +107,7 @@ type gwJob struct {
 // one relay and serves the member results under gateway job IDs.
 type Gateway struct {
 	members []*Member
-	store   store.Store // nil: no route log
+	store   store.Store // Config.Store, or New's private log
 	poll    time.Duration
 
 	mu       sync.Mutex
@@ -146,7 +146,6 @@ func New(cfg Config) (*Gateway, error) {
 		reg = obs.NewRegistry()
 	}
 	g := &Gateway{
-		store:   cfg.Store,
 		poll:    cfg.PollInterval,
 		jobs:    make(map[string]*gwJob),
 		remote:  make(map[string]string),
@@ -170,12 +169,21 @@ func New(cfg Config) (*Gateway, error) {
 		g.members = append(g.members, m)
 		g.views = append(g.views, memberView{reachable: true})
 	}
-	g.ctx, g.cancel = context.WithCancel(context.Background())
-	if g.store != nil {
-		if err := g.recover(); err != nil {
-			g.cancel()
-			return nil, err
+	g.store = cfg.Store
+	if cfg.Store == nil {
+		disk, err := store.OpenTemp()
+		if err != nil {
+			return nil, fmt.Errorf("federation: %w", err)
 		}
+		g.store = disk
+	}
+	g.ctx, g.cancel = context.WithCancel(context.Background())
+	if err := g.recover(); err != nil {
+		g.cancel()
+		if cfg.Store == nil {
+			g.store.Close()
+		}
+		return nil, err
 	}
 	g.wg.Add(1)
 	go g.pollLoop()
@@ -184,8 +192,8 @@ func New(cfg Config) (*Gateway, error) {
 
 // recover replays the store's route records: each becomes a routed job
 // again, its relay following it to (re-)termination on its member, with
-// the content address recomputed so deduplication spans the restart.
-// Caller guarantees g.store != nil.
+// the content address recomputed so deduplication spans the restart. A
+// private log is empty, so there is nothing to replay.
 func (g *Gateway) recover() error {
 	err := g.store.Replay(func(rec *store.Record) error {
 		if rec.Kind != store.KindRoute || rec.Route == nil {
@@ -354,13 +362,9 @@ func (g *Gateway) Submit(req service.SubmitRequest) (service.SubmitResult, error
 	if err != nil {
 		return service.SubmitResult{}, err
 	}
-	var wal json.RawMessage
-	if g.store != nil {
-		raw, err := json.Marshal(pr)
-		if err != nil {
-			return service.SubmitResult{}, fmt.Errorf("%w: encoding program: %v", service.ErrPersist, err)
-		}
-		wal = raw
+	wal, err := json.Marshal(pr)
+	if err != nil {
+		return service.SubmitResult{}, fmt.Errorf("%w: encoding program: %v", service.ErrPersist, err)
 	}
 
 	g.mu.Lock()
@@ -453,10 +457,10 @@ func (g *Gateway) cachedLocked(key cache.Key) (service.SubmitResult, bool) {
 		ID: root.id, Eligible: root.snap.Eligible, Cache: "coalesced"}, true
 }
 
-// bind records an accepted forward under a fresh gateway ID: with a
-// store, the route record is appended (and fsynced) before the
-// submission is acked, under the gateway lock so log order matches ID
-// order. A submission whose identical twin won the forwarding race
+// bind records an accepted forward under a fresh gateway ID: the route
+// record is appended (and fsynced, on a data directory's log) before
+// the submission is acked, under the gateway lock so log order matches
+// ID order. A submission whose identical twin won the forwarding race
 // coalesces onto the twin instead of double-binding.
 func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key cache.Key, wal json.RawMessage, res service.SubmitResult, ft fwdTrace) (service.SubmitResult, error) {
 	g.mu.Lock()
@@ -469,14 +473,12 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 	}
 	g.seq++
 	id := service.JobID(g.seq)
-	if g.store != nil {
-		if err := g.store.LogRoute(store.RouteRecord{
-			ID: id, Member: m.Name, RemoteID: res.ID, Seed: seed, Program: wal,
-		}); err != nil {
-			g.seq--
-			g.met.persistErrors.Inc()
-			return service.SubmitResult{}, fmt.Errorf("%w: %v", service.ErrPersist, err)
-		}
+	if err := g.store.LogRoute(store.RouteRecord{
+		ID: id, Member: m.Name, RemoteID: res.ID, Seed: seed, Program: wal,
+	}); err != nil {
+		g.seq--
+		g.met.persistErrors.Inc()
+		return service.SubmitResult{}, fmt.Errorf("%w: %v", service.ErrPersist, err)
 	}
 	j := &gwJob{
 		id:       id,
@@ -766,9 +768,9 @@ func (g *Gateway) pendingLocked() int {
 	return n
 }
 
-// Close releases the gateway: relays and the poller stop, and idle
-// member connections close. It does not drain — call Drain first for a
-// clean shutdown — and does not close the store (the caller owns it).
+// Close releases the gateway: relays and the poller stop, idle member
+// connections close, and the route log closes (a private one is
+// removed). It does not drain — call Drain first for a clean shutdown.
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	g.closed = true
@@ -778,4 +780,6 @@ func (g *Gateway) Close() {
 	for _, m := range g.members {
 		m.client.CloseIdleConnections()
 	}
+	// Each acked record was appended before its ack: a failed close loses none.
+	_ = g.store.Close()
 }

@@ -18,9 +18,9 @@ import (
 // job.* payloads rewritten into the gateway namespace; gap events
 // appear exactly when the member itself reported one, never from
 // reconnects, which resume from the mirror's cursor. A member restart
-// mid-stream is just a reconnect: the durable member re-serves (or
+// mid-stream is just a reconnect: a member with -data re-serves (or
 // deterministically re-executes) the job. A member that no longer
-// knows the job — a non-durable worker restarted — gets it failed.
+// knows the job — a worker without -data restarted — gets it failed.
 func (g *Gateway) relay(j *gwJob) {
 	defer g.wg.Done()
 	defer j.mirror.Close()
@@ -80,8 +80,8 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 			// terminal frame reaches subscribers, so a client that read
 			// the stream to its end reads a terminal job. The record is
 			// fetched while this response is still open: a draining
-			// member holds it open until its drain completes, and a
-			// non-durable one that then exits would take the record
+			// member holds it open until its drain completes, and one
+			// without -data that then exits would take the record
 			// along. A failed fetch, or a record not yet terminal, ends
 			// the connection with the frame unfed, so the reconnect
 			// resumes just before it and fetches again.
@@ -122,7 +122,7 @@ func (j *gwJob) rewrite(ev stream.Event) stream.Event {
 // rangeFetch recovers events the mirror dropped — the range an
 // upstream gap or a skipped bad frame moved it past (stream.Ring.Feed)
 // — with one bounded SSE fetch from the member, which serves its own
-// ring or durable log as appropriate. Events are rewritten exactly as
+// ring or log as appropriate. Events are rewritten exactly as
 // the live relay rewrites them.
 func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 	ctx, cancel := context.WithTimeout(g.ctx, rpcTimeout)

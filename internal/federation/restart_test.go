@@ -2,10 +2,13 @@ package federation
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -236,11 +239,12 @@ func TestGatewayMidStreamWorkerRestart(t *testing.T) {
 }
 
 // TestGatewayNonDurableMemberLosesJob pins the documented failure
-// mode: when a member without a store restarts, its jobs are gone; the
-// gateway fails them explicitly (rather than hanging) and the mirrored
-// stream ends with the terminal failure event.
+// mode: when a member without -data restarts, its private log goes
+// with it and its jobs are gone; the gateway fails them explicitly
+// (rather than hanging) and the mirrored stream ends with the terminal
+// failure event.
 func TestGatewayNonDurableMemberLosesJob(t *testing.T) {
-	// A non-durable worker on a fixed address.
+	// A worker without -data on a fixed address.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -419,5 +423,34 @@ func TestGatewayListSevenDigitIDs(t *testing.T) {
 	}
 	if res, err := g.Submit(service.SubmitRequest{Seed: 9, Program: testProgram(4)}); err != nil || res.ID != "a-1000002" {
 		t.Errorf("next submission: %+v %v, want a-1000002", res, err)
+	}
+}
+
+// TestGatewayPrivateLog: a gateway given no store logs its routes to a
+// private log. The stats carry a disk store block whose directory
+// exists and whose record count rises with a routed job, and Close
+// removes the directory.
+func TestGatewayPrivateLog(t *testing.T) {
+	g := startGateway(t, 1, die40())
+	before := g.Stats().Gateway.Store
+	if before == nil || before.Kind != "disk" {
+		t.Fatalf("store block %+v, want a disk log", before)
+	}
+	if _, err := os.Stat(before.Dir); err != nil {
+		t.Fatalf("private log directory: %v", err)
+	}
+	res, err := g.Submit(service.SubmitRequest{Seed: 9, Program: testProgram(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second); err != nil || !terminal || j.Status != service.StatusDone {
+		t.Fatalf("job %s: %s terminal=%v err=%v", res.ID, j.Status, terminal, err)
+	}
+	if after := g.Stats().Gateway.Store; after.Dir != before.Dir || after.Records <= before.Records {
+		t.Errorf("store block after a job %+v, before %+v: want the same directory, more records", *after, *before)
+	}
+	g.Close()
+	if _, err := os.Stat(before.Dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("private log directory after Close: %v, want it removed", err)
 	}
 }

@@ -38,8 +38,7 @@ type GatewayStats struct {
 	Recovered     uint64 `json:"recovered,omitempty"`
 	PersistErrors uint64 `json:"persist_errors,omitempty"`
 	Draining      bool   `json:"draining,omitempty"`
-	// Store is the gateway's route log snapshot; absent on the
-	// in-memory default.
+	// Store is the route log's snapshot: -data's or the private one's.
 	Store *store.Stats `json:"store,omitempty"`
 	// Cache is the gateway's own result-cache block (hits answered
 	// without forwarding); absent when disabled.
@@ -213,10 +212,8 @@ func (g *Gateway) Stats() Stats {
 		}
 	}
 	g.mu.Unlock()
-	if g.store != nil {
-		st := g.store.Stats()
-		gs.Store = &st
-	}
+	st := g.store.Stats()
+	gs.Store = &st
 	return Stats{Gateway: gs, Fleet: MergeStats(members), Members: members}
 }
 

@@ -16,8 +16,8 @@ package service
 //     (CacheHit/DedupOf provenance).
 //
 // The index keeps every key for as long as the daemon keeps the root's
-// record, which is for good; a durable service rebuilds it at startup
-// from the keyed finish records in its log. docs/caching.md documents
+// record, which is for good; a restart over a data directory rebuilds
+// it from the keyed finish records in the log. docs/caching.md documents
 // the key derivation, the index and the bit-identity guarantee.
 
 import (
@@ -124,13 +124,9 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 	if err != nil {
 		return SubmitResult{}, err
 	}
-	var wal json.RawMessage
-	if s.store != nil {
-		raw, err := json.Marshal(pr)
-		if err != nil {
-			return SubmitResult{}, fmt.Errorf("%w: encoding program: %v", ErrPersist, err)
-		}
-		wal = raw
+	wal, err := json.Marshal(pr)
+	if err != nil {
+		return SubmitResult{}, fmt.Errorf("%w: encoding program: %v", ErrPersist, err)
 	}
 	shardIDs := shardIDsOf(s.shards, eligible)
 
@@ -165,14 +161,12 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResult, error) {
 		return SubmitResult{}, fmt.Errorf("service: assignment to ineligible shard %d", target)
 	}
 	id := JobID(s.seq + 1)
-	if s.store != nil {
-		// WAL before ack: the submission must exist on stable storage
-		// before the client hears about the job, so a crash after
-		// Submit returns can never lose an acknowledged assay.
-		if err := s.store.LogSubmit(store.SubmitRecord{ID: id, Seed: seed, Program: wal}); err != nil {
-			s.met.persistErrors.Inc()
-			return SubmitResult{}, fmt.Errorf("%w: %v", ErrPersist, err)
-		}
+	// WAL before ack: the submission must be in the log before the
+	// client hears about the job, so a crash after Submit returns can
+	// never lose an acknowledged assay (on a log with fsync on).
+	if err := s.store.LogSubmit(store.SubmitRecord{ID: id, Seed: seed, Program: wal}); err != nil {
+		s.met.persistErrors.Inc()
+		return SubmitResult{}, fmt.Errorf("%w: %v", ErrPersist, err)
 	}
 	if !key.Zero() {
 		s.met.miss.Inc()
@@ -211,22 +205,19 @@ func (s *Service) cacheKey(pr assay.Program, seed uint64, eligible []*profile) (
 // mints a new job record that is born terminal — CacheHit provenance,
 // the root's report bytes and the root's event ring, so Get, Wait,
 // SSE streaming and Last-Event-ID resume all behave exactly as if the
-// job had executed. On a durable service the alias is logged as a
-// submit record plus a finish record that carries only DedupOf (the
-// report and stream live once, in the root's record). Caller holds
-// s.mu.
+// job had executed. The alias is logged as a submit record plus a
+// finish record that carries only DedupOf (the report and stream live
+// once, in the root's record). Caller holds s.mu.
 //
-// Invariant: on a durable service every done root in the index is
-// persisted — finish drops one whose record did not persist, and
-// recovery indexes only restored ones — so the alias's DedupOf
-// reference is always resolvable after a restart.
+// Invariant: every done root in the index is persisted — finish drops
+// one whose record did not persist, and recovery indexes only restored
+// ones — so the alias's DedupOf reference is always resolvable after a
+// restart.
 func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal json.RawMessage, traceParent string) (SubmitResult, error) {
 	id := JobID(s.seq + 1)
-	if s.store != nil {
-		if err := s.store.LogSubmit(store.SubmitRecord{ID: id, Seed: seed, Program: wal}); err != nil {
-			s.met.persistErrors.Inc()
-			return SubmitResult{}, fmt.Errorf("%w: %v", ErrPersist, err)
-		}
+	if err := s.store.LogSubmit(store.SubmitRecord{ID: id, Seed: seed, Program: wal}); err != nil {
+		s.met.persistErrors.Inc()
+		return SubmitResult{}, fmt.Errorf("%w: %v", ErrPersist, err)
 	}
 	s.seq++
 	j := &Job{
@@ -250,22 +241,18 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 	j.spanRoot.End()
 	s.jobs[id] = j
 	s.met.done.Inc()
-	if s.store != nil {
-		rec := store.FinishRecord{
-			ID:       id,
-			Status:   string(StatusDone),
-			Profile:  root.Profile,
-			Eligible: root.Eligible,
-			DedupOf:  root.ID,
-		}
-		if err := s.store.LogFinish(rec); err != nil {
-			// The alias completes in memory regardless; without its
-			// finish record it is simply re-executed (deterministically)
-			// after a restart.
-			s.met.persistErrors.Inc()
-		} else {
-			j.persisted = true
-		}
+	rec := store.FinishRecord{
+		ID:       id,
+		Status:   string(StatusDone),
+		Profile:  root.Profile,
+		Eligible: root.Eligible,
+		DedupOf:  root.ID,
+	}
+	if err := s.store.LogFinish(rec); err != nil {
+		// The alias completes in memory regardless; without its finish
+		// record it is simply re-executed (deterministically) after a
+		// restart.
+		s.met.persistErrors.Inc()
 	}
 	return SubmitResult{ID: id, Eligible: j.Eligible, Cache: "hit", DedupOf: root.ID}, nil
 }

@@ -31,8 +31,9 @@ func countingRuns(svc *Service) *atomic.Int32 {
 // -race -count=2): a duplicate submission answered from the result cache
 // must return a report and an event stream bit-identical — minus the
 // wall-clock stamps — to a fresh serial ExecuteOnStream replay of the
-// same (program, seed). Covered on both tiers: in-memory only, and
-// durable (where the stream replays off the persisted log).
+// same (program, seed). Covered on both tiers: the private log of a
+// service given no store, and a durable data directory; on both the
+// stream replays off the log.
 func TestCacheHitBitIdentical(t *testing.T) {
 	pr := testProgram(10)
 	const seed = 4242
@@ -42,7 +43,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 	want := canonicalJSON(t, wantEvs)
 
 	for _, durable := range []bool{false, true} {
-		name := "in-memory"
+		name := "private log"
 		if durable {
 			name = "durable"
 		}

@@ -20,7 +20,7 @@ import (
 )
 
 // ErrUnknownJob reports a job ID the daemon does not know (404): how a
-// gateway learns that a non-durable member restarted and lost the job.
+// gateway learns that a member without -data restarted and lost a job.
 var ErrUnknownJob = errors.New("service: unknown job")
 
 // ErrUnreachable marks a Client call that got no verdict: the transport
@@ -31,6 +31,11 @@ var ErrUnreachable = errors.New("service: daemon unreachable")
 // eventDrainBytes bounds what EventStream.Release reads past a terminal
 // frame to reach the end of the response and reuse its connection.
 const eventDrainBytes = 4 << 10
+
+// maxReplyBuffer caps the buffer call sizes from a reply's
+// Content-Length, a header the daemon chooses (for a gateway, a
+// member); a longer reply decodes as a stream.
+const maxReplyBuffer = 4 << 20
 
 // Client calls a daemon's HTTP API, a worker's or a gateway's alike: it
 // is the inverse of NewHandler. A success decodes into the method's
@@ -197,7 +202,10 @@ func (c *Client) get(ctx context.Context, path string, v any, ok ...int) (int, e
 
 // call sends one request within c.Timeout and returns the status of
 // a reply in ok (as open), decoded into v: Prometheus text into a
-// *[]obs.MetricFamily, JSON into anything else.
+// *[]obs.MetricFamily, JSON into anything else. A JSON reply of known
+// length is read into one buffer of that length, so a job record's
+// report is copied out of it once rather than out of a decoder buffer
+// that regrows as it reads.
 func (c *Client) call(ctx context.Context, method, path string, body io.Reader, header func(http.Header), v any, ok ...int) (int, error) {
 	if c.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -211,6 +219,11 @@ func (c *Client) call(ctx context.Context, method, path string, body io.Reader, 
 	defer closeReply(resp.Body)
 	if fams, isFams := v.(*[]obs.MetricFamily); isFams {
 		*fams, err = obs.ParseExposition(resp.Body)
+	} else if n := resp.ContentLength; n > 0 && n <= maxReplyBuffer {
+		buf := make([]byte, n)
+		if _, err = io.ReadFull(resp.Body, buf); err == nil {
+			err = json.Unmarshal(buf, v)
+		}
 	} else {
 		err = json.NewDecoder(resp.Body).Decode(v)
 	}

@@ -396,7 +396,9 @@ func (h *handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 // writeJob writes a job record with the bytes writeJSON would write,
 // but copies the report's bytes in where encoding/json puts the field,
 // just before member: encoding/json re-compacts every RawMessage it
-// writes, which costs more than encoding the typed report did.
+// writes, which costs more than encoding the typed report did. The
+// body is one buffer, so it goes out with its Content-Length, and a
+// Client reads it into one buffer too.
 func writeJob(w http.ResponseWriter, j Job) {
 	if len(j.Report) == 0 {
 		writeJSON(w, http.StatusOK, j)
@@ -422,6 +424,7 @@ func writeJob(w http.ResponseWriter, j Job) {
 	}
 	buf = append(buf, "}\n"...)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(http.StatusOK)
 	// As in writeJSON, a failed write means the client hung up.
 	_, _ = w.Write(buf)

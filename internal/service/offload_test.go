@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -154,5 +156,62 @@ func TestDurableRingPinnedOnFailedPersist(t *testing.T) {
 		if got, want := sseBody(t, base, id, after), renderSSE(live[after:]); got != want {
 			t.Errorf("SSE after %d differs from the published bytes:\n got %q\nwant %q", after, got, want)
 		}
+	}
+}
+
+// TestPrivateLog: a service given no store logs to a private one, so a
+// finished job lives in the log as on a durable daemon. The stats carry
+// a disk store block whose directory exists and whose record count
+// rises with a job; the done job's ring holds no events, and its SSE
+// replay, read back from the log, equals a serial replay; Close removes
+// the directory.
+func TestPrivateLog(t *testing.T) {
+	svc, err := New(Config{Shards: 1, Chip: testChip()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	before := svc.Stats().Store
+	if before == nil || before.Kind != "disk" {
+		t.Fatalf("store block %+v, want a disk log", before)
+	}
+	if _, err := os.Stat(before.Dir); err != nil {
+		t.Fatalf("private log directory: %v", err)
+	}
+
+	pr := testProgram(6)
+	const seed = 11
+	id, err := submit(svc, pr, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+		t.Fatalf("job: %v %v", j.Status, err)
+	}
+	if after := svc.Stats().Store; after.Dir != before.Dir || after.Records <= before.Records {
+		t.Errorf("store block after a job %+v, before %+v: want the same directory, more records", *after, *before)
+	}
+	if n := len(ringEvents(svc, id)); n != 0 {
+		t.Errorf("the ring of a done job holds %d events, want 0", n)
+	}
+	rd := stream.NewSSEReader(strings.NewReader(sseBody(t, ts.URL, id, 0)))
+	var got []stream.Event
+	for ev, ok := rd.Next(); ok; ev, ok = rd.Next() {
+		got = append(got, ev)
+	}
+	if err := rd.Err(); err != nil {
+		t.Fatal(err)
+	}
+	_, want := serialStream(t, pr, seed, id)
+	if g, w := canonicalJSON(t, got), canonicalJSON(t, want); g != w {
+		t.Errorf("SSE replay differs from serial replay:\n got %s\nwant %s", g, w)
+	}
+
+	ts.Close()
+	svc.Close()
+	if _, err := os.Stat(before.Dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("private log directory after Close: %v, want it removed", err)
 	}
 }

@@ -19,7 +19,7 @@ var closedDone = func() chan struct{} {
 	return ch
 }()
 
-// recover replays the durable log into a freshly built fleet, before
+// recover replays the job log into a freshly built fleet, before
 // any shard loop runs. Jobs with a finish record are restored in their
 // terminal state and served from disk: the report is the log's bytes,
 // and the event ring is a RecoveredRing whose backfill reads the
@@ -31,7 +31,7 @@ var closedDone = func() chan struct{} {
 // event sequence bit for bit. A recovered job that no longer fits any
 // profile (the fleet shrank across the restart) is failed — durably, so
 // the next restart serves the failure from disk instead of retrying
-// forever. Caller guarantees s.store != nil.
+// forever. A private log is empty, so there is nothing to replay.
 func (s *Service) recover() error {
 	type history struct {
 		sub *store.SubmitRecord
@@ -136,7 +136,6 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 			pr:        pr,
 			done:      closedDone,
 			ring:      root.ring,
-			persisted: true,
 		}
 		s.jobs[id] = j
 		s.met.done.Inc()
@@ -157,7 +156,6 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 		pr:        pr,
 		done:      closedDone,
 		ring:      stream.RecoveredRing(uint64(len(fin.Events)), s.storeBackfill(id)),
-		persisted: true,
 	}
 	switch j.Status {
 	case StatusDone:

@@ -85,8 +85,8 @@ var ErrUnavailable = errors.New("service: unavailable")
 // lengthen past the bound the client's body met (HTTP maps it to 413).
 var ErrTooLarge = errors.New("service: submission too large")
 
-// ErrPersist wraps a durable-store append failure during Submit: the
-// write-ahead record could not be made durable, so the submission is
+// ErrPersist wraps a job-log append failure during Submit: the
+// write-ahead record could not be written, so the submission is
 // refused rather than acked (HTTP maps it to 500). Jobs already
 // admitted are unaffected.
 var ErrPersist = errors.New("service: persisting submission")
@@ -168,12 +168,12 @@ type Config struct {
 	// Chip is the per-die platform configuration of the homogeneous
 	// pool when Profiles is empty.
 	Chip chip.Config
-	// Store is the durable persistence layer: submissions are WAL'd to
-	// it before Submit acks, terminal records (report + full event
-	// stream) are appended on finish, and New replays it — finished
-	// jobs come back served from disk, jobs that were in flight at a
-	// crash are re-executed deterministically from (program, seed).
-	// Nil means no persistence: nothing is logged or recovered.
+	// Store is the job log: submissions are WAL'd to it before Submit
+	// acks, terminal records (report + full event stream) are appended
+	// on finish, and New replays it — finished jobs come back served
+	// from disk, jobs that were in flight at a crash are re-executed
+	// deterministically from (program, seed). Nil opens a private log
+	// (store.OpenTemp) that Close removes. The service owns either.
 	Store store.Store
 	// Cache configures the content-addressed result cache (enabled by
 	// default; see CacheConfig and docs/caching.md).
@@ -249,14 +249,11 @@ type Job struct {
 	// ring is the job's event stream; it lives as long as the job
 	// record and keeps every event, so subscribers can replay a
 	// finished job's stream in full. Cache-hit aliases share their
-	// root's ring. On a durable service, once the finish record is
-	// durable the ring is offloaded to the log, which serves the whole
-	// stream from then on.
+	// root's ring. Once the finish record is in the log, the ring is
+	// offloaded and the log serves the whole stream.
 	ring *stream.Ring
-	// key is the content address of a cacheable job (zero otherwise);
-	// persisted reports that the finish record reached the durable log.
-	key       cache.Key
-	persisted bool
+	// key is the content address of a cacheable job (zero otherwise).
+	key cache.Key
 	// Observability state: the span ring (nil without Config.Obs, which
 	// makes its spans inert), the live stage spans, the class label for
 	// queue metrics and the telemetry stamps behind the wait/execute
@@ -346,10 +343,7 @@ type Service struct {
 	profiles []*profile
 	shards   []*shard
 	start    time.Time
-	// store is Config.Store, nil on an in-memory service. Every WAL
-	// write and ring offload is behind a nil check, so the in-memory
-	// service behaves exactly as before persistence existed.
-	store store.Store
+	store    store.Store // Config.Store, or New's private log
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -358,8 +352,8 @@ type Service struct {
 	classList []*classQueue
 	// byKey is the result-cache index (nil when Config.Cache.Disable):
 	// a content key maps to the root job that computes or computed it,
-	// queued, running or done. Failed roots, and on a durable service
-	// done roots whose finish record did not persist, leave it.
+	// queued, running or done. Failed roots, and done roots whose
+	// finish record did not persist, leave it.
 	byKey    map[cache.Key]*Job
 	seq      int
 	queued   int
@@ -419,7 +413,6 @@ func New(cfg Config) (*Service, error) {
 		reg = obs.NewRegistry()
 	}
 	s.met = newSvcMetrics(reg)
-	s.store = cfg.Store
 	seen := make(map[string]bool, len(specs))
 	for i, spec := range specs {
 		switch {
@@ -460,12 +453,21 @@ func New(cfg Config) (*Service, error) {
 		// registers restored keyed roots and re-enqueued jobs in it.
 		s.byKey = make(map[cache.Key]*Job)
 	}
-	if s.store != nil {
-		// Replay the log before any shard loop starts: restored jobs
-		// land in the map / queues with no executor racing the rebuild.
-		if err := s.recover(); err != nil {
-			return nil, err
+	s.store = cfg.Store
+	if cfg.Store == nil {
+		disk, err := store.OpenTemp()
+		if err != nil {
+			return nil, fmt.Errorf("service: %w", err)
 		}
+		s.store = disk
+	}
+	// Replay the log before any shard loop starts: restored jobs land
+	// in the map / queues with no executor racing the rebuild.
+	if err := s.recover(); err != nil {
+		if cfg.Store == nil {
+			s.store.Close()
+		}
+		return nil, err
 	}
 	for _, sh := range s.shards {
 		s.wg.Add(1)
@@ -549,10 +551,10 @@ func shardIDsOf(shards []*shard, eligible []*profile) []int {
 	return ids
 }
 
-// enqueueLocked creates the job record under the given (already WAL'd
-// when durable) ID, attaches its event ring, publishes the placement
-// event, registers cacheable jobs in the result-cache index and queues
-// the job. The ID must be JobID(s.seq+1); enqueueLocked advances s.seq.
+// enqueueLocked creates the job record under the given (already WAL'd)
+// ID, attaches its event ring, publishes the placement event, registers
+// cacheable jobs in the result-cache index and queues the job. The ID
+// must be JobID(s.seq+1); enqueueLocked advances s.seq.
 // traceParent is the foreign parent span from an X-Assay-Trace header
 // ("" for local and recovered submissions). Caller holds s.mu.
 func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target int, eligible []*profile, recovered bool, key cache.Key, traceParent string) *Job {
@@ -672,7 +674,7 @@ func (s *Service) WaitTimeout(id string, d time.Duration) (Job, bool, error) {
 }
 
 // Close stops accepting submissions, fails all still-queued jobs, waits
-// for in-flight executions to finish and returns. It is idempotent.
+// for in-flight executions and closes the job log. It is idempotent.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -703,6 +705,8 @@ func (s *Service) Close() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
+	// The shard loops made every append; a failed close loses no record.
+	_ = s.store.Close()
 }
 
 // shardLoop claims work for one die until the service closes: any job
@@ -820,17 +824,15 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 			}})
 	}
 	j.ring.Close()
-	if s.store != nil {
-		pAt := obs.Now()
-		s.persistFinishLocked(j)
-		s.met.persist.With().Observe(obs.Since(pAt))
-		j.trace.Add("persist", finSpan.ID(), pAt, obs.Now())
-	}
+	pAt := obs.Now()
+	persisted := s.persistFinishLocked(j)
+	s.met.persist.With().Observe(obs.Since(pAt))
+	j.trace.Add("persist", finSpan.ID(), pAt, obs.Now())
 	// A failed root leaves the result-cache index, so a retry executes:
 	// failures are often environmental (close, drain). So does a done
 	// root whose finish record did not persist, since no restart could
 	// resolve an alias of it.
-	if (j.Status == StatusFailed || (s.store != nil && !j.persisted)) && s.byKey[j.key] == j {
+	if (j.Status == StatusFailed || !persisted) && s.byKey[j.key] == j {
 		delete(s.byKey, j.key)
 	}
 	finSpan.End()
@@ -842,16 +844,13 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 
 // persistFinishLocked appends the job's terminal record — status,
 // report and the complete event stream off the ring, as the bytes
-// Publish encoded — to the durable log, then offloads the ring to the
-// log: it keeps no events, and every subscriber reads the stream from
-// the log as after a restart (restoreFinishedLocked). On append failure
-// the ring keeps its events (subscribers still replay from memory) and
-// the error is counted; the job itself completes regardless. Caller
-// holds s.mu. No-op on an in-memory service.
-func (s *Service) persistFinishLocked(j *Job) {
-	if s.store == nil {
-		return
-	}
+// Publish encoded — to the log, then offloads the ring to the log: it
+// keeps no events, and every subscriber reads the stream from the log
+// as after a restart (restoreFinishedLocked). On append failure the
+// ring keeps its events (subscribers still replay from memory) and the
+// error is counted; the job itself completes regardless. It reports
+// whether the record was appended. Caller holds s.mu.
+func (s *Service) persistFinishLocked(j *Job) bool {
 	rec := store.FinishRecord{
 		ID:       j.ID,
 		Status:   string(j.Status),
@@ -867,15 +866,15 @@ func (s *Service) persistFinishLocked(j *Job) {
 	}
 	if err := s.store.LogFinish(rec); err != nil {
 		s.met.persistErrors.Inc()
-		return
+		return false
 	}
-	j.persisted = true
 	j.ring.Offload(s.storeBackfill(j.ID))
+	return true
 }
 
 // storeBackfill returns a ring backfill reading the job's persisted
-// event stream back from the durable log on demand, so finished-job
-// history costs no memory: each call is one read of the finish record
+// event stream back from the log on demand, so finished-job history
+// costs no memory: each call is one read of the finish record
 // (store.Disk.Events), and each event comes back as its sequence
 // number, its type and its bytes, not decoded. Events are stored 1..n
 // in order, making the range a simple slice.
@@ -979,10 +978,10 @@ type Stats struct {
 	Done       uint64 `json:"done"`
 	Failed     uint64 `json:"failed"`
 	// Recovered counts jobs restored from the durable store at startup
-	// (both finished-from-disk and re-executed); PersistErrors counts
-	// failed store appends: refused submissions, and terminal records
-	// of jobs that still completed in memory. Both stay zero on a
-	// non-durable service.
+	// (both finished-from-disk and re-executed), which stays zero
+	// without a data directory; PersistErrors counts failed store
+	// appends: refused submissions, and terminal records of jobs that
+	// still completed in memory.
 	Recovered     uint64 `json:"recovered,omitempty"`
 	PersistErrors uint64 `json:"persist_errors,omitempty"`
 	// Draining reports that the service stopped admitting and is
@@ -1002,8 +1001,7 @@ type Stats struct {
 	// Planners lists per-planner routing counters, sorted by name;
 	// empty until some job executes a routed (gather/move) step.
 	Planners []PlannerStats `json:"planners,omitempty"`
-	// Store is the durable store's snapshot; absent on the in-memory
-	// default.
+	// Store is the job log's snapshot: -data's or the private one's.
 	Store *store.Stats `json:"store,omitempty"`
 	// Cache is the result-cache block; absent when the cache is
 	// disabled.
@@ -1032,10 +1030,8 @@ func (s *Service) Stats() Stats {
 		CalibrationMisses: misses,
 		UptimeSeconds:     uptime,
 	}
-	if s.store != nil {
-		sst := s.store.Stats()
-		st.Store = &sst
-	}
+	sst := s.store.Stats()
+	st.Store = &sst
 	if s.byKey != nil {
 		st.Cache = &CacheStats{
 			Entries:   len(s.byKey),

@@ -410,11 +410,12 @@ func TestSubmitRejectsInvalidProgram(t *testing.T) {
 // NaN duration) fails its job, since a done job's report is its
 // encoding. The job records the encoder's error, its stream ends in
 // job.failed, and the cache keeps nothing, so a resubmission runs
-// again — on both tiers, the durable one persisting the failure.
+// again — on both tiers, the private log and a durable one, each
+// persisting the failure.
 func TestUnencodableReportFailsJob(t *testing.T) {
 	const want = "service: encoding report: json: unsupported value: NaN"
 	for _, durable := range []bool{false, true} {
-		name := "in-memory"
+		name := "private log"
 		if durable {
 			name = "durable"
 		}

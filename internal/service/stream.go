@@ -10,9 +10,8 @@ import (
 // resuming after the given sequence number (0 replays from the start of
 // the stream). The second result is false for unknown jobs. The ring
 // lives as long as the job record and keeps every event, so a finished
-// job's stream replays in full (from the log on a durable service once
-// its finish record is written); callers must Cancel the
-// subscription when done. Events come as the ring keeps them, from the
+// job's stream replays in full (from the log once its finish record is
+// written); callers must Cancel the subscription when done. Events come as the ring keeps them, from the
 // ring and the log alike: sequence number, type and bytes (Data); a
 // reader that needs a payload block decodes Data.
 func (s *Service) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {

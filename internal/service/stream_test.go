@@ -206,10 +206,11 @@ func maxOpsProgram() assay.Program {
 // events, two per op and one scan.rows batch per scan.
 const maxOpsEvents = 3 + 2*assay.MaxOps + assay.MaxOps - 3
 
-// TestStreamLongJobReplaysWhole: a job's ring keeps every event, so on
-// an in-memory service with the cache off — nothing but the ring holds
-// the stream — the longest stream a service accepts replays in full
-// after the job is done: seq 1..maxOpsEvents, no gap.
+// TestStreamLongJobReplaysWhole: the longest stream a service accepts,
+// published whole into the job's ring and offloaded to the service's
+// private log once the job is done, replays in full from that log:
+// seq 1..maxOpsEvents, no gap. The cache is off, so nothing but the
+// job's own record holds the stream.
 func TestStreamLongJobReplaysWhole(t *testing.T) {
 	svc, err := New(Config{Shards: 1, Chip: testChip(), Cache: CacheConfig{Disable: true}})
 	if err != nil {

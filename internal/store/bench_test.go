@@ -90,3 +90,45 @@ func BenchmarkStoreEvents(b *testing.B) {
 		}
 	}
 }
+
+// scanStreamProgram is a scan-stream job's program as its submit
+// record holds it (assaybench's scanProgram).
+const scanStreamProgram = `{"name":"scan-stream","ops":[{"op":"load","kind":"viable-cell","count":200},` +
+	`{"op":"settle"},{"op":"capture"},{"op":"probe","frequency":10000},{"op":"scan","averaging":8},` +
+	`{"op":"scan","averaging":16},{"op":"release"}]}`
+
+// BenchmarkStoreOpen models store.open_ms: Open of a log of 200
+// scan-stream jobs, each a submit record and its finish record, as a
+// durable daemon's restart opens its data directory.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := b.TempDir()
+	d, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := scanStreamRecord(b, "a-000001")
+	for i := 1; i <= 200; i++ {
+		rec.ID = fmt.Sprintf("a-%06d", i)
+		if err := d.LogSubmit(SubmitRecord{ID: rec.ID, Seed: uint64(i), Program: json.RawMessage(scanStreamProgram)}); err != nil {
+			b.Fatal(err)
+		}
+		if err := d.LogFinish(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := d.Stats(); st.Records != 400 {
+			b.Fatalf("%d records, want 400", st.Records)
+		}
+		d.Close()
+	}
+}

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -37,8 +38,8 @@ type Options struct {
 	// larger than the limit still gets a segment of its own.
 	MaxSegmentBytes int64
 	// NoSync skips the fsync after each append. Only tests and
-	// throwaway runs should set it: a crash can then lose acked
-	// records, which is exactly what the WAL exists to prevent.
+	// throwaway logs (OpenTemp) should set it: a crash can then lose
+	// acked records, which is exactly what the WAL exists to prevent.
 	NoSync bool
 }
 
@@ -63,6 +64,7 @@ type Disk struct {
 	truncated int64 // corrupt tail bytes discarded at open
 	index     map[string]finishEntry
 	closed    bool
+	temp      bool // an OpenTemp log: Close removes dir
 	// broken is set when a failed append could not be cut back off the
 	// active segment: the segment's end is then unknown, so every later
 	// append is refused.
@@ -149,6 +151,22 @@ func Open(dir string, opts Options) (*Disk, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	d.cur, d.curSize = f, size
+	return d, nil
+}
+
+// OpenTemp opens a private log, fsync off, in a fresh directory under
+// os.TempDir that Close removes (a process killed first leaves it).
+func OpenTemp() (*Disk, error) {
+	dir, err := os.MkdirTemp("", "assayd-log-")
+	if err != nil {
+		return nil, fmt.Errorf("store: temporary log: %w", err)
+	}
+	d, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, err
+	}
+	d.temp = true
 	return d, nil
 }
 
@@ -452,7 +470,8 @@ func (d *Disk) Stats() Stats {
 }
 
 // Close implements Store. It does not drain anything — there is
-// nothing to drain: every acked record is already on disk.
+// nothing to drain: every acked record is already on disk. An OpenTemp
+// log's directory is removed. Later calls do nothing.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -460,7 +479,11 @@ func (d *Disk) Close() error {
 		return nil
 	}
 	d.closed = true
-	if err := d.cur.Close(); err != nil {
+	err := d.cur.Close()
+	if d.temp {
+		err = errors.Join(err, os.RemoveAll(d.dir))
+	}
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil

@@ -21,10 +21,11 @@
 // routed job instead of losing track of acked work.
 //
 // Disk, an append-only segment log with CRC framing and an in-memory
-// index (see segment.go), is the one implementation. A daemon without a
-// data directory has no store at all: it logs and recovers nothing. The
-// store never interprets program or report payloads — both travel as
-// raw JSON — so it depends only on the stream event vocabulary.
+// index (see segment.go), is the one implementation, and every daemon
+// has one: without a data directory, a private one (OpenTemp) that its
+// Close removes. The store never interprets program or report payloads
+// — both travel as raw JSON — so it depends only on the stream event
+// vocabulary.
 package store
 
 import (

@@ -158,7 +158,7 @@ func (r *Ring) Events() []Event {
 // Offload hands the whole stream to backfill: the ring closes, drops
 // every event it retains and from then on serves each one through
 // backfill — the state RecoveredRing builds for a job restored from a
-// durable log. Once a job's finish record is durable the service
+// durable log. Once a job's finish record is in the log the service
 // offloads its ring, so the finished stream costs the heap nothing, and
 // a subscriber reads it exactly as after a restart. Resume semantics
 // are a live ring's: Subscribe(after) replays (Last-after) events.
