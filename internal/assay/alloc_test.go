@@ -11,11 +11,14 @@ import (
 
 // TestGatherPlanAllocs bounds the heap allocations of one production
 // plan of the benchmark's gather-route instances: about ten cages
-// captured on a 32×32 die and gathered at (1,1). The planner's search
-// scratch is allocated once per Plan call and reused across agents and
-// restart attempts, so a plan allocates a small constant per agent
-// (its path, map entries, scratch growth), not one object per search
-// node. The count is deterministic: same instance, same allocations.
+// captured on a 32×32 die and gathered at (1,1). The planner takes its
+// searcher from the route package's scratch, which kept it from the
+// previous plan, and reuses it across agents and restart attempts, so
+// a plan allocates a small constant per agent (the priority order, its
+// path, the plan), neither one object per search node nor any scratch
+// growth: a searcher built afresh for each plan costs 64–72 allocations
+// on these instances. The count is deterministic: same instance, same
+// allocations.
 func TestGatherPlanAllocs(t *testing.T) {
 	cfg := chip.DefaultConfig()
 	cfg.Array.Cols, cfg.Array.Rows = 32, 32
@@ -51,7 +54,7 @@ func TestGatherPlanAllocs(t *testing.T) {
 		if err != nil || !plan.Solved {
 			t.Fatalf("seed %d: plan failed (err %v)", seed, err)
 		}
-		if limit := 20 * len(prob.Agents); allocs > float64(limit) {
+		if limit := 4 * len(prob.Agents); allocs > float64(limit) {
 			t.Errorf("seed %d: %.0f allocations for %d agents, want at most %d", seed, allocs, len(prob.Agents), limit)
 		}
 	}

@@ -82,3 +82,32 @@ func TestKeyOfDiscrimination(t *testing.T) {
 		t.Error("different eligible profile set produced the same key")
 	}
 }
+
+// BenchmarkKeyOf models cache.key_us: the content key of a scan-stream
+// submission (assaybench's scanProgram: 200 cells loaded, settled,
+// captured, probed, scanned twice and released) for one 96×96 profile
+// whose canonical config is precomputed, as each daemon keeps it.
+func BenchmarkKeyOf(b *testing.B) {
+	var pr assay.Program
+	src := `{"name":"scan-stream","ops":[{"op":"load","kind":"viable-cell","count":200},{"op":"settle"},{"op":"capture"},` +
+		`{"op":"probe","frequency":10000},{"op":"scan","averaging":8},{"op":"scan","averaging":16},{"op":"release"}]}`
+	if err := json.Unmarshal([]byte(src), &pr); err != nil {
+		b.Fatal(err)
+	}
+	cfg := chip.DefaultConfig()
+	cfg.Array.Cols, cfg.Array.Rows = 96, 96
+	cfg.SensorParallelism = 96
+	cfg.Parallelism = 1
+	raw, err := ConfigJSON(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiles := []ProfileMaterial{{Name: "default", Config: raw}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := KeyOf(pr, uint64(i), profiles); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -67,7 +67,8 @@ func Refine(p Problem, pl *Plan, maxRounds int) (*Plan, int) {
 	for id, path := range pl.Paths {
 		out.Paths[id] = append(geom.Path(nil), path...)
 	}
-	s := newSearcher(p.Interior())
+	s := takeSearcher(p.Interior())
+	defer s.release()
 	horizon := p.EffectiveHorizon()
 	improved := 0
 	for round := 0; round < maxRounds; round++ {

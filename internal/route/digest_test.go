@@ -120,7 +120,12 @@ var planGoldenDigests = map[string]string{
 }
 
 // TestPlanGoldenDigest checks every planner's output on the digest
-// problems against its recorded digest.
+// problems against its recorded digest. Every plan and refinement takes
+// its searcher from the package's scratch, so the searchers are reused
+// in order across planners and problems: the sizes 16, 24 and 32 and
+// Partitioned's regions re-target them, and partitioned/p2's clusters
+// take theirs concurrently. Afterwards every kept searcher must be
+// reset.
 func TestPlanGoldenDigest(t *testing.T) {
 	probs := digestProblems(t)
 	for _, dp := range digestPlanners {
@@ -150,4 +155,5 @@ func TestPlanGoldenDigest(t *testing.T) {
 			}
 		}
 	}
+	checkKeptReset(t)
 }

@@ -16,13 +16,15 @@ import (
 // internal/parallel pool.
 //
 // Determinism contract (same as the simulation engine's): the partition
-// is a pure function of the problem, clusters share no state while
-// planning, and sub-plans merge in a fixed order — so the output is
-// bit-identical at any Parallelism for a fixed problem. The merged plan
-// is re-validated with CheckPlan; if any cluster fails (confinement can
-// cost completeness on contrived geometry) or validation rejects the
-// merge, the whole problem is replanned serially with the inner planner,
-// which keeps Partitioned exactly as complete as its inner planner.
+// is a pure function of the problem, clusters share no search state
+// while planning (each takes a searcher of its own from the package's
+// scratch, which hands out only reset ones), and sub-plans merge in a
+// fixed order — so the output is bit-identical at any Parallelism for
+// a fixed problem. The merged plan is re-validated with CheckPlan; if
+// any cluster fails (confinement can cost completeness on contrived
+// geometry) or validation rejects the merge, the whole problem is
+// replanned serially with the inner planner, which keeps Partitioned
+// exactly as complete as its inner planner.
 // Instances that collapse to a single cluster skip the machinery
 // entirely and delegate to the inner planner unconfined.
 type Partitioned struct {

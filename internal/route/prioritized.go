@@ -78,7 +78,8 @@ func (pr Prioritized) Plan(p Problem) (*Plan, error) {
 	const maxAttempts = 4
 	var paths map[int]geom.Path
 	solved := false
-	s := newSearcher(p.Interior())
+	s := takeSearcher(p.Interior())
+	defer s.release()
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		s.res.clear()
 		paths = make(map[int]geom.Path, len(order))

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"sync"
+
 	"biochip/internal/cage"
 	"biochip/internal/geom"
 )
@@ -9,9 +11,11 @@ import (
 // this package runs on (Prioritized, Windowed, Refine): a reservation
 // table of committed cage positions and one A* searcher over it, both
 // dense arrays indexed by the planning interior (Problem.Interior) and
-// by time step. A planner builds one searcher per Plan call and reuses
-// it across agents, restart attempts, windowed rounds and refine
-// iterations; resetting undoes only what the previous use touched.
+// by time step. A planner takes one searcher per Plan call from the
+// package's scratch and reuses it across agents, restart attempts,
+// windowed rounds and refine iterations; resetting undoes only what the
+// previous use touched. The searcher goes back to the scratch reset
+// completely, so the next plan starts from the state a new one has.
 //
 // Invariant: every query is for an interior cell. Starts and goals are
 // validated against the interior, and the searcher drops successors
@@ -98,6 +102,14 @@ func (ls *layers) touch(t int) []uint64 {
 	return ls.at(t)
 }
 
+// trim drops the stack's layers when they hold more than keepWords
+// words; every bit in them must be clear.
+func (ls *layers) trim() {
+	if len(ls.chunks)*(ls.words<<ls.shift) > keepWords {
+		ls.chunks = nil
+	}
+}
+
 func has(l []uint64, i int32) bool { return l != nil && l[i>>6]&(1<<(i&63)) != 0 }
 func set(l []uint64, i int32)      { l[i>>6] |= 1 << (i & 63) }
 func unset(l []uint64, i int32)    { l[i>>6] &^= 1 << (i & 63) }
@@ -117,19 +129,6 @@ type reservations struct {
 	// all clear has to undo. The table keeps a reference to each path,
 	// so a committed path must not change until the next clear.
 	committed []geom.Path
-}
-
-func newReservations(g grid) *reservations {
-	r := &reservations{
-		grid:       g,
-		occ:        newLayers(g.words),
-		lastNear:   make([]int32, g.w*g.h),
-		parkedNear: make([]int32, g.w*g.h),
-	}
-	for i := range r.lastNear {
-		r.lastNear[i], r.parkedNear[i] = -1, -1
-	}
-	return r
 }
 
 // commit reserves a full path, including the permanent park at its end.
@@ -153,7 +152,7 @@ func (r *reservations) commit(path geom.Path) {
 }
 
 // clear empties the table by unmarking what the committed paths
-// marked; the layers stay allocated.
+// marked, and forgets the paths; the layers stay allocated.
 func (r *reservations) clear() {
 	for _, path := range r.committed {
 		for t, c := range path {
@@ -165,6 +164,7 @@ func (r *reservations) clear() {
 		}
 		r.near(path[len(path)-1], func(i int32) { r.parkedNear[i] = -1 })
 	}
+	clear(r.committed)
 	r.committed = r.committed[:0]
 }
 
@@ -220,12 +220,126 @@ type searcher struct {
 }
 
 func newSearcher(interior geom.Rect) *searcher {
-	g := newGrid(interior)
-	return &searcher{
-		res:    newReservations(g),
-		soft:   make([]int32, g.w*g.h),
-		closed: newLayers(g.words),
+	s := &searcher{res: &reservations{}}
+	s.retarget(newGrid(interior))
+	return s
+}
+
+// retarget points a reset searcher at the interior g numbers. When the
+// interior changes, the per-cell tables are refilled for it in the
+// capacity they have, and both bit-layer stacks are rebuilt when a
+// layer's width changes; a reset stack of the same width is all clear.
+func (s *searcher) retarget(g grid) {
+	if s.res.grid == g {
+		return
 	}
+	n := g.w * g.h
+	s.res.grid = g
+	s.res.lastNear = fill(s.res.lastNear, n, -1)
+	s.res.parkedNear = fill(s.res.parkedNear, n, -1)
+	s.soft = fill(s.soft, n, 0)
+	if g.words != s.closed.words {
+		s.res.occ, s.closed = newLayers(g.words), newLayers(g.words)
+	}
+}
+
+// fill returns tbl resized to n entries that all hold v.
+func fill(tbl []int32, n int, v int32) []int32 {
+	if cap(tbl) < n {
+		tbl = make([]int32, n)
+	}
+	tbl = tbl[:n]
+	for i := range tbl {
+		tbl[i] = v
+	}
+	return tbl
+}
+
+// keepBytes bounds each scratch structure a kept searcher holds on to:
+// its node arena, its open list (16-byte nodes and entries) and each
+// bit-layer stack (8-byte words). One larger is dropped at reset, so
+// an outsized plan costs its allocations, not memory kept for good. A
+// 9–11-cage gather on a 32×32 die grows the arena to 6.6k–30k nodes; a
+// 20-cage gather on the same die can reach 709,632 (11 MB).
+const (
+	keepBytes = 1 << 20
+	keepNodes = keepBytes / 16
+	keepWords = keepBytes / 8
+)
+
+// reset undoes everything the searcher's last plan left, so that the
+// next plan starts from the state of a new searcher: the table unmarks
+// and forgets the committed paths (the plan returned them, and a kept
+// table must not hold them), and the closed bits of the last search
+// are cleared. The soft counts are zero already: every planner removes
+// each soft obstacle it adds. Then structures past keepBytes go.
+func (s *searcher) reset() {
+	s.res.clear()
+	s.clearClosed()
+	if cap(s.nodes) > keepNodes {
+		s.nodes = nil
+	}
+	if cap(s.open) > keepNodes {
+		s.open = nil
+	}
+	s.res.occ.trim()
+	s.closed.trim()
+}
+
+// clearClosed clears the closed bits the last search set and empties
+// the arena and the open list: only popped nodes set a closed bit, and
+// every popped node is in the arena.
+func (s *searcher) clearClosed() {
+	w := int32(s.res.w)
+	for _, n := range s.nodes {
+		if l := s.closed.at(int(n.t)); l != nil {
+			unset(l, n.y*w+n.x)
+		}
+	}
+	s.nodes, s.open = s.nodes[:0], s.open[:0]
+}
+
+// scratch keeps the searchers planners have released, so the next plan
+// reuses their node arenas, open lists, bit layers and per-cell tables
+// instead of regrowing them from empty. A planner takes a searcher for
+// the length of its Plan or Refine call (takeSearcher) and gives it
+// back reset completely (release), so a plan never sees what an earlier
+// one left and no output depends on which searcher it got. Concurrent
+// callers (a daemon's shards, the clusters Partitioned plans at once)
+// each take a searcher of their own, so the free list holds at most as
+// many searchers as plans ever ran at once, each structure within
+// keepBytes and each per-cell table sized for the largest interior it
+// served.
+//
+// It is not a sync.Pool: the GC empties a pool, and a routed workload
+// runs a GC every few jobs.
+var scratch struct {
+	mu   sync.Mutex
+	free []*searcher
+}
+
+// takeSearcher returns a searcher over interior with nothing committed,
+// closed or soft: a kept one re-targeted to interior, or a new one.
+func takeSearcher(interior geom.Rect) *searcher {
+	var s *searcher
+	scratch.mu.Lock()
+	if n := len(scratch.free); n > 0 {
+		s, scratch.free = scratch.free[n-1], scratch.free[:n-1]
+	}
+	scratch.mu.Unlock()
+	if s == nil {
+		return newSearcher(interior)
+	}
+	s.retarget(newGrid(interior))
+	return s
+}
+
+// release resets s and keeps it for the next plan.
+func (s *searcher) release() {
+	s.reset()
+	scratch.mu.Lock()
+	scratch.free = append(scratch.free, s)
+	scratch.mu.Unlock()
 }
 
 // addSoft adds (delta = 1) or removes (delta = −1) a soft obstacle at c.
@@ -280,14 +394,7 @@ func (s *searcher) window(from, goal geom.Cell, win int) geom.Path {
 // container/heap's up and down step for step: plans depend on it.
 func (s *searcher) search(from, goal geom.Cell, tFree, limit int, windowed bool) geom.Path {
 	r := s.res
-	// Clear the closed bits the previous search set: only popped nodes
-	// set one, and every popped node is in the arena.
-	for _, n := range s.nodes {
-		if l := s.closed.at(int(n.t)); l != nil {
-			unset(l, n.y*int32(r.w)+n.x)
-		}
-	}
-	s.nodes, s.open = s.nodes[:0], s.open[:0]
+	s.clearClosed()
 
 	w, h := int32(r.w), int32(r.h)
 	gx, gy := int32(goal.Col-r.min.Col), int32(goal.Row-r.min.Row)

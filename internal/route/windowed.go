@@ -73,7 +73,8 @@ func (w Windowed) Plan(p Problem) (*Plan, error) {
 			maxRounds = 8
 		}
 	}
-	s := newSearcher(p.Interior())
+	s := takeSearcher(p.Interior())
+	defer s.release()
 
 	cur := make(map[int]geom.Cell, len(p.Agents))
 	goals := make(map[int]geom.Cell, len(p.Agents))

@@ -97,6 +97,35 @@ const scanStreamProgram = `{"name":"scan-stream","ops":[{"op":"load","kind":"via
 	`{"op":"settle"},{"op":"capture"},{"op":"probe","frequency":10000},{"op":"scan","averaging":8},` +
 	`{"op":"scan","averaging":16},{"op":"release"}]}`
 
+// BenchmarkStoreSubmit models store.submit_p50_us: one scan-stream
+// submit record appended to the log, with fsync on (a durable daemon's
+// -data log) and off (the private log of a daemon without -data).
+func BenchmarkStoreSubmit(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		noSync bool
+	}{{"fsync", false}, {"nosync", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			d, err := Open(b.TempDir(), Options{NoSync: bc.noSync})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			recs := make([]SubmitRecord, b.N)
+			for i := range recs {
+				recs[i] = SubmitRecord{ID: fmt.Sprintf("a-%06d", i+1), Seed: uint64(i), Program: json.RawMessage(scanStreamProgram)}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, rec := range recs {
+				if err := d.LogSubmit(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStoreOpen models store.open_ms: Open of a log of 200
 // scan-stream jobs, each a submit record and its finish record, as a
 // durable daemon's restart opens its data directory.
