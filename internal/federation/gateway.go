@@ -72,20 +72,21 @@ type memberView struct {
 }
 
 // gwJob is one routed job: the gateway-side record binding a gateway
-// ID to the member execution, the latest rewritten snapshot, and the
-// job's event mirror.
+// ID to the member execution, the job's record, and its event mirror.
+// routeLocked builds every one and finishLocked ends it.
 type gwJob struct {
-	id        string
-	member    *Member
-	remoteID  string
-	seed      uint64
-	prName    string
-	key       cache.Key
-	recovered bool
+	// id is snap.ID, kept apart because the relay's rewrite reads it
+	// without the gateway lock while finishLocked writes snap under it.
+	id       string
+	member   *Member
+	remoteID string
+	key      cache.Key
 
-	// snap is the latest gateway-view snapshot (ID rewritten); guarded
-	// by the gateway mutex. Only the job's relay and finishLocked write
-	// it.
+	// snap is the job's record as the gateway serves it: what the
+	// gateway knows at routing (program, seed, eligible set, member,
+	// recovered), then the relay's latest view, then the member's
+	// terminal record rewritten into the gateway namespace. Guarded by
+	// the gateway mutex; only the job's relay and finishLocked write it.
 	snap service.Job
 	// done closes when snap turns terminal (finishLocked).
 	done chan struct{}
@@ -119,6 +120,9 @@ type Gateway struct {
 	byKey    map[cache.Key]*gwJob // result-cache index (cachedLocked); nil when off
 	draining bool
 	closed   bool
+	// live counts routed jobs not yet terminal: routeLocked raises it
+	// and finishLocked lowers it, and Drain waits for zero.
+	live int
 
 	drained     chan struct{}
 	drainedOnce sync.Once
@@ -200,49 +204,22 @@ func (g *Gateway) recover() error {
 			return nil
 		}
 		r := rec.Route
-		m := g.memberByName(r.Member)
 		if n, ok := service.ParseJobID(r.ID); ok && n > g.seq {
 			g.seq = n
 		}
-		j := &gwJob{
-			id:        r.ID,
-			member:    m,
-			remoteID:  r.RemoteID,
-			seed:      r.Seed,
-			recovered: true,
-			done:      make(chan struct{}),
-			mirror:    stream.NewRing(),
-			snap: service.Job{
-				ID: r.ID, Status: service.StatusQueued, Seed: r.Seed,
-				Assigned: -1, Shard: -1, Recovered: true,
-			},
-		}
-		if m != nil {
-			j.snap.Member = m.Name
-		}
-		if len(r.Program) > 0 {
-			var pr assay.Program
-			if jsonErr := json.Unmarshal(r.Program, &pr); jsonErr == nil {
-				j.prName = pr.Name
-				j.snap.Program = pr.Name
-				eligible := make([][]int, len(g.members))
-				for i, m := range g.members {
-					eligible[i], _ = m.Eligible(pr)
-				}
-				if key, keyErr := g.keyOf(pr, r.Seed, eligible); keyErr == nil {
-					j.key = key
-				}
+		snap := service.Job{Recovered: true}
+		var key cache.Key
+		var pr assay.Program
+		if len(r.Program) > 0 && json.Unmarshal(r.Program, &pr) == nil {
+			snap.Program = pr.Name
+			eligible := make([][]int, len(g.members))
+			for i, m := range g.members {
+				eligible[i], _ = m.Eligible(pr)
 			}
+			// A key keyOf cannot compute comes back zero: not cached.
+			key, _ = g.keyOf(pr, r.Seed, eligible)
 		}
-		g.jobs[r.ID] = j
-		if _, dup := g.remote[routeKey(r.Member, r.RemoteID)]; !dup {
-			g.remote[routeKey(r.Member, r.RemoteID)] = r.ID
-		}
-		if !j.key.Zero() {
-			if _, dup := g.byKey[j.key]; !dup {
-				g.byKey[j.key] = j
-			}
-		}
+		g.routeLocked(*r, g.memberByName(r.Member), key, snap)
 		g.met.recovered.Inc()
 		return nil
 	})
@@ -472,30 +449,17 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		return dup, nil
 	}
 	g.seq++
-	id := service.JobID(g.seq)
-	if err := g.store.LogRoute(store.RouteRecord{
-		ID: id, Member: m.Name, RemoteID: res.ID, Seed: seed, Program: wal,
-	}); err != nil {
+	rec := store.RouteRecord{
+		ID: service.JobID(g.seq), Member: m.Name, RemoteID: res.ID, Seed: seed, Program: wal,
+	}
+	if err := g.store.LogRoute(rec); err != nil {
 		g.seq--
 		g.met.persistErrors.Inc()
 		return service.SubmitResult{}, fmt.Errorf("%w: %v", service.ErrPersist, err)
 	}
-	j := &gwJob{
-		id:       id,
-		member:   m,
-		remoteID: res.ID,
-		seed:     seed,
-		prName:   pr.Name,
-		key:      key,
-		done:     make(chan struct{}),
-		mirror:   stream.NewRing(),
-		snap: service.Job{
-			ID: id, Status: service.StatusQueued, Program: pr.Name, Seed: seed,
-			Eligible: res.Eligible, Assigned: -1, Shard: -1, Member: m.Name,
-		},
-	}
+	j := g.routeLocked(rec, m, key, service.Job{Program: pr.Name, Eligible: res.Eligible})
 	if g.obs != nil {
-		j.trace = obs.NewTrace(id, ft.parent)
+		j.trace = obs.NewTrace(j.id, ft.parent)
 	}
 	// Root and place are recorded retroactively from the stamps the
 	// forwarding path carried — the job ID they hang off was only just
@@ -510,25 +474,46 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		obs.Attr{K: "ref", V: ft.ref})
 	j.fwdRef = ft.ref
 	j.fwdSpan = fwd.ID()
-	g.jobs[id] = j
-	if _, dup := g.remote[routeKey(m.Name, res.ID)]; !dup {
-		g.remote[routeKey(m.Name, res.ID)] = id
-	}
-	if !key.Zero() {
-		g.byKey[key] = j
-	}
 	g.views[idx].pending++
 	g.met.forwarded.Inc()
 	g.wg.Add(1)
 	go g.relay(j)
 
-	out := service.SubmitResult{ID: id, Eligible: res.Eligible, Cache: res.Cache}
+	out := service.SubmitResult{ID: j.id, Eligible: res.Eligible, Cache: res.Cache}
 	// A member-side hit names the member's root job; surface it as the
 	// gateway job that routed that root, when this gateway did.
 	if res.DedupOf != "" {
 		out.DedupOf = g.remote[routeKey(m.Name, res.DedupOf)]
 	}
 	return out, nil
+}
+
+// routeLocked builds the routed job a route record binds, and
+// registers it: in the job table, under its member-side ID and, when
+// key is not zero, in the result-cache index (each first writer
+// winning), with its mirror and its completion channel, and counted
+// live until finishLocked ends it. bind and recover build every routed
+// job through it. snap carries what the caller knows beyond the record
+// (program name, eligible set, recovered); m is nil when the record's
+// member left the members spec. Caller holds g.mu, or is New's
+// recovery, which runs before anything else can.
+func (g *Gateway) routeLocked(r store.RouteRecord, m *Member, key cache.Key, snap service.Job) *gwJob {
+	snap.ID, snap.Status, snap.Seed = r.ID, service.StatusQueued, r.Seed
+	snap.Assigned, snap.Shard = -1, -1
+	if m != nil {
+		snap.Member = m.Name
+	}
+	j := &gwJob{id: r.ID, member: m, remoteID: r.RemoteID, key: key, snap: snap,
+		done: make(chan struct{}), mirror: stream.NewRing()}
+	g.jobs[j.id] = j
+	if _, dup := g.remote[routeKey(r.Member, r.RemoteID)]; !dup {
+		g.remote[routeKey(r.Member, r.RemoteID)] = j.id
+	}
+	if _, dup := g.byKey[key]; !dup && !key.Zero() {
+		g.byKey[key] = j
+	}
+	g.live++
+	return j
 }
 
 // score is the placement cost of routing one more job with the given
@@ -634,11 +619,12 @@ func (g *Gateway) pollLoop() {
 
 // finishLocked ends a routed job with its terminal snapshot, exactly
 // once: counters, a failed root's release from the result-cache index
-// (a retry should forward again), and the completion broadcast drains
-// and long-polls wait on. Its callers are the job's relay, with the
-// member's record, and fail. Caller holds g.mu.
+// (a retry should forward again), the live count, and the completion
+// broadcast drains and long-polls wait on. Its callers are the job's
+// relay, with the member's record, and fail. Caller holds g.mu.
 func (g *Gateway) finishLocked(j *gwJob, snap service.Job) {
 	j.snap = snap
+	g.live--
 	j.spanRoot.End()
 	if snap.Status == service.StatusDone {
 		g.met.done.Inc()
@@ -672,16 +658,18 @@ func (g *Gateway) fail(j *gwJob, msg string) {
 // namespace: the gateway job ID replaces the remote one, the member
 // name is stamped on, and a member-side dedup root is translated when
 // this gateway routed it (otherwise the provenance flag survives
-// without the foreign ID). Caller holds g.mu.
+// without the foreign ID). The recovered flag and a missing program
+// name come from the job's record, read before finishLocked replaces
+// it. Caller holds g.mu.
 func (g *Gateway) rewriteLocked(j *gwJob, rj service.Job) service.Job {
 	rj.ID = j.id
 	rj.Member = j.member.Name
-	rj.Recovered = rj.Recovered || j.recovered
+	rj.Recovered = rj.Recovered || j.snap.Recovered
 	if rj.DedupOf != "" {
 		rj.DedupOf = g.remote[routeKey(j.member.Name, rj.DedupOf)]
 	}
 	if rj.Program == "" {
-		rj.Program = j.prName
+		rj.Program = j.snap.Program
 	}
 	return rj
 }
@@ -745,27 +733,17 @@ func (g *Gateway) Draining() bool {
 func (g *Gateway) Drained() <-chan struct{} { return g.drained }
 
 // Drain stops admitting submissions and blocks until every routed job
-// is terminal. Jobs keep executing on their members; the gateway only
-// waits to have relayed every outcome it acked.
+// is terminal (the live count is zero). Jobs keep executing on their
+// members; the gateway only waits to have relayed every outcome it
+// acked.
 func (g *Gateway) Drain() {
 	g.mu.Lock()
 	g.draining = true
-	for g.pendingLocked() > 0 {
+	for g.live > 0 {
 		g.cond.Wait()
 	}
 	g.drainedOnce.Do(func() { close(g.drained) })
 	g.mu.Unlock()
-}
-
-// pendingLocked counts non-terminal jobs. Caller holds g.mu.
-func (g *Gateway) pendingLocked() int {
-	n := 0
-	for _, j := range g.jobs {
-		if j.snap.Status != service.StatusDone && j.snap.Status != service.StatusFailed {
-			n++
-		}
-	}
-	return n
 }
 
 // Close releases the gateway: relays and the poller stop, idle member

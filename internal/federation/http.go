@@ -2,7 +2,6 @@ package federation
 
 import (
 	"net/http"
-	"slices"
 
 	"biochip/internal/service"
 )
@@ -17,27 +16,14 @@ import (
 // 422 (no compatible profile anywhere).
 func (g *Gateway) Handler() http.Handler { return service.NewHandler(g, g.met.sse) }
 
-// List pages the gateway's routed jobs with service.List semantics —
-// ID order, status filter, exclusive After cursor, report payloads
-// stripped, member names kept. Statuses are the relays' snapshots (see
-// Get): a non-terminal job is as far as its event stream has reached.
+// List pages the gateway's routed jobs through service.ListJobs, as a
+// worker lists its own: member names kept. Statuses are the relays'
+// snapshots (see Get): a non-terminal job is as far as its event
+// stream has reached.
 func (g *Gateway) List(f service.ListFilter) service.ListPage {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	ids := make([]string, 0, len(g.jobs))
-	for id, j := range g.jobs {
-		if f.Status == "" || j.snap.Status == f.Status {
-			ids = append(ids, id)
-		}
-	}
-	slices.SortFunc(ids, service.CompareJobIDs)
-	ids, next := service.PageIDs(ids, f)
-	page := service.ListPage{Jobs: make([]service.Job, len(ids)), Next: next}
-	for i, id := range ids {
-		page.Jobs[i] = g.jobs[id].snap
-		page.Jobs[i].Report = nil
-	}
-	return page
+	return service.ListJobs(g.jobs, func(j *gwJob) *service.Job { return &j.snap }, f)
 }
 
 // StatsBody is the gateway's /v1/stats body: the federated Stats.

@@ -179,17 +179,56 @@ func TestParseMembersSpec(t *testing.T) {
 	}
 }
 
+// FuzzParseSpecs feeds the same bytes to both spec parsers,
+// service.ParseFleetSpec and ParseMembersSpec. Neither may panic, and a
+// spec either accepts survives json.Marshal and a second parse as an
+// equal value.
+func FuzzParseSpecs(f *testing.F) {
+	for _, doc := range []string{
+		`{"profiles": [{"name": "p", "shards": 1, "cols": 32, "rows": 32}]}`,
+		`{"queue": 8, "cache": {"disable": true}, "profiles": [{"name": "p", "shards": 2, "cols": 40, "rows": 9, "parallelism": 2, "tech": "0.35um", "no_cache": true}]}`,
+		`{"members": [{"name": "w", "addr": "http://x", "profiles": [{"name": "p", "shards": 1, "cols": 32, "rows": 32}]}]}`,
+		`{"cache": {"entries": 1}, "members": []}`,
+		`{"profiles": [{"name": "p", "shards": 0, "cols": 2}]} x`,
+		`null`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reparses(t, data, service.ParseFleetSpec)
+		reparses(t, data, ParseMembersSpec)
+	})
+}
+
+// reparses checks that a spec parse accepts survives json.Marshal and
+// a second parse as an equal value.
+func reparses[S any](t *testing.T, data []byte, parse func([]byte) (S, error)) {
+	spec, err := parse(data)
+	if err != nil {
+		return
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatalf("%+v: %v", spec, err)
+	}
+	again, err := parse(raw)
+	if err != nil || !reflect.DeepEqual(again, spec) {
+		t.Errorf("%s parsed as %+v, then as %+v (%v)", data, spec, again, err)
+	}
+}
+
 // stubMember is a scripted worker endpoint for placement tests: it
 // serves a crafted /v1/stats body and answers submissions by script,
 // recording what it was asked to run. Its jobs stay queued: a job's
 // event stream is job.placed and then nothing, until holdJobs releases
-// it.
+// it (or loseJobs loses it).
 type stubMember struct {
 	mu       sync.Mutex
 	stats    service.Stats
 	submits  int
 	response func(n int) (int, interface{}) // status, body for the n-th submission
 	hold     chan struct{}                  // see holdJobs
+	lost     bool                           // see loseJobs
 	ts       *httptest.Server
 }
 
@@ -211,6 +250,10 @@ func newStubMember(t *testing.T, stats service.Stats, response func(n int) (int,
 		reply(w, code, body)
 	})
 	mux.HandleFunc("GET /v1/assays/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if s.gone() {
+			reply(w, http.StatusNotFound, service.ErrorBody{Error: "unknown job"})
+			return
+		}
 		status := service.StatusQueued
 		select {
 		case <-s.held():
@@ -225,13 +268,19 @@ func newStubMember(t *testing.T, stats service.Stats, response func(n int) (int,
 				seq, typ, seq, typ, r.PathValue("id"))
 			w.(http.Flusher).Flush()
 		}
+		if s.gone() {
+			reply(w, http.StatusNotFound, service.ErrorBody{Error: "unknown job"})
+			return
+		}
 		w.Header().Set("Content-Type", "text/event-stream")
 		if r.Header.Get("Last-Event-ID") == "" {
 			frame(1, stream.JobPlaced)
 		}
 		select {
 		case <-s.held(): // a nil channel (no holdJobs) holds for good
-			frame(2, stream.JobDone)
+			if !s.gone() {
+				frame(2, stream.JobDone)
+			}
 		case <-r.Context().Done():
 		}
 	})
@@ -248,6 +297,27 @@ func (s *stubMember) holdJobs() (release func()) {
 	s.hold = hold
 	s.mu.Unlock()
 	return func() { close(hold) }
+}
+
+// loseJobs holds the stub's jobs as holdJobs does, but release loses
+// them, as a worker without -data does when it restarts: open event
+// streams end without a terminal frame, and every later request about
+// a job answers 404.
+func (s *stubMember) loseJobs() (release func()) {
+	hold := s.holdJobs()
+	return func() {
+		s.mu.Lock()
+		s.lost = true
+		s.mu.Unlock()
+		hold()
+	}
+}
+
+// gone reports whether loseJobs released.
+func (s *stubMember) gone() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lost
 }
 
 // held is the channel release closes (nil before holdJobs).
@@ -445,6 +515,79 @@ func TestAggregateHealth(t *testing.T) {
 	case <-g.Drained():
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain never completed")
+	}
+}
+
+// TestGatewayDrainWaitsForRoutedJobs pins Drain over routed jobs: a
+// job still running on its member holds it, and each way a routed job
+// ends releases it — the relay's terminal frame, a member that lost
+// the job (its 404 fails the job), and a recovered job whose member
+// left the members spec, which recovery fails before it can hold
+// anything. Drained closes only after the last of them.
+func TestGatewayDrainWaitsForRoutedJobs(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.LogRoute(store.RouteRecord{ID: "a-000001", Member: "gone", RemoteID: "j-000001", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	held := newStubMember(t, service.Stats{}, accept)
+	finish := held.holdJobs()
+	lost := newStubMember(t, service.Stats{}, accept)
+	lose := lost.loseJobs()
+	g, err := New(Config{Members: []MemberSpec{
+		{Name: "held", Addr: held.ts.URL, Profiles: die40()},
+		{Name: "lost", Addr: lost.ts.URL, Profiles: die40()},
+	}, Store: st, PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if j, _ := g.Get("a-000001"); j.Status != service.StatusFailed {
+		t.Fatalf("recovered job of a removed member: %s, want failed", j.Status)
+	}
+	// The members tie, so the first job goes to "held", first in
+	// members order, and the second to "lost", which then has no
+	// forward pending.
+	var ids []string
+	for i, want := range []string{"held", "lost"} {
+		res, err := g.Submit(service.SubmitRequest{Seed: 10 + uint64(i), Program: testProgram(4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, _ := g.Get(res.ID); j.Member != want {
+			t.Fatalf("job %s routed to %q, want %q", res.ID, j.Member, want)
+		}
+		ids = append(ids, res.ID)
+	}
+	go g.Drain()
+	stillOpen := func(when string) {
+		t.Helper()
+		select {
+		case <-g.Drained():
+			t.Fatalf("Drained closed %s", when)
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	stillOpen("while both routed jobs ran")
+	if !g.Draining() {
+		t.Fatal("gateway not draining")
+	}
+	finish()
+	if j, terminal, err := g.WaitTimeout(ids[0], 10*time.Second); err != nil || !terminal || j.Status != service.StatusDone {
+		t.Fatalf("job %s: %s terminal=%v err=%v, want done", ids[0], j.Status, terminal, err)
+	}
+	stillOpen("while a routed job ran")
+	lose()
+	select {
+	case <-g.Drained():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drained never closed after the last routed job ended")
+	}
+	if j, _ := g.Get(ids[1]); j.Status != service.StatusFailed || !strings.Contains(j.Error, "lost") {
+		t.Errorf("job %s: %s %q, want failed as lost by its member", ids[1], j.Status, j.Error)
 	}
 }
 

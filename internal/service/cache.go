@@ -220,27 +220,6 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 		return SubmitResult{}, fmt.Errorf("%w: %v", ErrPersist, err)
 	}
 	s.seq++
-	j := &Job{
-		ID:       id,
-		Status:   StatusDone,
-		Program:  pr.Name,
-		Seed:     seed,
-		Eligible: root.Eligible,
-		Profile:  root.Profile,
-		Assigned: -1,
-		Shard:    -1,
-		CacheHit: true,
-		DedupOf:  root.ID,
-		Report:   root.Report,
-		pr:       pr,
-		done:     closedDone,
-		ring:     root.ring,
-	}
-	s.startTrace(j, traceParent)
-	j.trace.Start("cache.hit", j.spanRoot.ID(), obs.Attr{K: "dedup_of", V: root.ID}).End()
-	j.spanRoot.End()
-	s.jobs[id] = j
-	s.met.done.Inc()
 	rec := store.FinishRecord{
 		ID:       id,
 		Status:   string(StatusDone),
@@ -248,6 +227,10 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 		Eligible: root.Eligible,
 		DedupOf:  root.ID,
 	}
+	j := s.aliasLocked(pr, seed, root, &rec, false)
+	s.startTrace(j, traceParent)
+	j.trace.Start("cache.hit", j.spanRoot.ID(), obs.Attr{K: "dedup_of", V: root.ID}).End()
+	j.spanRoot.End()
 	if err := s.store.LogFinish(rec); err != nil {
 		// The alias completes in memory regardless; without its finish
 		// record it is simply re-executed (deterministically) after a
@@ -255,6 +238,21 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 		s.met.persistErrors.Inc()
 	}
 	return SubmitResult{ID: id, Eligible: j.Eligible, Cache: "hit", DedupOf: root.ID}, nil
+}
+
+// aliasLocked registers a cache-hit alias of the done root, born done:
+// its own ID, program and seed, the eligible set and profile of its
+// finish record fin (for a hit, the record about to be logged; on
+// restore, the logged one), and the root's report bytes and event ring.
+// It counts the alias done. Caller holds s.mu.
+func (s *Service) aliasLocked(pr assay.Program, seed uint64, root *Job, fin *store.FinishRecord, recovered bool) *Job {
+	j := newJob(fin.ID, pr, seed, fin.Eligible, recovered)
+	j.Status, j.Profile = StatusDone, fin.Profile
+	j.CacheHit, j.DedupOf, j.Report = true, root.ID, root.Report
+	j.done, j.ring = closedDone, root.ring
+	s.jobs[j.ID] = j
+	s.met.done.Inc()
+	return j
 }
 
 // queueFullLocked snapshots the per-class backlog into a

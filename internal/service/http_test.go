@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"biochip/internal/assay"
+	"biochip/internal/stream"
 )
 
 // TestHTTPShardedBitIdenticalToSerial is the end-to-end acceptance test:
@@ -402,4 +405,91 @@ func TestWriteJobMatchesEncoder(t *testing.T) {
 			t.Errorf("%s: status %d, content type %q", c.name, rec.Code, rec.Header().Get("Content-Type"))
 		}
 	}
+}
+
+// FuzzHandlerQuery sends arbitrary query strings to the list, get and
+// long-poll endpoints of an in-process worker holding one done job, and
+// arbitrary Last-Event-ID and ?after values to that job's events
+// endpoint; a request http.NewRequest rejects is skipped. Every answer
+// is 200, 400 or 404. A 200 listing is a ListPage of at most
+// MaxListLimit jobs, a 200 job body is the job's, and a 200 stream
+// parses frame by frame, each past the resume point.
+func FuzzHandlerQuery(f *testing.F) {
+	svc := newFakeService(f, 1, 0, func(*shard, *Job) {})
+	f.Cleanup(svc.Close)
+	id, err := submit(svc, testProgram(2), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if j, err := svc.Wait(id); err != nil || j.Status != StatusDone {
+		f.Fatalf("job %s: %s %v", id, j.Status, err)
+	}
+	h := svc.Handler()
+	for _, seed := range []struct{ query, lastEventID, after string }{
+		{"", "", ""},
+		{"status=done&limit=1&order=desc", "1", ""},
+		{"after=a-000001&limit=0&wait=1", "", "2"},
+		{"status=lost&order=up&timeout=-1", "x", "-1"},
+		{"limit=99999999999999999999&timeout=NaN", "18446744073709551615", "3"},
+		{"%zz&timeout=1e400", " 1", "01"},
+	} {
+		f.Add(seed.query, seed.lastEventID, seed.after)
+	}
+	f.Fuzz(func(t *testing.T, query, lastEventID, after string) {
+		serve := func(target, lastEventID string) (*httptest.ResponseRecorder, bool) {
+			req, err := http.NewRequest(http.MethodGet, "http://worker"+target, nil)
+			if err != nil {
+				return nil, false
+			}
+			if lastEventID != "" {
+				req.Header.Set("Last-Event-ID", lastEventID)
+			}
+			// The events handler watches the request's context.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req.WithContext(ctx))
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+			default:
+				t.Errorf("GET %s: status %d", target, rec.Code)
+			}
+			return rec, rec.Code == http.StatusOK
+		}
+		if rec, ok := serve("/v1/assays?"+query, ""); ok {
+			var page ListPage
+			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil || len(page.Jobs) > MaxListLimit {
+				t.Errorf("listing ?%s: %d jobs, %v", query, len(page.Jobs), err)
+			}
+		}
+		for _, q := range []string{query, "wait=1&" + query} {
+			if rec, ok := serve("/v1/assays/"+id+"?"+q, ""); ok {
+				var j Job
+				if err := json.Unmarshal(rec.Body.Bytes(), &j); err != nil || j.ID != id {
+					t.Errorf("job ?%s: %q, %v", q, j.ID, err)
+				}
+			}
+		}
+		rec, ok := serve("/v1/assays/"+id+"/events?after="+url.QueryEscape(after), lastEventID)
+		if !ok {
+			return
+		}
+		resume := lastEventID
+		if resume == "" {
+			resume = after
+		}
+		from, err := strconv.ParseUint(resume, 10, 64)
+		if resume != "" && err != nil {
+			t.Fatalf("stream resumed from %q, which the handler should refuse", resume)
+		}
+		r := stream.NewSSEReader(rec.Body)
+		for ev, ok := r.Next(); ok; ev, ok = r.Next() {
+			if ev.Seq <= from {
+				t.Errorf("resumed after %d: frame %s seq %d", from, ev.Type, ev.Seq)
+			}
+		}
+		if err := r.Err(); err != nil {
+			t.Errorf("stream after %d: %v", from, err)
+		}
+	})
 }

@@ -12,7 +12,9 @@ import (
 )
 
 // closedDone is the pre-closed completion channel shared by every job
-// restored in a terminal state: Wait and WaitTimeout return immediately.
+// record born terminal — cache-hit aliases, and jobs recovery restores
+// or fails — so Wait and WaitTimeout return immediately. No one closes
+// it again: finish and Close close only the channels enqueueLocked made.
 var closedDone = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
@@ -120,43 +122,14 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 		if root == nil || root.Status != StatusDone {
 			return fmt.Errorf("service: recovery: job %s: dedup root %q missing or not done", id, fin.DedupOf)
 		}
-		j := &Job{
-			ID:        id,
-			Status:    StatusDone,
-			Program:   pr.Name,
-			Seed:      seed,
-			Eligible:  fin.Eligible,
-			Profile:   fin.Profile,
-			Assigned:  -1,
-			Shard:     -1,
-			Recovered: true,
-			CacheHit:  true,
-			DedupOf:   fin.DedupOf,
-			Report:    root.Report,
-			pr:        pr,
-			done:      closedDone,
-			ring:      root.ring,
-		}
-		s.jobs[id] = j
-		s.met.done.Inc()
+		s.aliasLocked(pr, seed, root, fin, true)
 		s.met.recovered.Inc()
 		return nil
 	}
-	j := &Job{
-		ID:        id,
-		Status:    Status(fin.Status),
-		Program:   pr.Name,
-		Seed:      seed,
-		Eligible:  fin.Eligible,
-		Profile:   fin.Profile,
-		Assigned:  -1,
-		Shard:     -1,
-		Recovered: true,
-		Error:     fin.Error,
-		pr:        pr,
-		done:      closedDone,
-		ring:      stream.RecoveredRing(uint64(len(fin.Events)), s.storeBackfill(id)),
-	}
+	j := newJob(id, pr, seed, fin.Eligible, true)
+	j.Status, j.Profile, j.Error = Status(fin.Status), fin.Profile, fin.Error
+	j.done = closedDone
+	j.ring = stream.RecoveredRing(uint64(len(fin.Events)), s.storeBackfill(id))
 	switch j.Status {
 	case StatusDone:
 		j.Report = fin.Report
@@ -185,29 +158,14 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 // so the next restart serves it from disk. Caller holds s.mu.
 func (s *Service) failRecoveredLocked(id string, pr assay.Program, seed uint64) {
 	_, reasons := s.place(pr)
-	ierr := &IncompatibleError{Program: pr.Name,
-		Requirements: pr.EffectiveRequirements(), Reasons: reasons}
-	j := &Job{
-		ID:        id,
-		Status:    StatusFailed,
-		Program:   pr.Name,
-		Seed:      seed,
-		Assigned:  -1,
-		Shard:     -1,
-		Recovered: true,
-		Error:     ierr.Error(),
-		pr:        pr,
-		done:      closedDone,
-		ring:      stream.NewRing(),
-	}
+	j := newJob(id, pr, seed, nil, true)
+	j.done, j.ring = closedDone, stream.NewRing()
 	j.ring.Publish(stream.Event{Type: stream.JobPlaced, Job: &stream.JobInfo{
 		ID: id, Program: pr.Name, Seed: seed,
 	}})
-	j.ring.Publish(stream.Event{Type: stream.JobFailed,
-		Job: &stream.JobInfo{ID: id}, Err: j.Error})
-	j.ring.Close()
+	s.endLocked(j, nil, nil, &IncompatibleError{Program: pr.Name,
+		Requirements: pr.EffectiveRequirements(), Reasons: reasons})
 	s.persistFinishLocked(j)
 	s.jobs[id] = j
-	s.met.failed.Inc()
 	s.met.recovered.Inc()
 }

@@ -551,6 +551,15 @@ func shardIDsOf(shards []*shard, eligible []*profile) []int {
 	return ids
 }
 
+// newJob builds a job record with what every record shares, however
+// it is born: ID, program, seed, eligible set, no shard (Assigned and
+// Shard -1) and whether recovery restored it. Callers set the rest:
+// status, completion channel, event ring and their own path's fields.
+func newJob(id string, pr assay.Program, seed uint64, eligible []string, recovered bool) *Job {
+	return &Job{ID: id, Program: pr.Name, Seed: seed, Eligible: eligible,
+		Assigned: -1, Shard: -1, Recovered: recovered, pr: pr}
+}
+
 // enqueueLocked creates the job record under the given (already WAL'd)
 // ID, attaches its event ring, publishes the placement event, registers
 // cacheable jobs in the result-cache index and queues the job. The ID
@@ -559,22 +568,10 @@ func shardIDsOf(shards []*shard, eligible []*profile) []int {
 // ("" for local and recovered submissions). Caller holds s.mu.
 func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target int, eligible []*profile, recovered bool, key cache.Key, traceParent string) *Job {
 	cls := s.classFor(eligible)
-	j := &Job{
-		ID:        id,
-		Status:    StatusQueued,
-		Program:   pr.Name,
-		Seed:      seed,
-		Eligible:  cls.names,
-		Assigned:  target,
-		Shard:     -1,
-		Recovered: recovered,
-		pr:        pr,
-		done:      make(chan struct{}),
-		ring:      stream.NewRing(),
-		key:       key,
-		class:     cls.label,
-		enqAt:     obs.Now(),
-	}
+	j := newJob(id, pr, seed, cls.names, recovered)
+	j.Status, j.Assigned = StatusQueued, target
+	j.done, j.ring = make(chan struct{}), stream.NewRing()
+	j.key, j.class, j.enqAt = key, cls.label, obs.Now()
 	s.startTrace(j, traceParent)
 	if !key.Zero() {
 		if _, dup := s.byKey[key]; !dup {
@@ -686,17 +683,10 @@ func (s *Service) Close() {
 	for _, cls := range s.classList {
 		for _, j := range cls.queue {
 			s.queued--
-			j.Status = StatusFailed
-			j.Error = ErrClosed.Error()
-			s.met.failed.Inc()
+			// No finish record: a restart re-executes the job.
+			s.endLocked(j, nil, nil, ErrClosed)
 			j.spanQueue.End()
 			j.spanRoot.End()
-			j.ring.Publish(stream.Event{Type: stream.JobFailed,
-				Job: &stream.JobInfo{ID: j.ID}, Err: ErrClosed.Error()})
-			j.ring.Close()
-			if s.byKey[j.key] == j {
-				delete(s.byKey, j.key)
-			}
 			close(j.done)
 		}
 		cls.queue = nil
@@ -807,15 +797,40 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 	j.trace.Add("execute", j.spanRoot.ID(), j.execAt, obs.Now(),
 		obs.Attr{K: "profile", V: sh.profile.Name})
 	finSpan := j.trace.Start("finish", j.spanRoot.ID())
+	s.endLocked(j, rep, raw, err)
+	pAt := obs.Now()
+	persisted := s.persistFinishLocked(j)
+	s.met.persist.With().Observe(obs.Since(pAt))
+	j.trace.Add("persist", finSpan.ID(), pAt, obs.Now())
+	// A done root whose finish record did not persist leaves the
+	// result-cache index too, since no restart could resolve an alias
+	// of it.
+	if !persisted && s.byKey[j.key] == j {
+		delete(s.byKey, j.key)
+	}
+	finSpan.End()
+	j.spanRoot.End()
+	close(j.done)
+	// Wake Drain waiters (and any shard parked on the queue).
+	s.cond.Broadcast()
+}
+
+// endLocked makes a job terminal, done with rep's report encoded as
+// raw or failed with err: it sets the status and the report or error,
+// counts the job, publishes the stream's one terminal frame, closes the
+// ring and takes a failed root out of the result-cache index, so a
+// retry executes (failures are often environmental: close, drain).
+// finish, Close and failRecoveredLocked end every job that is not born
+// terminal through it; persisting the finish record, the spans and
+// closing done stay with them. Caller holds s.mu.
+func (s *Service) endLocked(j *Job, rep *assay.Report, raw json.RawMessage, err error) {
 	if err != nil {
-		j.Status = StatusFailed
-		j.Error = err.Error()
+		j.Status, j.Error = StatusFailed, err.Error()
 		s.met.failed.Inc()
 		j.ring.Publish(stream.Event{Type: stream.JobFailed,
-			Job: &stream.JobInfo{ID: j.ID}, Err: err.Error()})
+			Job: &stream.JobInfo{ID: j.ID}, Err: j.Error})
 	} else {
-		j.Status = StatusDone
-		j.Report = raw
+		j.Status, j.Report = StatusDone, raw
 		s.met.done.Inc()
 		j.ring.Publish(stream.Event{Type: stream.JobDone, T: rep.Duration,
 			Job: &stream.JobInfo{
@@ -824,22 +839,9 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 			}})
 	}
 	j.ring.Close()
-	pAt := obs.Now()
-	persisted := s.persistFinishLocked(j)
-	s.met.persist.With().Observe(obs.Since(pAt))
-	j.trace.Add("persist", finSpan.ID(), pAt, obs.Now())
-	// A failed root leaves the result-cache index, so a retry executes:
-	// failures are often environmental (close, drain). So does a done
-	// root whose finish record did not persist, since no restart could
-	// resolve an alias of it.
-	if (j.Status == StatusFailed || !persisted) && s.byKey[j.key] == j {
+	if err != nil && s.byKey[j.key] == j {
 		delete(s.byKey, j.key)
 	}
-	finSpan.End()
-	j.spanRoot.End()
-	close(j.done)
-	// Wake Drain waiters (and any shard parked on the queue).
-	s.cond.Broadcast()
 }
 
 // persistFinishLocked appends the job's terminal record — status,

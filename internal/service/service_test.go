@@ -141,7 +141,7 @@ func submit(svc *Service, pr assay.Program, seed uint64) (string, error) {
 // the physics, for dispatcher-only tests. The result cache is disabled:
 // these tests deliberately submit identical (program, seed) pairs to
 // exercise queueing and stealing, which the cache would coalesce away.
-func newFakeService(t *testing.T, shards, depth int, fn func(sh *shard, j *Job)) *Service {
+func newFakeService(t testing.TB, shards, depth int, fn func(sh *shard, j *Job)) *Service {
 	t.Helper()
 	svc, err := New(Config{Shards: shards, QueueDepth: depth, Chip: testChip(),
 		Cache: CacheConfig{Disable: true}})
@@ -295,7 +295,9 @@ func TestQueueBackpressure(t *testing.T) {
 
 // TestCloseFailsQueuedJobs verifies queued (never claimed) work is
 // failed, not lost, on shutdown: one shard blocks on its first job, the
-// three behind it must come back failed with ErrClosed.
+// three behind it must come back failed with ErrClosed, each with the
+// stream job.placed then one job.failed, and with no finish record, so
+// a restart re-executes them: Close appends only the running job's.
 func TestCloseFailsQueuedJobs(t *testing.T) {
 	release := make(chan struct{})
 	svc := newFakeService(t, 1, 8, func(sh *shard, j *Job) { <-release })
@@ -315,6 +317,7 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	records := svc.Stats().Store.Records
 	// Close drains the queue (failing 3 jobs) before waiting for the
 	// in-flight one; release the parked runner once that has happened.
 	go func() {
@@ -324,6 +327,9 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 		close(release)
 	}()
 	svc.Close()
+	if got := svc.Stats().Store.Records - records; got != 1 {
+		t.Errorf("Close appended %d records, want 1: the running job's finish record alone", got)
+	}
 	done, failed := 0, 0
 	for _, id := range ids {
 		j, ok := svc.Get(id)
@@ -336,6 +342,15 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 		case StatusFailed:
 			if j.Error != ErrClosed.Error() {
 				t.Errorf("job %s failed with %q", id, j.Error)
+			}
+			sub, _ := svc.SubscribeEvents(id, 0)
+			var types []string
+			for ev, ok := sub.Next(nil); ok; ev, ok = sub.Next(nil) {
+				types = append(types, ev.Type)
+			}
+			sub.Cancel()
+			if want := []string{stream.JobPlaced, stream.JobFailed}; !slices.Equal(types, want) {
+				t.Errorf("job %s: stream %v, want %v", id, types, want)
 			}
 			failed++
 		default:

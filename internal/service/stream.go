@@ -90,9 +90,19 @@ type ListPage struct {
 func (s *Service) List(f ListFilter) ListPage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.jobs))
-	for id, j := range s.jobs {
-		if f.Status == "" || j.Status == f.Status {
+	return ListJobs(s.jobs, func(j *Job) *Job { return j }, f)
+}
+
+// ListJobs pages a job table, where record reads a table entry's job
+// record: it keeps the records matching f.Status, orders their IDs by
+// CompareJobIDs, cuts the page with PageIDs and copies the page's
+// records without their reports (listings are summaries; fetch the job
+// for the report). Workers and gateways both list through it, each
+// under its own lock, so listings behave identically on either role.
+func ListJobs[J any](jobs map[string]J, record func(J) *Job, f ListFilter) ListPage {
+	ids := make([]string, 0, len(jobs))
+	for id, j := range jobs {
+		if f.Status == "" || record(j).Status == f.Status {
 			ids = append(ids, id)
 		}
 	}
@@ -100,8 +110,8 @@ func (s *Service) List(f ListFilter) ListPage {
 	ids, next := PageIDs(ids, f)
 	page := ListPage{Jobs: make([]Job, len(ids)), Next: next}
 	for i, id := range ids {
-		page.Jobs[i] = *s.jobs[id]
-		page.Jobs[i].Report = nil // listings are summaries; fetch the job for the report
+		page.Jobs[i] = *record(jobs[id])
+		page.Jobs[i].Report = nil
 	}
 	return page
 }
@@ -110,8 +120,7 @@ func (s *Service) List(f ListFilter) ListPage {
 // f.Status, sorted by CompareJobIDs — submission order. It applies the
 // exclusive After cursor (placed by CompareJobIDs too), the order and
 // the limit, and returns the page's IDs plus the Next cursor (empty on
-// the last page). Workers and gateways both page through it, so
-// listings behave identically on either role.
+// the last page). ListJobs pages through it.
 func PageIDs(ids []string, f ListFilter) (page []string, next string) {
 	limit := f.Limit
 	if limit <= 0 {

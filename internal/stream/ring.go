@@ -2,6 +2,7 @@ package stream
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"time"
 )
@@ -228,9 +229,11 @@ func (r *Ring) notifyLocked() {
 
 // Subscribe attaches a subscriber that resumes after the given sequence
 // number (0 replays from the beginning of the stream). Cancel the
-// subscription when done.
+// subscription when done. No event follows math.MaxUint64, so that
+// cursor stops one short: the next wanted sequence number must not wrap
+// to 0, which would replay the whole stream behind a gap.
 func (r *Ring) Subscribe(after uint64) *Sub {
-	sub := &Sub{ring: r, cursor: after, sig: make(chan struct{}, 1)}
+	sub := &Sub{ring: r, cursor: min(after, math.MaxUint64-1), sig: make(chan struct{}, 1)}
 	r.mu.Lock()
 	r.subs[sub] = struct{}{}
 	r.mu.Unlock()

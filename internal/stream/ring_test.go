@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -322,6 +323,11 @@ func TestRingOffload(t *testing.T) {
 	}
 	if got := drain(early); !reflect.DeepEqual(got, evs[1:]) {
 		t.Fatalf("a subscriber attached before the offload continues with %+v", got)
+	}
+	// No event follows the largest sequence number: resuming after it
+	// must not wrap around to a replay from the start.
+	if got := drain(r.Subscribe(math.MaxUint64)); len(got) != 0 {
+		t.Fatalf("resume after MaxUint64 replays %+v", got)
 	}
 	if seq := r.Publish(Event{Type: OpStarted}); seq != 0 || r.Last() != 12 || len(r.Events()) != 0 {
 		t.Fatalf("Publish on an offloaded ring assigned %d", seq)
