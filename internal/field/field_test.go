@@ -1,9 +1,11 @@
 package field
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"biochip/internal/rng"
 	"biochip/internal/units"
 )
 
@@ -192,4 +194,140 @@ func TestSymmetryOfCage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// solveLexicographic is the plain SOR solve Solve's banded sweep must
+// reproduce bit for bit: each iteration relaxes the interior rows bottom
+// to top, each row left to right.
+func solveLexicographic(s *Slice, tol float64, maxIter int) (*Solution, error) {
+	nx, nz := s.Nx, s.Nz
+	phi := make([][]float64, nz)
+	for z := range phi {
+		phi[z] = make([]float64, nx)
+	}
+	copy(phi[0], s.Bottom)
+	for x := 0; x < nx; x++ {
+		phi[nz-1][x] = s.LidVoltage
+	}
+	for z := 1; z < nz-1; z++ {
+		t := float64(z) / float64(nz-1)
+		for x := 0; x < nx; x++ {
+			phi[z][x] = (1-t)*s.Bottom[x] + t*s.LidVoltage
+		}
+	}
+	omega := 2.0 / (1.0 + math.Pi/float64(max(nx, nz)))
+	sol := &Solution{Nx: nx, Nz: nz, Dx: s.Dx, Phi: phi}
+	for it := 0; it < maxIter; it++ {
+		maxDelta := 0.0
+		for z := 1; z < nz-1; z++ {
+			row := phi[z]
+			below, above := phi[z-1], phi[z+1]
+			for x := 0; x < nx; x++ {
+				var left, right float64
+				if x == 0 {
+					left = row[1]
+				} else {
+					left = row[x-1]
+				}
+				if x == nx-1 {
+					right = row[nx-2]
+				} else {
+					right = row[x+1]
+				}
+				target := 0.25 * (left + right + below[x] + above[x])
+				delta := omega * (target - row[x])
+				row[x] += delta
+				if d := math.Abs(delta); d > maxDelta {
+					maxDelta = d
+				}
+			}
+		}
+		sol.Iterations = it + 1
+		sol.Residual = maxDelta
+		if maxDelta < tol {
+			return sol, nil
+		}
+	}
+	return sol, fmt.Errorf("field: SOR did not converge in %d iterations (residual %g)",
+		maxIter, sol.Residual)
+}
+
+// matchesLexicographic solves s with Solve and with solveLexicographic
+// and fails t unless the two agree bit for bit: every Phi node,
+// Iterations, Residual and the error text. It reports whether the
+// reference converged.
+func matchesLexicographic(t *testing.T, s *Slice, tol float64, maxIter int) bool {
+	t.Helper()
+	want, wantErr := solveLexicographic(s, tol, maxIter)
+	got, gotErr := s.Solve(tol, maxIter)
+	name := fmt.Sprintf("%dx%d, maxIter %d", s.Nx, s.Nz, maxIter)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: error %v, want %v", name, gotErr, wantErr)
+	}
+	if got.Iterations != want.Iterations || math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
+		t.Fatalf("%s: %d iterations, residual %x; want %d, %x", name,
+			got.Iterations, math.Float64bits(got.Residual), want.Iterations, math.Float64bits(want.Residual))
+	}
+	for z, row := range want.Phi {
+		for x, v := range row {
+			if g := got.Phi[z][x]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("%s: phi[%d][%d] = %x, want %x", name, z, x, math.Float64bits(g), math.Float64bits(v))
+			}
+		}
+	}
+	return wantErr == nil
+}
+
+// TestSolveMatchesLexicographic pins the banded sweep to the row-by-row
+// one, run to convergence and cut short, on every grid of 3…9 columns by
+// 3…13 rows (the narrowest grids, and every count of rows left over after
+// the last band) and on grids 75 columns wide or 76 rows tall, the cage
+// calibration's slice among them.
+func TestSolveMatchesLexicographic(t *testing.T) {
+	const tol, converging, short = 1e-9, 100000, 7
+	src := rng.New(1)
+	for _, nx := range []int{3, 4, 5, 6, 7, 8, 9, 75} {
+		for _, nz := range []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 76} {
+			s, err := NewSlice(nx, nz, 1e-6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := range s.Bottom {
+				s.Bottom[x] = src.Uniform(-5, 5)
+			}
+			s.LidVoltage = src.Uniform(-5, 5)
+			if !matchesLexicographic(t, s, tol, converging) {
+				t.Fatalf("%dx%d did not converge in %d iterations", nx, nz, converging)
+			}
+			if matchesLexicographic(t, s, tol, short) {
+				t.Fatalf("%dx%d converged in %d iterations", nx, nz, short)
+			}
+		}
+	}
+}
+
+// FuzzSolveMatchesLexicographic checks the same on fuzzed problems: a
+// grid of 3…24 by 3…24 nodes, 1…64 iterations, and bottom and lid
+// voltages of −8…8 V taken from the fuzzed bytes.
+func FuzzSolveMatchesLexicographic(f *testing.F) {
+	f.Add(uint8(2), uint8(10), uint8(63), []byte{16, 240, 1})
+	f.Add(uint8(20), uint8(5), uint8(9), []byte{127, 128, 0, 64})
+	f.Add(uint8(0), uint8(0), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, nx, nz, maxIter uint8, volts []byte) {
+		s, err := NewSlice(3+int(nx)%22, 3+int(nz)%22, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		volt := func(i int) float64 {
+			if len(volts) == 0 {
+				return 0
+			}
+			return float64(int8(volts[i%len(volts)])) / 16
+		}
+		for x := range s.Bottom {
+			s.Bottom[x] = volt(x)
+		}
+		s.LidVoltage = volt(len(s.Bottom))
+		matchesLexicographic(t, s, 1e-6, 1+int(maxIter)%64)
+	})
 }

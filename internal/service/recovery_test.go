@@ -331,16 +331,18 @@ func TestRecoveryIncompatibleFleet(t *testing.T) {
 	pr := testProgram(10)
 	pr.Requirements = &assay.Requirements{MinCols: big.Array.Cols, MinRows: big.Array.Rows}
 
+	// Construct the crash state directly: the job's submission and
+	// nothing else, as a kill with the job still queued leaves it. No
+	// service runs here, so none can finish the job first.
+	const id = "a-000001"
 	d := openTestStore(t, dir)
-	svc, err := New(Config{Shards: 1, Chip: big, Store: d})
+	raw, err := json.Marshal(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := submit(svc, pr, 5)
-	if err != nil {
+	if err := d.LogSubmit(store.SubmitRecord{ID: id, Seed: 5, Program: raw}); err != nil {
 		t.Fatal(err)
 	}
-	svc.Close() // killed with the job still queued
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -294,7 +294,11 @@ func CompareJobIDs(a, b string) int {
 // seqDigits counts the digits that follow an ID's "a-".
 func seqDigits(id string) int {
 	s := strings.TrimPrefix(id, "a-")
-	return len(s) - len(strings.TrimLeft(s, "0123456789"))
+	n := 0
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		n++
+	}
+	return n
 }
 
 // profile is one die class and its shards.
