@@ -63,9 +63,9 @@
 // and proxying status, listings, stats and event streams under the
 // same endpoints. Determinism is unchanged through the gateway — which
 // member executes a job never changes a bit of its report or stream.
-// -data gives the gateway a durable route log so job→member bindings
-// survive a gateway restart; the cache flags size the gateway's own
-// result cache.
+// -data gives the gateway a durable log so job→member bindings and
+// finished routed jobs survive a gateway restart; the cache flags size
+// the gateway's own result cache.
 package main
 
 import (

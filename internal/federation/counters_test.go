@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,9 +63,10 @@ func gatewayStatsMatchMetrics(t *testing.T, base string) GatewayStats {
 // TestGatewayStatsMatchMetrics pins that a gateway's /v1/stats and
 // /v1/metrics read one counter store: forwards, a done and a failed
 // job, a cache miss, hit and coalesced duplicate, then a restart over
-// the durable route log after one member left the spec — the job
-// routed to it fails at recovery and counts as a failed job on both
-// endpoints. CI repeats it under the race detector.
+// the durable log after one member left the spec — the job routed to
+// it, which failed before the restart, is restored failed from its
+// finish record and counts as a failed job on both endpoints. CI
+// repeats it under the race detector.
 func TestGatewayStatsMatchMetrics(t *testing.T) {
 	held := newStubMember(t, service.Stats{}, accept)
 	release := held.holdJobs()
@@ -136,7 +138,7 @@ func TestGatewayStatsMatchMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// w1 left the spec: its routed job fails at recovery.
+	// w1 left the spec: its routed job is restored failed from the log.
 	g, st, gs = open(w0)
 	defer func() { gs.Close(); g.Close(); st.Close() }()
 	wait(g, root, service.StatusDone)
@@ -190,5 +192,83 @@ func TestGatewayRouteAppendFails(t *testing.T) {
 	}
 	if gw := gatewayStatsMatchMetrics(t, gs.URL); gw.PersistErrors != 2 || gw.Forwarded != 0 || gw.Jobs != 0 {
 		t.Errorf("persist errors %d, forwarded %d, jobs %d; want 2 0 0", gw.PersistErrors, gw.Forwarded, gw.Jobs)
+	}
+}
+
+// refusingFinishes is a gateway log whose every finish append fails.
+type refusingFinishes struct{ store.Store }
+
+func (refusingFinishes) LogFinish(store.FinishRecord) error {
+	return errors.New("injected finish append failure")
+}
+
+// TestGatewayFinishAppendFails: a routed job whose finish record cannot
+// be appended still ends done, and its mirror keeps its events and
+// serves the stream; the failure counts once on both endpoints. A
+// restart over the log, whose finish appends then succeed, resumes the
+// job's relay, which the member sees as a second event stream and
+// record fetch, and serves the same report and stream.
+func TestGatewayFinishAppendFails(t *testing.T) {
+	addr, routes := countedMember(t)
+	members := []MemberSpec{{Name: "w0", Addr: addr, Profiles: die40()}}
+	disk, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	g, err := New(Config{Members: members, Store: refusingFinishes{disk}, PollInterval: time.Hour, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := httptest.NewServer(g.Handler())
+	res, err := g.Submit(service.SubmitRequest{Seed: 5, Program: testProgram(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second)
+	if err != nil || !terminal || j.Status != service.StatusDone {
+		t.Fatalf("job %s: %s terminal=%v err=%v, want done", res.ID, j.Status, terminal, err)
+	}
+	events := sseBody(t, gs.URL, res.ID, 0)
+	if !strings.Contains(events, "event: job.done\n") {
+		t.Fatalf("stream has no job.done frame:\n%s", events)
+	}
+	// The finish append follows the terminal frame: wait for its count.
+	for deadline := time.Now().Add(10 * time.Second); g.Stats().Gateway.PersistErrors == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed finish append was never counted")
+		}
+	}
+	if gw := gatewayStatsMatchMetrics(t, gs.URL); gw.PersistErrors != 1 || gw.Done != 1 {
+		t.Errorf("persist errors %d, done %d; want 1 1", gw.PersistErrors, gw.Done)
+	}
+	g.mu.Lock()
+	mirror := g.jobs[res.ID].mirror
+	g.mu.Unlock()
+	if evs := mirror.Events(); uint64(len(evs)) != mirror.Last() || len(evs) == 0 {
+		t.Errorf("mirror keeps %d of %d events, want all", len(evs), mirror.Last())
+	}
+	if got := sseBody(t, gs.URL, res.ID, 0); got != events {
+		t.Errorf("stream from the mirror changed:\n%s\nwant\n%s", got, events)
+	}
+	gs.Close()
+	g.Close()
+
+	g, err = New(Config{Members: members, Store: disk, PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gs = httptest.NewServer(g.Handler())
+	defer gs.Close()
+	after, terminal, err := g.WaitTimeout(res.ID, 30*time.Second)
+	if err != nil || !terminal || after.Status != service.StatusDone || string(after.Report) != string(j.Report) {
+		t.Fatalf("job %s after restart: %s terminal=%v err=%v, want done with its report", res.ID, after.Status, terminal, err)
+	}
+	if got := sseBody(t, gs.URL, res.ID, 0); got != events {
+		t.Errorf("stream after restart differs:\n%s\nwant\n%s", got, events)
+	}
+	if got := routes(); got["events"] != 2 || got["get"] != 2 {
+		t.Errorf("member requests %v, want 2 events and 2 get: the restart resumes the relay", got)
 	}
 }

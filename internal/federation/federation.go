@@ -16,8 +16,10 @@
 // candidates by the backlog their eligible classes would queue behind,
 // and forwards to the cheapest. Job→member bindings are durably logged
 // through internal/store (RouteRecord) before the submission is acked,
-// so a restarted gateway re-resolves every routed job from its log and
-// the member that owns it.
+// and a finished routed job's record and stream (FinishRecord) once
+// its relay ends it, so a restarted gateway serves every finished job
+// from its own log and re-resolves only the unfinished ones against
+// the member that owns them.
 //
 // The gateway composes with the result cache (docs/caching.md): it
 // content-addresses each submission against the fleet-wide eligible

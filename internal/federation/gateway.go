@@ -42,8 +42,9 @@ func (noMembers) Unwrap() error { return service.ErrUnavailable }
 type Config struct {
 	// Members is the worker fleet (ParseMembersSpec).
 	Members []MemberSpec
-	// Store is the route log, replayed by New; nil opens a private one
-	// (store.OpenTemp) that Close removes. The gateway owns either.
+	// Store is the gateway's log of route and finish records, replayed
+	// by New; nil opens a private one (store.OpenTemp) that Close
+	// removes. The gateway owns either.
 	Store store.Store
 	// Cache configures the gateway's own result cache.
 	Cache service.FleetCacheSpec
@@ -91,7 +92,9 @@ type gwJob struct {
 	// done closes when snap turns terminal (finishLocked).
 	done chan struct{}
 	// mirror is the job's event stream as the gateway serves it, built
-	// with the job and fed by its relay.
+	// with the job and fed by its relay, then offloaded to the log once
+	// the job's finish record is appended (endMirror); a job restored
+	// from its finish record gets an offloaded one (restoreLocked).
 	mirror *stream.Ring
 
 	// Observability (nil/zero with Obs disabled): the gateway-side span
@@ -194,13 +197,24 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// recover replays the store's route records: each becomes a routed job
-// again, its relay following it to (re-)termination on its member, with
-// the content address recomputed so deduplication spans the restart. A
+// recover replays the gateway's log in order. Each route record
+// becomes a routed job again, with the content address recomputed so
+// deduplication spans the restart, and each finish record — always
+// after its job's route record — ends that job at once, as the gateway
+// served it (restoreLocked): the log is the job, so no member is
+// called for it, even one that left the members spec. Only a routed
+// job without a finish record resumes its relay, following it to
+// (re-)termination on its member, or fails when its member left. A
 // private log is empty, so there is nothing to replay.
 func (g *Gateway) recover() error {
+	// left names the member of each routed job whose member left the
+	// members spec, which its snapshot does not carry (routeLocked).
+	left := make(map[string]string)
 	err := g.store.Replay(func(rec *store.Record) error {
-		if rec.Kind != store.KindRoute || rec.Route == nil {
+		switch {
+		case rec.Kind == store.KindFinish && rec.Finish != nil:
+			return g.restoreLocked(rec.Finish, left[rec.Finish.ID])
+		case rec.Kind != store.KindRoute || rec.Route == nil:
 			return nil
 		}
 		r := rec.Route
@@ -219,14 +233,23 @@ func (g *Gateway) recover() error {
 			// A key keyOf cannot compute comes back zero: not cached.
 			key, _ = g.keyOf(pr, r.Seed, eligible)
 		}
-		g.routeLocked(*r, g.memberByName(r.Member), key, snap)
+		m := g.memberByName(r.Member)
+		if m == nil {
+			left[r.ID] = r.Member
+		}
+		g.routeLocked(*r, m, key, snap)
 		g.met.recovered.Inc()
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("federation: replaying route log: %w", err)
+		return fmt.Errorf("federation: replaying log: %w", err)
 	}
 	for _, j := range g.jobs {
+		select {
+		case <-j.done:
+			continue // restored from its finish record
+		default:
+		}
 		if j.member == nil {
 			// The member disappeared from members.json across the
 			// restart; the job's result is unreachable.
@@ -236,6 +259,38 @@ func (g *Gateway) recover() error {
 		g.wg.Add(1)
 		go g.relay(j)
 	}
+	return nil
+}
+
+// restoreLocked ends the routed job a finish record names, at once, as
+// the gateway served it before the restart: ID, seed and program name
+// from its route record, its member from there too (member names it
+// when the member left the spec), status, profile, eligible set, error
+// and report from fin, and recovered, with assigned and shard -1 and
+// no steal or cache provenance, as a restored worker job reads. Its
+// mirror serves the stream from the log. Caller is recover.
+func (g *Gateway) restoreLocked(fin *store.FinishRecord, member string) error {
+	j := g.jobs[fin.ID]
+	if j == nil {
+		return fmt.Errorf("finish record %q without route record", fin.ID)
+	}
+	select {
+	case <-j.done:
+		return fmt.Errorf("duplicate finish record %q", fin.ID)
+	default:
+	}
+	status := service.Status(fin.Status)
+	if status != service.StatusDone && status != service.StatusFailed {
+		return fmt.Errorf("job %s: finish record with status %q", fin.ID, fin.Status)
+	}
+	snap := j.snap
+	snap.Status, snap.Profile, snap.Eligible = status, fin.Profile, fin.Eligible
+	snap.Error, snap.Report = fin.Error, fin.Report
+	if j.member == nil {
+		snap.Member = member
+	}
+	j.mirror = stream.RecoveredRing(uint64(len(fin.Events)), service.LogBackfill(g.store, j.id))
+	g.finishLocked(j, snap)
 	return nil
 }
 
@@ -642,16 +697,30 @@ func (g *Gateway) finishLocked(j *gwJob, snap service.Job) {
 // lost it, or left the members spec — as failed with msg. The snapshot
 // keeps what the gateway knows of the job (program, seed, eligible
 // set), and the mirror ends with the job.failed frame a worker would
-// have published, so subscribers terminate instead of hanging.
+// have published, so subscribers terminate instead of hanging. The
+// failure is persisted like any end (endMirror), so a restart serves
+// it from the log.
 func (g *Gateway) fail(j *gwJob, msg string) {
 	g.mu.Lock()
 	snap := j.snap
 	snap.Status, snap.Error = service.StatusFailed, msg
 	g.finishLocked(j, snap)
 	g.mu.Unlock()
-	j.mirror.Feed(stream.Event{Seq: j.mirror.Last() + 1, Type: stream.JobFailed,
+	g.endMirror(j, &snap, stream.Event{Seq: j.mirror.Last() + 1, Type: stream.JobFailed,
 		Job: &stream.JobInfo{ID: j.id}, Err: msg})
+}
+
+// endMirror feeds a finished routed job's terminal frame ev to its
+// mirror and closes it, then persists the job, snap being its terminal
+// snapshot: the finish record, spliced from the member's report bytes
+// and the mirror's event bytes, goes to the gateway's log, and the
+// mirror is offloaded to it (service.PersistFinish). It runs outside
+// g.mu, so a finish append never stalls bind's route append, and before
+// the job's relay returns, so Close closes the log after it.
+func (g *Gateway) endMirror(j *gwJob, snap *service.Job, ev stream.Event) {
+	j.mirror.Feed(ev)
 	j.mirror.Close()
+	service.PersistFinish(g.store, snap, j.mirror, j.key, g.met.persistErrors)
 }
 
 // rewriteLocked maps a member-side snapshot into the gateway's
@@ -747,8 +816,9 @@ func (g *Gateway) Drain() {
 }
 
 // Close releases the gateway: relays and the poller stop, idle member
-// connections close, and the route log closes (a private one is
-// removed). It does not drain — call Drain first for a clean shutdown.
+// connections close, and the log closes after the relays' last finish
+// appends (a private one is removed). It does not drain — call Drain
+// first for a clean shutdown.
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	g.closed = true

@@ -47,7 +47,7 @@ func newGwMetrics(reg *obs.Registry) gwMetrics {
 		done:          jobs.With("done"),
 		failed:        jobs.With("failed"),
 		recovered:     reg.Counter("assayd_gateway_recovered_total", "Routed jobs re-resolved from the route log at startup.").With(),
-		persistErrors: reg.Counter("assayd_gateway_persist_errors_total", "Route-log appends that failed.").With(),
+		persistErrors: reg.Counter("assayd_gateway_persist_errors_total", "Log appends (route or finish records) that failed.").With(),
 		hit:           cache.With("hit"),
 		miss:          cache.With("miss"),
 		coalesced:     cache.With("coalesced"),

@@ -13,7 +13,8 @@ import (
 // recover: it connects to the member's SSE endpoint resuming after the
 // mirror's last sequence number, feeds frames into the mirror until
 // the stream ends, and reconnects with backoff until the job is
-// finished. Events are ingested verbatim (sequence numbers, wall stamps
+// finished, then appends the job's finish record to the gateway's log
+// (endMirror). Events are ingested verbatim (sequence numbers, wall stamps
 // and the member's frame bytes preserved), with only the job ID in
 // job.* payloads rewritten into the gateway namespace; gap events
 // appear exactly when the member itself reported one, never from
@@ -90,10 +91,10 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 				return false, err
 			}
 			g.mu.Lock()
-			g.finishLocked(j, g.rewriteLocked(j, rj))
+			snap := g.rewriteLocked(j, rj)
+			g.finishLocked(j, snap)
 			g.mu.Unlock()
-			j.mirror.Feed(j.rewrite(ev))
-			j.mirror.Close()
+			g.endMirror(j, &snap, j.rewrite(ev))
 			// The member ends the response right after the terminal
 			// frame: read to that end, so the connection is reused.
 			_ = evs.Release()

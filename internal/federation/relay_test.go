@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"biochip/internal/service"
+	"biochip/internal/store"
 	"biochip/internal/stream"
 )
 
@@ -172,6 +174,54 @@ func TestRelaySkipsBadFrames(t *testing.T) {
 	compareFrames(t, got, want)
 }
 
+// TestRelayGapKeepsMemberBackfill: a mirror that an upstream gap frame
+// moved past seq 1 no longer holds its whole stream, so the relay
+// appends no finish record for the job and the mirror keeps its
+// events and its member backfill: a subscriber from the start reads
+// the frames before the gap back from the member, then the gap the
+// member reported, then the frames the mirror kept.
+func TestRelayGapKeepsMemberBackfill(t *testing.T) {
+	frames := goldenFrames(t, "j-000001")
+	gap := "event: gap\ndata: {\"type\":\"gap\",\"t\":0,\"gap\":{\"from\":6,\"to\":7}}\n\n"
+	member := strings.Join(frames[:5], "") + gap + strings.Join(frames[7:], "")
+	m := newSSEMember(t, nil, member)
+	disk, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	g, err := New(Config{Members: []MemberSpec{{Name: "w0", Addr: m.ts.URL, Profiles: die40()}},
+		Store: disk, PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := httptest.NewServer(g.Handler())
+	defer gs.Close()
+	res, err := g.Submit(service.SubmitRequest{Seed: 7, Program: testProgram(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second); err != nil || !terminal || j.Status != service.StatusDone {
+		t.Fatalf("job %s: %s terminal=%v err=%v, want done", res.ID, j.Status, terminal, err)
+	}
+	got := sseBody(t, gs.URL, res.ID, 0)
+	g.mu.Lock()
+	mirror := g.jobs[res.ID].mirror
+	g.mu.Unlock()
+	g.Close() // the relay has returned: it appended all it ever will
+	rename := func(f string) string { return strings.ReplaceAll(f, "j-000001", res.ID) }
+	compareFrames(t, got, rename(strings.Join(frames[:5], ""))+gap+rename(strings.Join(frames[7:], "")))
+	if evs := mirror.Events(); len(evs) != len(frames)-7 {
+		t.Errorf("mirror keeps %d events, want the %d after the gap", len(evs), len(frames)-7)
+	}
+	if _, err := disk.Events(res.ID); !errors.Is(err, store.ErrUnknownJob) {
+		t.Errorf("log events of %s: %v, want no finish record", res.ID, err)
+	}
+	if st := disk.Stats(); st.Records != 1 {
+		t.Errorf("log holds %d records, want the route record alone", st.Records)
+	}
+}
+
 // TestGatewaySSEBodyMatchesMember runs a real job through a gateway
 // whose member numbers it differently, then compares the two SSE
 // bodies of the finished job: frame for frame the gateway serves the
@@ -305,6 +355,8 @@ func TestMemberPoolHoldsConcurrentCalls(t *testing.T) {
 // TestRelayLostJobEndsOnClose pins the lost-job path: a member that
 // 404s a job's events gets the job failed by its relay, with the
 // job.failed frame ending the stream, and Close still returns at once.
+// The failed job is persisted, so the frame may come back from the
+// gateway's log as its bytes: the test decodes it.
 func TestRelayLostJobEndsOnClose(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
 	defer ts.Close()
@@ -329,7 +381,7 @@ func TestRelayLostJobEndsOnClose(t *testing.T) {
 	sub := j.mirror.Subscribe(0)
 	evs := collectSub(sub)
 	sub.Cancel()
-	if len(evs) != 1 || evs[0].Type != stream.JobFailed || evs[0].Err != j.snap.Error {
+	if len(evs) != 1 || evs[0].Type != stream.JobFailed || decodeEvent(t, evs[0]).Err != j.snap.Error {
 		t.Errorf("lost job stream %+v, want one job.failed carrying %q", evs, j.snap.Error)
 	}
 	closed := make(chan struct{})

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -107,6 +109,154 @@ func TestGatewayRestartReresolvesRoutedJobs(t *testing.T) {
 	if st := g2.Stats(); st.Gateway.Forwarded != 0 {
 		t.Errorf("post-restart forwarded = %d, want 0", st.Gateway.Forwarded)
 	}
+}
+
+// TestGatewayRestartServesFinishedFromLog pins that a finished routed
+// job lives in the gateway's log: a gateway restarted over its log
+// serves n jobs that finished on a counted member — records, reports,
+// full streams and a stream resumed from mid-stream, byte for byte as
+// before — without one member request for them. A job a stub member
+// still held at the restart resumes its relay and ends exactly once.
+func TestGatewayRestartServesFinishedFromLog(t *testing.T) {
+	const n = 4
+	addr, routes := countedMember(t)
+	// held accepts the first submission and holds it; every later one
+	// is refused as queue-full, so placement falls over to w0.
+	held := newStubMember(t, service.Stats{}, func(i int) (int, interface{}) {
+		if i == 0 {
+			return accept(i)
+		}
+		return http.StatusTooManyRequests, service.ErrorBody{Error: "queue full", Queued: intp(8), QueueDepth: 8,
+			Backlog: []service.ClassStats{{Profiles: []string{"die40"}, Queued: 8}}}
+	})
+	release := held.holdJobs()
+	members := []MemberSpec{
+		{Name: "held", Addr: held.ts.URL, Profiles: die40()},
+		{Name: "w0", Addr: addr, Profiles: die40()},
+	}
+	dir := t.TempDir()
+	open := func() (*Gateway, string, func()) {
+		st, err := store.Open(dir, store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := New(Config{Members: members, Store: st, PollInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs := httptest.NewServer(g.Handler())
+		return g, gs.URL, func() {
+			gs.Close()
+			g.Close()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	g, base, stop := open()
+	pending, err := g.Submit(service.SubmitRequest{Seed: 1, Program: testProgram(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < n; i++ {
+		res, err := g.Submit(service.SubmitRequest{Seed: 100 + uint64(i), Program: testProgram(4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second); err != nil || !terminal ||
+			j.Status != service.StatusDone || j.Member != "w0" {
+			t.Fatalf("job %s: %s on %q terminal=%v err=%v, want done on w0", res.ID, j.Status, j.Member, terminal, err)
+		}
+		ids = append(ids, res.ID)
+	}
+	// view is what a client reads of a job: its record, with the head
+	// fields a restart resets (recovered, assigned, shard, stolen) set
+	// alike before and after it, its report, its whole stream and the
+	// stream resumed after its tenth event.
+	type view struct {
+		record                 service.Job
+		report, whole, resumed string
+	}
+	served := func(base, id string) view {
+		t.Helper()
+		var v view
+		resp, body := do(t, http.MethodGet, base+"/v1/assays/"+id, "")
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &v.record) != nil {
+			t.Fatalf("GET %s: status %d %.200s", id, resp.StatusCode, body)
+		}
+		v.report = string(v.record.Report)
+		v.record.Report, v.record.Recovered = nil, false
+		v.record.Assigned, v.record.Shard, v.record.Stolen = -1, -1, false
+		v.whole, v.resumed = sseBody(t, base, id, 0), sseBody(t, base, id, 10)
+		return v
+	}
+	before := make(map[string]view, n)
+	for _, id := range ids {
+		before[id] = served(base, id)
+	}
+	stop()
+	// The relay has read the events stream of each finished job and
+	// fetched its record once; the held job's stream is on its stub.
+	if got := routes(); got["events"] != n || got["get"] != n {
+		t.Fatalf("member requests before the restart %v, want %d events and %d get", got, n, n)
+	}
+
+	g, base, stop = open()
+	defer stop()
+	if gs := g.Stats().Gateway; gs.Recovered != n+1 || gs.Done != n || gs.Failed != 0 {
+		t.Errorf("after restart: recovered %d done %d failed %d, want %d %d 0", gs.Recovered, gs.Done, gs.Failed, n+1, n)
+	}
+	for _, id := range ids {
+		v, b := served(base, id), before[id]
+		if !reflect.DeepEqual(v.record, b.record) || v.report != b.report {
+			t.Errorf("job %s after restart: %+v, before %+v (reports equal %v)", id, v.record, b.record, v.report == b.report)
+		}
+		if v.whole != b.whole || v.resumed != b.resumed {
+			t.Errorf("job %s: stream after restart differs\n--- after\n%s--- before\n%s", id, v.whole, b.whole)
+		}
+		if !strings.HasPrefix(v.resumed, "id: 11\n") || !strings.HasSuffix(v.whole, v.resumed) {
+			t.Errorf("job %s: resumed stream is not the whole one's tail from seq 11:\n%s", id, v.resumed)
+		}
+	}
+	if got := routes(); got["events"] != n || got["get"] != n {
+		t.Errorf("member requests after the restart %v, want no more than the %d events and %d get before it", got, n, n)
+	}
+
+	release()
+	if j, terminal, err := g.WaitTimeout(pending.ID, 30*time.Second); err != nil || !terminal || j.Status != service.StatusDone {
+		t.Fatalf("held job %s after release: %s terminal=%v err=%v, want done", pending.ID, j.Status, terminal, err)
+	}
+	if whole := sseBody(t, base, pending.ID, 0); strings.Count(whole, "event: job.done\n") != 1 {
+		t.Errorf("held job's stream:\n%s\nwant one job.done frame", whole)
+	}
+	if gs := g.Stats().Gateway; gs.Done != n+1 || gs.Failed != 0 {
+		t.Errorf("after the held job ended: done %d failed %d, want %d 0", gs.Done, gs.Failed, n+1)
+	}
+}
+
+// sseBody returns a job's SSE body on base, read to its end, resumed
+// with Last-Event-ID after the given sequence number when it is not 0.
+func sseBody(t *testing.T, base, id string, after uint64) string {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/assays/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after > 0 {
+		req.Header.Set("Last-Event-ID", fmt.Sprint(after))
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("events of %s: status %d %v", id, resp.StatusCode, err)
+	}
+	return string(body)
 }
 
 // restartableWorker is a worker daemon on a fixed address with a
@@ -318,17 +468,27 @@ func TestGatewayNonDurableMemberLosesJob(t *testing.T) {
 }
 
 // TestGatewayRecoveryMemberRemoved pins the restart of a durable
-// gateway after a member left the members spec: the job routed to that
-// member fails, its stream is the one job.failed frame, and it releases
-// its content address, so an identical resubmission is forwarded to a
-// remaining member and runs there.
+// gateway after a member left the members spec. A job that finished on
+// that member before the restart is served done from the gateway's
+// log, with its report and stream unchanged, and an identical
+// submission is a hit on it. A job the member still held at the
+// restart fails: its stream is the one job.failed frame, and it
+// releases its content address, so an identical resubmission is
+// forwarded to a remaining member and runs there.
 func TestGatewayRecoveryMemberRemoved(t *testing.T) {
-	_, ts0 := startWorker(t, die40())
-	_, ts1 := startWorker(t, die40())
-	w0 := MemberSpec{Name: "w0", Addr: ts0.URL, Profiles: die40()}
-	w1 := MemberSpec{Name: "w1", Addr: ts1.URL, Profiles: die40()}
-	dir := t.TempDir()
-	open := func(members ...MemberSpec) (*Gateway, *store.Disk) {
+	// worker serves a fresh die40 worker as the named member, so the
+	// cases share no member cache.
+	worker := func(t *testing.T, name string) MemberSpec {
+		_, ts := startWorker(t, die40())
+		return MemberSpec{Name: name, Addr: ts.URL, Profiles: die40()}
+	}
+	type gateway struct {
+		*Gateway
+		url   string
+		close func()
+	}
+	open := func(t *testing.T, dir string, members ...MemberSpec) gateway {
+		t.Helper()
 		st, err := store.Open(dir, store.Options{NoSync: true})
 		if err != nil {
 			t.Fatal(err)
@@ -337,53 +497,99 @@ func TestGatewayRecoveryMemberRemoved(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g, st
+		gs := httptest.NewServer(g.Handler())
+		return gateway{g, gs.URL, func() {
+			gs.Close()
+			g.Close()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}}
 	}
 	req := service.SubmitRequest{Seed: 11, Program: testProgram(4)}
 
-	// The members tie, so placement takes w1, first in members order.
-	g, st := open(w1, w0)
-	res, err := g.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second); err != nil || !terminal || j.Member != "w1" {
-		t.Fatalf("job %s: terminal=%v member %q err=%v, want done on w1", res.ID, terminal, j.Member, err)
-	}
-	g.Close()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("finished", func(t *testing.T) {
+		w0, w1 := worker(t, "w0"), worker(t, "w1")
+		dir := t.TempDir()
+		// The members tie, so placement takes w1, first in members order.
+		g := open(t, dir, w1, w0)
+		res, err := g.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, terminal, err := g.WaitTimeout(res.ID, 30*time.Second); err != nil || !terminal ||
+			j.Status != service.StatusDone || j.Member != "w1" {
+			t.Fatalf("job %s: %s on %q terminal=%v err=%v, want done on w1", res.ID, j.Status, j.Member, terminal, err)
+		}
+		_, record := do(t, http.MethodGet, g.url+"/v1/assays/"+res.ID, "")
+		_, events := do(t, http.MethodGet, g.url+"/v1/assays/"+res.ID+"/events", "")
+		g.close()
 
-	g, st = open(w0)
-	defer func() { g.Close(); st.Close() }()
-	gs := httptest.NewServer(g.Handler())
-	defer gs.Close()
-	const removed = "federation: member of routed job removed from members spec"
-	resp, body := do(t, http.MethodGet, gs.URL+"/v1/assays/"+res.ID, "")
-	var j service.Job
-	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &j) != nil ||
-		j.Status != service.StatusFailed || j.Error != removed || j.Seed != req.Seed || j.Program != req.Program.Name {
-		t.Errorf("GET after restart: status %d %s, want failed with %q, seed and program kept", resp.StatusCode, body, removed)
-	}
-	resp, body = do(t, http.MethodGet, gs.URL+"/v1/assays/"+res.ID+"/events", "")
-	want := fmt.Sprintf("id: 1\nevent: job.failed\ndata: {\"seq\":1,\"type\":\"job.failed\",\"t\":0,\"job\":{\"id\":%q},\"error\":%q}\n\n",
-		res.ID, removed)
-	if resp.StatusCode != http.StatusOK || string(body) != want {
-		t.Errorf("events after restart: status %d\n%q\nwant\n%q", resp.StatusCode, body, want)
-	}
-	again, err := g.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Cache != "" || again.ID == res.ID {
-		t.Fatalf("resubmission = %+v, want a fresh forward", again)
-	}
-	if j, terminal, err := g.WaitTimeout(again.ID, 30*time.Second); err != nil || !terminal ||
-		j.Status != service.StatusDone || j.Member != "w0" {
-		t.Errorf("resubmitted job %s: %s on %q terminal=%v err=%v (%s), want done on w0",
-			again.ID, j.Status, j.Member, terminal, err, j.Error)
-	}
+		g = open(t, dir, w0)
+		defer g.close()
+		var before, after service.Job
+		resp, body := do(t, http.MethodGet, g.url+"/v1/assays/"+res.ID, "")
+		if json.Unmarshal(record, &before) != nil || resp.StatusCode != http.StatusOK || json.Unmarshal(body, &after) != nil {
+			t.Fatalf("GET after restart: status %d %.200s", resp.StatusCode, body)
+		}
+		// The restored record is the route record's and the finish
+		// record's, as a restored worker job reads.
+		want := before
+		want.Assigned, want.Shard, want.Stolen, want.Recovered = -1, -1, false, true
+		if !reflect.DeepEqual(after, want) {
+			t.Errorf("GET after restart:\n%s\nwant %+v", body, want)
+		}
+		if _, body := do(t, http.MethodGet, g.url+"/v1/assays/"+res.ID+"/events", ""); string(body) != string(events) {
+			t.Errorf("events after restart differ:\n%s\nbefore\n%s", body, events)
+		}
+		if again, err := g.Submit(req); err != nil || again.Cache != "hit" || again.ID != res.ID {
+			t.Errorf("resubmission = %+v %v, want a hit on %s", again, err, res.ID)
+		}
+	})
+
+	t.Run("unfinished", func(t *testing.T) {
+		stub := newStubMember(t, service.Stats{}, accept)
+		defer stub.holdJobs()()
+		w0, w1 := worker(t, "w0"), MemberSpec{Name: "w1", Addr: stub.ts.URL, Profiles: die40()}
+		dir := t.TempDir()
+		g := open(t, dir, w1, w0)
+		res, err := g.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, _ := g.Get(res.ID); j.Member != "w1" {
+			t.Fatalf("job %s routed to %q, want w1", res.ID, j.Member)
+		}
+		g.close()
+
+		g = open(t, dir, w0)
+		defer g.close()
+		const removed = "federation: member of routed job removed from members spec"
+		resp, body := do(t, http.MethodGet, g.url+"/v1/assays/"+res.ID, "")
+		var j service.Job
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &j) != nil ||
+			j.Status != service.StatusFailed || j.Error != removed || j.Seed != req.Seed || j.Program != req.Program.Name {
+			t.Errorf("GET after restart: status %d %s, want failed with %q, seed and program kept", resp.StatusCode, body, removed)
+		}
+		resp, body = do(t, http.MethodGet, g.url+"/v1/assays/"+res.ID+"/events", "")
+		want := fmt.Sprintf("id: 1\nevent: job.failed\ndata: {\"seq\":1,\"type\":\"job.failed\",\"t\":0,\"job\":{\"id\":%q},\"error\":%q}\n\n",
+			res.ID, removed)
+		if resp.StatusCode != http.StatusOK || string(body) != want {
+			t.Errorf("events after restart: status %d\n%q\nwant\n%q", resp.StatusCode, body, want)
+		}
+		again, err := g.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Cache != "" || again.ID == res.ID {
+			t.Fatalf("resubmission = %+v, want a fresh forward", again)
+		}
+		if j, terminal, err := g.WaitTimeout(again.ID, 30*time.Second); err != nil || !terminal ||
+			j.Status != service.StatusDone || j.Member != "w0" {
+			t.Errorf("resubmitted job %s: %s on %q terminal=%v err=%v (%s), want done on w0",
+				again.ID, j.Status, j.Member, terminal, err, j.Error)
+		}
+	})
 }
 
 // TestGatewayListSevenDigitIDs pins gateway job IDs past a-999999: a

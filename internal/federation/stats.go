@@ -26,19 +26,22 @@ type MemberStats struct {
 // routed-job outcomes and the gateway-level cache/store state, as
 // opposed to the member-side numbers the fleet block merges. Done and
 // Failed count terminal routed jobs, including those a durable gateway
-// restored from its route log at startup.
+// restored from its log at startup.
 type GatewayStats struct {
 	Members   int    `json:"members"`
 	Jobs      int    `json:"jobs"`
 	Forwarded uint64 `json:"forwarded"`
 	Done      uint64 `json:"done"`
 	Failed    uint64 `json:"failed"`
-	// Recovered counts routed jobs re-resolved from the route log at
-	// startup; PersistErrors counts route appends that failed.
+	// Recovered counts routed jobs re-resolved from the log at startup;
+	// PersistErrors counts log appends (route or finish records) that
+	// failed.
 	Recovered     uint64 `json:"recovered,omitempty"`
 	PersistErrors uint64 `json:"persist_errors,omitempty"`
 	Draining      bool   `json:"draining,omitempty"`
-	// Store is the route log's snapshot: -data's or the private one's.
+	// Store is the gateway log's snapshot, -data's or the private
+	// one's: a route record per routed job, and a finish record per
+	// finished one.
 	Store *store.Stats `json:"store,omitempty"`
 	// Cache is the gateway's own result-cache block (hits answered
 	// without forwarding); absent when disabled.

@@ -129,7 +129,7 @@ func (s *Service) restoreFinishedLocked(id string, pr assay.Program, seed uint64
 	j := newJob(id, pr, seed, fin.Eligible, true)
 	j.Status, j.Profile, j.Error = Status(fin.Status), fin.Profile, fin.Error
 	j.done = closedDone
-	j.ring = stream.RecoveredRing(uint64(len(fin.Events)), s.storeBackfill(id))
+	j.ring = stream.RecoveredRing(uint64(len(fin.Events)), LogBackfill(s.store, id))
 	switch j.Status {
 	case StatusDone:
 		j.Report = fin.Report
@@ -165,7 +165,7 @@ func (s *Service) failRecoveredLocked(id string, pr assay.Program, seed uint64) 
 	}})
 	s.endLocked(j, nil, nil, &IncompatibleError{Program: pr.Name,
 		Requirements: pr.EffectiveRequirements(), Reasons: reasons})
-	s.persistFinishLocked(j)
+	PersistFinish(s.store, j, j.ring, j.key, s.met.persistErrors)
 	s.jobs[id] = j
 	s.met.recovered.Inc()
 }

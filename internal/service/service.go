@@ -239,9 +239,9 @@ type Job struct {
 	// bytes. Decode it to read report fields.
 	Report json.RawMessage `json:"report,omitempty"`
 	// Member names the worker a federation gateway routed the job to;
-	// empty on a worker, and for gateway jobs whose member left the
-	// members spec. It stays the last field so gateway bodies keep it
-	// last.
+	// empty on a worker, and for an unfinished gateway job whose member
+	// left the members spec (a finished one keeps it, from the route
+	// record). It stays the last field so gateway bodies keep it last.
 	Member string `json:"member,omitempty"`
 
 	pr   assay.Program
@@ -275,7 +275,7 @@ func JobID(seq int) string { return fmt.Sprintf("a-%06d", seq) }
 // number.
 func ParseJobID(id string) (int, bool) {
 	digits, ok := strings.CutPrefix(id, "a-")
-	if !ok || strings.TrimLeft(digits, "0123456789") != "" {
+	if !ok || leadingDigits(digits) != len(digits) {
 		return 0, false
 	}
 	seq, err := strconv.Atoi(digits)
@@ -292,8 +292,12 @@ func CompareJobIDs(a, b string) int {
 }
 
 // seqDigits counts the digits that follow an ID's "a-".
-func seqDigits(id string) int {
-	s := strings.TrimPrefix(id, "a-")
+func seqDigits(id string) int { return leadingDigits(strings.TrimPrefix(id, "a-")) }
+
+// leadingDigits counts the ASCII digits s starts with, a byte at a
+// time: strings.TrimLeft with a digit cutset would build the cutset's
+// set on every call, and recovery parses every replayed job ID.
+func leadingDigits(s string) int {
 	n := 0
 	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
 		n++
@@ -803,7 +807,7 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 	finSpan := j.trace.Start("finish", j.spanRoot.ID())
 	s.endLocked(j, rep, raw, err)
 	pAt := obs.Now()
-	persisted := s.persistFinishLocked(j)
+	persisted := PersistFinish(s.store, j, j.ring, j.key, s.met.persistErrors)
 	s.met.persist.With().Observe(obs.Since(pAt))
 	j.trace.Add("persist", finSpan.ID(), pAt, obs.Now())
 	// A done root whose finish record did not persist leaves the
@@ -848,45 +852,56 @@ func (s *Service) endLocked(j *Job, rep *assay.Report, raw json.RawMessage, err 
 	}
 }
 
-// persistFinishLocked appends the job's terminal record — status,
-// report and the complete event stream off the ring, as the bytes
-// Publish encoded — to the log, then offloads the ring to the log: it
-// keeps no events, and every subscriber reads the stream from the log
-// as after a restart (restoreFinishedLocked). On append failure the
-// ring keeps its events (subscribers still replay from memory) and the
-// error is counted; the job itself completes regardless. It reports
-// whether the record was appended. Caller holds s.mu.
-func (s *Service) persistFinishLocked(j *Job) bool {
-	rec := store.FinishRecord{
-		ID:       j.ID,
-		Status:   string(j.Status),
-		Profile:  j.Profile,
-		Eligible: j.Eligible,
-		Error:    j.Error,
-		Report:   j.Report,
-		Events:   j.ring.Events(),
-	}
-	if !j.key.Zero() && j.Status == StatusDone {
-		// A restart rebuilds the result-cache index from keyed roots.
-		rec.Key = j.key.String()
-	}
-	if err := s.store.LogFinish(rec); err != nil {
-		s.met.persistErrors.Inc()
+// PersistFinish appends the terminal record of the job snap describes
+// to st: its status, profile, eligible set, error and report, the key
+// of a done cacheable root, and the complete event stream off ring, as
+// the bytes the ring holds. It then offloads the ring to the log: the
+// ring keeps no events, and every subscriber reads the stream from the
+// log as after a restart. Both roles end a job through it: a worker
+// with the job's own ring, under its lock (restoreFinishedLocked
+// restores what it wrote), and a gateway with a routed job's mirror,
+// outside its lock, since finish records need no log order. Only a
+// whole stream is persisted: a mirror that an upstream gap moved past
+// seq 1 (stream.Ring.Feed) appends nothing and keeps its events and its
+// backfill. So does a ring whose append fails, which counts once in
+// errs; the job itself completes regardless. It reports whether the
+// record was appended.
+func PersistFinish(st store.Store, snap *Job, ring *stream.Ring, key cache.Key, errs *obs.Counter) bool {
+	evs := ring.Events()
+	if uint64(len(evs)) != ring.Last() {
 		return false
 	}
-	j.ring.Offload(s.storeBackfill(j.ID))
+	rec := store.FinishRecord{
+		ID:       snap.ID,
+		Status:   string(snap.Status),
+		Profile:  snap.Profile,
+		Eligible: snap.Eligible,
+		Error:    snap.Error,
+		Report:   snap.Report,
+		Events:   evs,
+	}
+	if !key.Zero() && snap.Status == StatusDone {
+		// A restarted worker rebuilds its result-cache index from keyed
+		// roots.
+		rec.Key = key.String()
+	}
+	if err := st.LogFinish(rec); err != nil {
+		errs.Inc()
+		return false
+	}
+	ring.Offload(LogBackfill(st, snap.ID))
 	return true
 }
 
-// storeBackfill returns a ring backfill reading the job's persisted
-// event stream back from the log on demand, so finished-job history
-// costs no memory: each call is one read of the finish record
+// LogBackfill returns a ring backfill reading job id's persisted event
+// stream back from st on demand, so finished-job history costs no
+// memory: each call is one read of the finish record
 // (store.Disk.Events), and each event comes back as its sequence
 // number, its type and its bytes, not decoded. Events are stored 1..n
 // in order, making the range a simple slice.
-func (s *Service) storeBackfill(id string) func(from, to uint64) []stream.Event {
+func LogBackfill(st store.Store, id string) func(from, to uint64) []stream.Event {
 	return func(from, to uint64) []stream.Event {
-		evs, err := s.store.Events(id)
+		evs, err := st.Events(id)
 		if err != nil {
 			return nil
 		}

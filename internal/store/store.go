@@ -17,8 +17,11 @@
 //
 // The same log also serves the federation gateway (internal/
 // federation): route records bind a gateway job ID to the worker
-// daemon that executes it, so a restarted gateway re-resolves every
-// routed job instead of losing track of acked work.
+// daemon that executes it, and a finish record, spliced from the
+// member's report and event bytes, ends each routed job the gateway
+// saw finish. A restarted gateway serves those jobs from its own log
+// and re-resolves only the unfinished ones instead of losing track of
+// acked work.
 //
 // Disk, an append-only segment log with CRC framing and an in-memory
 // index (see segment.go), is the one implementation, and every daemon
@@ -79,7 +82,9 @@ type SubmitRecord struct {
 // FinishRecord is the terminal log entry of one job: its outcome, the
 // placement that produced it, the report and the full event stream.
 // A job with a finish record is served from the store after a restart;
-// one without is re-executed.
+// one without is re-executed on a worker, and followed on its member
+// again by a gateway, whose finish records carry the member's report
+// and event bytes under the gateway's job ID.
 type FinishRecord struct {
 	ID string `json:"id"`
 	// Status is the terminal state, "done" or "failed".
@@ -111,12 +116,12 @@ type FinishRecord struct {
 
 // RouteRecord is a federation gateway's durable job→member binding,
 // appended before the forwarded submission is acked. A restarted
-// gateway replays these records to re-resolve every routed job: the
-// worker daemon named by Member owns the execution (and, when durable
-// itself, the report and event stream), so the gateway needs only the
-// binding — plus the (program, seed) pair, kept so the gateway can
-// recompute the job's content-address and keep deduplicating across
-// the restart.
+// gateway replays these records to rebuild every routed job: until
+// the job's own finish record follows it in the log, the worker daemon
+// named by Member owns the execution (and, when durable itself, the
+// report and event stream), so the gateway needs only the binding —
+// plus the (program, seed) pair, kept so the gateway can recompute the
+// job's content-address and keep deduplicating across the restart.
 type RouteRecord struct {
 	// ID is the gateway-side job ID ("a-000001"); recovery continues
 	// the sequence past the highest ID in the log.
